@@ -16,10 +16,8 @@ import argparse
 import configparser
 import csv
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, asdict
+from dataclasses import asdict, dataclass, fields
 
 from .background import PointCharge, load_background, total_charge
 from .diagnostics import moment
@@ -29,7 +27,7 @@ from .grid import make_grid
 from .solver import SolverConfig, gradient_solve, scf_solve
 from .verify import SUITES
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 _EXIT_OK = 0
 _EXIT_USAGE = 1
@@ -50,7 +48,6 @@ class RunConfig:
     tol_energy: float = 1e-10
     tol_residual: float = 1e-7
     max_iter: int = 20000
-    gd_step: float = 1e-4
     seed: int = 0
     output: str = "ground_state"
     format: str = "csv"
@@ -58,16 +55,7 @@ class RunConfig:
     include_background_self: bool = False
 
     def solver_config(self) -> SolverConfig:
-        return SolverConfig(
-            L=self.L,
-            N=self.N,
-            scf_damping=self.scf_damping,
-            tol_energy=self.tol_energy,
-            tol_residual=self.tol_residual,
-            max_iter=self.max_iter,
-            gd_step=self.gd_step,
-            seed=self.seed,
-        )
+        return SolverConfig(**{f.name: getattr(self, f.name) for f in fields(SolverConfig)})
 
     def resolved(self) -> dict:
         d = asdict(self)
@@ -83,7 +71,6 @@ _CONFIG_SECTIONS = {
         "tol_energy": float,
         "tol_residual": float,
         "max_iter": int,
-        "gd_step": float,
         "seed": int,
     },
     "output": {"path": str, "format": str},
@@ -120,7 +107,6 @@ def _add_common_args(p: argparse.ArgumentParser):
     p.add_argument("--tol-energy", type=float)
     p.add_argument("--tol-residual", type=float)
     p.add_argument("--max-iter", type=int)
-    p.add_argument("--gd-step", type=float)
     p.add_argument("--seed", type=int)
     p.add_argument("--output", help="output path prefix")
     p.add_argument("--format", choices=("csv", "json"))
@@ -153,26 +139,10 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     if getattr(args, "config", None):
         for key, value in load_config_file(args.config).items():
             setattr(cfg, key, value)
-    for key in (
-        "z",
-        "background_file",
-        "L",
-        "N",
-        "method",
-        "scf_damping",
-        "tol_energy",
-        "tol_residual",
-        "max_iter",
-        "gd_step",
-        "seed",
-        "output",
-        "format",
-        "allow_subcritical",
-        "include_background_self",
-    ):
-        value = getattr(args, key, None)
-        if value not in (None, False):
-            setattr(cfg, key, value)
+    for f in fields(RunConfig):
+        value = getattr(args, f.name, None)
+        if value is not None:
+            setattr(cfg, f.name, value)
     return cfg
 
 
@@ -217,16 +187,6 @@ def _write_json(path, cfg, payload):
         fh.write("\n")
 
 
-def _threads() -> int:
-    env = os.environ.get("COULOMBIUM_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError as exc:
-            raise CoulombiumError(f"bad COULOMBIUM_THREADS value {env!r}") from exc
-    return os.cpu_count() or 1
-
-
 def _solve_one(cfg: RunConfig, bg, method: str):
     solver = scf_solve if method == "scf" else gradient_solve
     return solver(bg, cfg.solver_config())
@@ -260,7 +220,7 @@ def cmd_solve(args) -> int:
 
     primary = states[methods[0]]
     V = effective_potential(primary.u, bg)
-    residual = el_residual(primary.u, primary.epsilon, bg)
+    residual = el_residual(primary.u, primary.epsilon, bg, potential=V)
     breakdown = primary.energy
     if cfg.include_background_self:
         breakdown = total_energy(primary.u, bg, include_background_self=True)
@@ -335,10 +295,8 @@ _SCAN_COLUMNS = ["z", "E", "epsilon", "kinetic", "coulomb", "moment1", "iteratio
 
 
 def _scan_row(cfg: RunConfig, z: float):
-    bg = PointCharge(z)
-    method = cfg.method if cfg.method in ("scf", "gd") else "scf"
     try:
-        state = _solve_one(cfg, bg, method)
+        state = _solve_one(cfg, PointCharge(z), cfg.method)
     except DivergingEnergyError:
         return {"z": z, "status": "diverged"}
     except SolverError:
@@ -358,6 +316,12 @@ def _scan_row(cfg: RunConfig, z: float):
 
 def cmd_scan(args) -> int:
     cfg = resolve_config(args)
+    if cfg.background_file:
+        print("scan sweeps point charges; it takes no background file", file=sys.stderr)
+        return _EXIT_USAGE
+    if cfg.method not in ("scf", "gd"):
+        print(f"scan runs one method, scf or gd, not {cfg.method!r}", file=sys.stderr)
+        return _EXIT_USAGE
     try:
         z_values = [float(tok) for tok in args.z_list.split(",") if tok.strip()]
     except ValueError:
@@ -370,8 +334,7 @@ def cmd_scan(args) -> int:
         print("scan requires all z >= 1", file=sys.stderr)
         return _EXIT_USAGE
 
-    with ThreadPoolExecutor(max_workers=min(_threads(), len(z_values))) as pool:
-        rows = list(pool.map(lambda z: _scan_row(cfg, z), z_values))
+    rows = [_scan_row(cfg, z) for z in z_values]
 
     if cfg.format == "json":
         _write_json(cfg.output + ".json", cfg, {"rows": rows})

@@ -1,17 +1,23 @@
 """The variational objective, the self-consistent potential and residuals.
 
-Two equivalent guises of the Coulomb term are kept: the g-kernel quartic
-form for a point background and the V-based route for sampled ones.  The
-reported total follows the convention
+The reported total follows the convention
 
     E[u] = int u'^2 + (1/2) int int -|x-y| (u^2+rho)(x) (u^2+rho)(y),
 
 while the iterative solvers drive the coupled linear/Poisson fixed point
 -u'' + V u = eps u, -V'' = u^2 + rho.  That fixed point is stationary for
 kinetic + coulomb/2 (the pair term is quadratic in the density, so its
-variational factor is half of the reported one); ``solver_objective``
-exposes that quantity for line searches, monotonicity enforcement and
-stationarity checks.
+variational factor is half of the reported one).
+
+On the solver path every quantity is read from one potential:
+``solver_objective`` builds V = V_el + V_bg for a candidate with a single
+prefix-sum pass and returns the candidate's kinetic term, its Coulomb term
+2 int V_bg u^2 + int V_el u^2 and the objective kinetic + coulomb/2, with
+the background potential V_bg built once per solve by the caller.  The
+Euler-Lagrange residual and the next Hamiltonian reuse the same V.  The
+g-kernel quartic form ``c_functional`` gives the reported Coulomb term of a
+point background; the V route equals it to rounding, which the tests hold
+as an identity.
 """
 
 from __future__ import annotations
@@ -36,45 +42,67 @@ class EnergyBreakdown:
     total: float
 
 
+@dataclass
+class Candidate:
+    """A solver iterate with the quantities read from its one potential."""
+
+    u: Samples
+    V: Samples  # V_el + V_bg
+    kinetic: float
+    coulomb: float  # 2 int V_bg u^2 + int V_el u^2
+    objective: float  # kinetic + coulomb / 2
+
+
+def solver_objective(u: Samples, v_bg: Samples) -> Candidate:
+    """Evaluate a candidate u against the background potential v_bg.
+
+    One ``potential_from_density`` call gives V_el; the objective
+    kinetic + coulomb/2 is stationary on the unit sphere exactly at
+    solutions of the coupled system -u'' + Vu = eps u, -V'' = u^2 + rho.
+    """
+    sq = u.values * u.values
+    v_el = potential_from_density(u.with_values(sq)).values
+    w = u.grid.weights
+    kin = kinetic_energy(u)
+    coul = 2.0 * float(np.dot(w, v_bg.values * sq)) + float(np.dot(w * sq, v_el))
+    return Candidate(u, u.with_values(v_el + v_bg.values), kin, coul, kin + 0.5 * coul)
+
+
+def candidate_energy(
+    c: Candidate,
+    bg: BackgroundCharge,
+    include_background_self: bool = False,
+) -> EnergyBreakdown:
+    """Reported energy of an evaluated, normalized candidate.
+
+    Point background: coulomb = C[u^2] with the g kernel at charge ratio z
+    (the rho*rho self-energy vanishes for the point case).  Sampled
+    background: the candidate's coulomb, 2 int V_rho u^2 + (1/2) * pair
+    energy of u^2 with itself; the finite rho*rho constant is added only on
+    request since it does not affect minimizers.
+    """
+    sq = c.u.with_values(c.u.values * c.u.values)
+    mass = integrate(sq)
+    if abs(mass - 1.0) > 1e-8:
+        raise NotNormalizedError(f"integral of u^2 is {mass!r}, expected 1 within 1e-8")
+    bconst = 0.0
+    if isinstance(bg, PointCharge):
+        coul = c_functional(sq, bg.z, warn_unnormalized=False)
+    else:
+        coul = c.coulomb
+        if include_background_self:
+            bconst = 0.5 * coulomb_pair_energy(bg.rho, bg.rho)
+    return EnergyBreakdown(c.kinetic, coul, bconst, c.kinetic + coul + bconst)
+
+
 def total_energy(
     u: Samples,
     bg: BackgroundCharge,
     include_background_self: bool = False,
 ) -> EnergyBreakdown:
-    """Evaluate the energy of a normalized wave function.
-
-    Point background: coulomb = C[u^2] with the g kernel at charge ratio z
-    (the rho*rho self-energy vanishes for the point case).  Sampled
-    background: coulomb = 2 int V_rho u^2 + (1/2) * pair energy of u^2 with
-    itself; the finite rho*rho constant is added only on request since it
-    does not affect minimizers.
-    """
-    sq = u.with_values(u.values * u.values)
-    mass = integrate(sq)
-    if abs(mass - 1.0) > 1e-8:
-        raise NotNormalizedError(f"integral of u^2 is {mass!r}, expected 1 within 1e-8")
-    kin = kinetic_energy(u)
-    if isinstance(bg, PointCharge):
-        coul = c_functional(sq, bg.z, warn_unnormalized=False)
-        bconst = 0.0
-    else:
-        v_rho = background_potential(bg, u.grid)
-        coul = 2.0 * float(np.dot(u.grid.weights, v_rho.values * sq.values))
-        coul += 0.5 * coulomb_pair_energy(sq, sq)
-        bconst = 0.0
-        if include_background_self:
-            bconst = 0.5 * coulomb_pair_energy(bg.rho, bg.rho)
-    return EnergyBreakdown(kin, coul, bconst, kin + coul + bconst)
-
-
-def solver_objective(u: Samples, bg: BackgroundCharge) -> float:
-    """Descent functional kinetic + coulomb/2 for the iterative solvers.
-
-    Stationary on the unit sphere exactly at solutions of the coupled
-    system -u'' + Vu = eps u, -V'' = u^2 + rho.
-    """
-    e = total_energy(u, bg)
-    return e.kinetic + 0.5 * e.coulomb
+    """Evaluate the energy of a normalized wave function (see candidate_energy)."""
+    c = solver_objective(u, background_potential(bg, u.grid))
+    return candidate_energy(c, bg, include_background_self)
 
 
 def effective_potential(u: Samples, bg: BackgroundCharge) -> Samples:
@@ -83,10 +111,7 @@ def effective_potential(u: Samples, bg: BackgroundCharge) -> Samples:
     The electron part comes from the prefix-sum kernel; the background part
     is exact for a point charge.
     """
-    sq = u.with_values(u.values * u.values)
-    v = potential_from_density(sq)
-    vb = background_potential(bg, u.grid)
-    return u.with_values(v.values + vb.values)
+    return solver_objective(u, background_potential(bg, u.grid)).V
 
 
 def el_residual(

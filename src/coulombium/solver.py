@@ -17,14 +17,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
-from .background import BackgroundCharge, recenter_shift, total_charge
-from .energy import (
-    EnergyBreakdown,
-    effective_potential,
-    el_residual,
-    solver_objective,
-    total_energy,
-)
+from .background import BackgroundCharge, background_potential, recenter_shift, total_charge
+from .energy import EnergyBreakdown, candidate_energy, el_residual, solver_objective
 from .errors import (
     DivergingEnergyError,
     LineSearchStalledError,
@@ -37,6 +31,7 @@ _ALPHA_FLOOR = 1e-3
 _OBJECTIVE_FLOOR = -1e4
 _BOUNDARY_FRACTION = 0.9
 _BOUNDARY_MASS_LIMIT = 0.1
+_GD_FIRST_STEP = 1e-4  # gradient step before the first Barzilai-Borwein quotient
 
 
 @dataclass
@@ -49,13 +44,11 @@ class SolverConfig:
     tol_energy: float = 1e-10
     tol_residual: float = 1e-7
     max_iter: int = 20000
-    gd_step: float = 1e-4
-    seed: int = 0
 
     def __post_init__(self):
         if not (0.0 < self.scf_damping <= 1.0):
             raise ValueError(f"scf_damping must lie in (0, 1], got {self.scf_damping}")
-        for name in ("tol_energy", "tol_residual", "gd_step"):
+        for name in ("tol_energy", "tol_residual"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
         if self.max_iter < 1:
@@ -159,8 +152,8 @@ def scf_solve(
 ) -> GroundState:
     """Damped self-consistent field iteration.
 
-    Each pass rebuilds V from the current density, takes the ground
-    eigenpair of -D2 + V and mixes densities, u^2 <- (1-a) u^2 + a u_new^2.
+    Each pass takes the ground eigenpair of -D2 + V, with V the accepted
+    iterate's potential, and mixes densities, u^2 <- (1-a) u^2 + a u_new^2.
     The damping a is halved (never below 1e-3) whenever the descent
     objective would rise, which keeps the accepted trace non-increasing.
     Stops when |delta objective| <= tol_energy and the Euler-Lagrange
@@ -168,28 +161,28 @@ def scf_solve(
     """
     cfg = cfg if cfg is not None else SolverConfig()
     grid = make_grid(cfg.L, cfg.N)
-    u = _prepare_start(bg, u0, grid)
+    v_bg = background_potential(bg, grid)
+    cur = solver_objective(_prepare_start(bg, u0, grid), v_bg)
     alpha = cfg.scf_damping
-    obj = solver_objective(u, bg)
     history: list = []
     for it in range(1, cfg.max_iter + 1):
-        V = effective_potential(u, bg)
-        eps, u_lin = ground_eigenpair(V)
+        eps, u_lin = ground_eigenpair(cur.V)
+        obj = cur.objective
         while True:
-            dens = (1.0 - alpha) * u.values**2 + alpha * u_lin.values**2
-            u_new = normalize(Samples(grid, np.sqrt(dens)))
-            obj_new = solver_objective(u_new, bg)
-            if obj_new <= obj + 1e-12 * max(1.0, abs(obj)) or alpha <= _ALPHA_FLOOR:
+            dens = (1.0 - alpha) * cur.u.values**2 + alpha * u_lin.values**2
+            new = solver_objective(normalize(Samples(grid, np.sqrt(dens))), v_bg)
+            if new.objective <= obj + 1e-12 * max(1.0, abs(obj)) or alpha <= _ALPHA_FLOOR:
                 break
             alpha *= 0.5
-        res = el_residual(u_new, eps, bg)
-        delta = abs(obj_new - obj)
-        u, obj = u_new, obj_new
-        history.append((obj, res))
-        _check_divergence(u, bg, obj, history)
+        res = el_residual(new.u, eps, bg, potential=new.V)
+        delta = abs(new.objective - obj)
+        cur = new
+        history.append((cur.objective, res))
+        _check_divergence(cur.u, bg, cur.objective, history)
         if delta <= cfg.tol_energy and res <= cfg.tol_residual:
-            _warn_if_truncated(u)
-            return GroundState(u, eps, total_energy(u, bg), it, True, history, obj)
+            _warn_if_truncated(cur.u)
+            energy = candidate_energy(cur, bg)
+            return GroundState(cur.u, eps, energy, it, True, history, cur.objective)
     raise MaxIterExceededError(
         f"scf did not converge in {cfg.max_iter} iterations", history
     )
@@ -208,7 +201,8 @@ def gradient_solve(
 ) -> GroundState:
     """Projected gradient descent on the unit sphere.
 
-    The descent direction is the tangent part of g = 2(-D2 u + V u); steps
+    The descent direction is the tangent part of g = 2(-D2 u + V u), with V
+    the potential the accepted iterate's objective was read from; steps
     are proposed by a Barzilai-Borwein quotient and safeguarded by Armijo
     backtracking on the descent objective, then the iterate is renormalized.
     The multiplier is reported as the Rayleigh quotient at convergence;
@@ -222,13 +216,13 @@ def gradient_solve(
     def inner(a, b):
         return float(np.dot(w * a, b))
 
-    u = _prepare_start(bg, u0, grid)
-    V = effective_potential(u, bg)
-    hu = _apply_hamiltonian(u.values, V.values, h)
-    obj = solver_objective(u, bg)
+    v_bg = background_potential(bg, grid)
+    cur = solver_objective(_prepare_start(bg, u0, grid), v_bg)
+    u, obj = cur.u, cur.objective
+    hu = _apply_hamiltonian(u.values, cur.V.values, h)
     prev_obj = None
     du = dg = None
-    step = cfg.gd_step
+    step = _GD_FIRST_STEP
     history: list = []
     for it in range(1, cfg.max_iter + 1):
         ray = inner(u.values, hu)
@@ -239,7 +233,7 @@ def gradient_solve(
             prev_obj is None or abs(obj - prev_obj) <= cfg.tol_energy
         ):
             _warn_if_truncated(u)
-            return GroundState(u, ray, total_energy(u, bg), it, True, history, obj)
+            return GroundState(u, ray, candidate_energy(cur, bg), it, True, history, obj)
         if du is not None:
             denom = inner(du, dg)
             if denom > 0:
@@ -254,23 +248,21 @@ def gradient_solve(
         while True:
             cand = u.values - st * gt
             cand[0] = cand[-1] = 0.0
-            u_try = normalize(Samples(grid, cand))
-            obj_try = solver_objective(u_try, bg)
-            if obj_try <= obj - 1e-4 * st * gnorm2 + floor:
+            trial = solver_objective(normalize(Samples(grid, cand)), v_bg)
+            if trial.objective <= obj - 1e-4 * st * gnorm2 + floor:
                 break
             st *= 0.5
             if st < 1e-20:
                 raise LineSearchStalledError(
                     f"no descent step found at iteration {it}", history
                 )
-        V = effective_potential(u_try, bg)
-        hu_new = _apply_hamiltonian(u_try.values, V.values, h)
-        ray_new = inner(u_try.values, hu_new)
-        gt_new = 2.0 * (hu_new - ray_new * u_try.values)
-        du = u_try.values - u.values
+        hu_new = _apply_hamiltonian(trial.u.values, trial.V.values, h)
+        ray_new = inner(trial.u.values, hu_new)
+        gt_new = 2.0 * (hu_new - ray_new * trial.u.values)
+        du = trial.u.values - u.values
         dg = gt_new - gt
-        prev_obj, obj = obj, obj_try
-        u, hu = u_try, hu_new
+        cur, prev_obj = trial, obj
+        u, obj, hu = cur.u, cur.objective, hu_new
         step = st
         _check_divergence(u, bg, obj, history)
     raise MaxIterExceededError(

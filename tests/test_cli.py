@@ -18,7 +18,7 @@ def test_solve_point_charge(tmp_path):
     )
     assert code == 0
     table = (tmp_path / "sol.csv").read_text().splitlines()
-    assert table[0] == "# schema_version=1"
+    assert table[0] == "# schema_version=2"
     assert table[1].startswith("# config ")
     assert table[2].startswith("# summary ")
     assert "total_energy=" in table[2]
@@ -35,7 +35,7 @@ def test_solve_json_format(tmp_path):
     )
     assert code == 0
     doc = json.loads((tmp_path / "sol.json").read_text())
-    assert doc["schema_version"] == 1
+    assert doc["schema_version"] == 2
     assert doc["config"]["z"] == 2.0
     assert doc["summary"]["converged"] is True
     assert len(doc["table"]["x"]) == 1601
@@ -139,6 +139,44 @@ def test_config_file_with_flag_override(tmp_path):
     assert doc["config"]["max_iter"] == 5000
 
 
+def test_zero_flag_overrides_config_file(tmp_path):
+    cfgfile = tmp_path / "run.ini"
+    cfgfile.write_text(
+        "[background]\nz = 2\n\n[grid]\nL = 16\nN = 1601\n\n[solver]\nseed = 5\n\n"
+        f"[output]\npath = {tmp_path / 'cfg'}\nformat = json\n"
+    )
+    assert run_cli(["solve", "--config", str(cfgfile), "--seed", "0"]) == 0
+    doc = json.loads((tmp_path / "cfg.json").read_text())
+    assert doc["config"]["seed"] == 0
+
+
+def test_zero_half_width_is_usage_error(tmp_path, capsys):
+    out = str(tmp_path / "x")
+    assert run_cli(["solve", "--z", "2", "--L", "0", "--output", out]) == 1
+    assert run_cli(["scan", "--z-list", "2", "--L", "0", "--output", out]) == 1
+    assert "half-width must be positive" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+def test_scan_rejects_background_file(tmp_path, capsys):
+    path = tmp_path / "rho.dat"
+    path.write_text("-1 0\n0 -1\n1 0\n")
+    out = tmp_path / "s"
+    code = run_cli(["scan", "--z-list", "2", "--background-file", str(path),
+                    "--output", str(out)])
+    assert code == 1
+    assert "background file" in capsys.readouterr().err
+    assert not (tmp_path / "s.csv").exists()
+
+
+def test_scan_rejects_method_both(tmp_path, capsys):
+    out = tmp_path / "s"
+    code = run_cli(["scan", "--z-list", "2", "--method", "both", "--output", str(out)])
+    assert code == 1
+    assert "one method" in capsys.readouterr().err
+    assert not (tmp_path / "s.csv").exists()
+
+
 def test_config_file_unknown_key(tmp_path):
     cfgfile = tmp_path / "bad.ini"
     cfgfile.write_text("[grid]\nbogus = 1\n")
@@ -166,16 +204,6 @@ def test_verify_counterexample_reports_slope(capsys):
     assert "slope" in out
     assert code == 1
     assert "suite counterexample: FAIL" in out
-
-
-def test_verify_env_thread_cap(tmp_path, monkeypatch):
-    monkeypatch.setenv("COULOMBIUM_THREADS", "1")
-    out = tmp_path / "scan"
-    assert run_cli(["scan", "--z-list", "1.5", "--L", "16", "--N", "1601",
-                    "--output", str(out)]) == 0
-    monkeypatch.setenv("COULOMBIUM_THREADS", "junk")
-    assert run_cli(["scan", "--z-list", "1.5", "--L", "16", "--N", "1601",
-                    "--output", str(out)]) == 1
 
 
 def test_verify_unknown_suite_is_usage_error(capsys):

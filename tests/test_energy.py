@@ -1,21 +1,26 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coulombium import (
     NotNormalizedError,
     PointCharge,
     SampledCharge,
     Samples,
+    background_potential,
     boundary_flux_diagnostic,
     c_functional,
     coulomb_pair_energy,
     dense_coulomb_pair_energy,
+    dense_potential_from_density,
     effective_potential,
     el_residual,
     from_function,
     ground_eigenpair,
     make_grid,
     normalize,
+    potential_from_density,
     reflect,
     solver_objective,
     total_energy,
@@ -66,19 +71,24 @@ def test_gaussian_against_dense_quadrature():
     assert e.total == pytest.approx(dense, rel=1e-8)
 
 
-def test_point_coulomb_two_routes_agree():
-    # g-kernel route vs potential route, 1e-9 relative on normalized u
-    rng = np.random.default_rng(2)
-    g = make_grid(10.0, 801)
-    z = 1.7
-    for _ in range(10):
-        u = _normalized_wave(g, rng)
-        sq = u.with_values(u.values**2)
-        m1 = float(np.dot(g.weights, np.abs(g.x) * sq.values))
-        v_route = z * m1 + 0.5 * coulomb_pair_energy(sq, sq)
-        assert c_functional(sq, z, warn_unnormalized=False) == pytest.approx(
-            v_route, rel=1e-9
-        )
+@settings(max_examples=60, deadline=None, database=None)
+@given(
+    half=st.integers(2, 400),
+    L=st.floats(1.0, 40.0),
+    z=st.floats(1.0, 6.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_point_coulomb_two_routes_agree(half, L, z, seed):
+    # The solvers read the Coulomb term from V; the g-kernel form must stay
+    # equal to it, and the prefix-sum V to its dense twin, on any grid.
+    g = make_grid(L, 2 * half + 1)
+    u = normalize(Samples(g, np.random.default_rng(seed).random(g.N)))
+    sq = u.with_values(u.values**2)
+    c = solver_objective(u, background_potential(PointCharge(z), g))
+    assert c.coulomb == pytest.approx(c_functional(sq, z), rel=1e-9, abs=1e-12 * z * L)
+    fast = potential_from_density(sq).values
+    dense = dense_potential_from_density(sq).values
+    assert np.max(np.abs(fast - dense)) <= 1e-12 * np.max(np.abs(dense))
 
 
 def test_sampled_background_energy_terms():
@@ -109,9 +119,9 @@ def test_solver_objective_is_half_coulomb():
     g = make_grid(8.0, 321)
     u = _normalized_wave(g, rng)
     e = total_energy(u, PointCharge(2.0))
-    assert solver_objective(u, PointCharge(2.0)) == pytest.approx(
-        e.kinetic + 0.5 * e.coulomb, rel=1e-13
-    )
+    c = solver_objective(u, background_potential(PointCharge(2.0), g))
+    assert c.objective == c.kinetic + 0.5 * c.coulomb
+    assert c.objective == pytest.approx(e.kinetic + 0.5 * e.coulomb, rel=1e-13)
 
 
 def test_effective_potential_background_only():

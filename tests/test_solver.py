@@ -7,6 +7,7 @@ from coulombium import (
     PointCharge,
     Samples,
     SolverConfig,
+    background_potential,
     effective_potential,
     el_residual,
     gradient_solve,
@@ -136,15 +137,26 @@ def test_virial_stationarity(z2_states):
     # mass-preserving scaling u -> sqrt(lam) u(lam x)
     scf, _, _, bg = z2_states
     g = scf.u.grid
+    v_bg = background_potential(bg, g)
 
     def scaled_objective(lam):
         vals = np.interp(lam * g.x, g.x, scf.u.values, left=0.0, right=0.0)
         vals = vals * np.sqrt(lam)
-        return solver_objective(normalize(Samples(g, vals)), bg)
+        return solver_objective(normalize(Samples(g, vals)), v_bg).objective
 
     d = 0.01
     fd = (scaled_objective(1.0 + d) - scaled_objective(1.0 - d)) / (2.0 * d)
     assert abs(fd) <= 1e-4
+
+
+def test_gradient_line_search_does_not_stall():
+    # Armijo must judge descent with the objective whose gradient it steps
+    # along: rounding gaps between two Coulomb routes stall the search here.
+    cfg = SolverConfig(L=30.0, N=2001)
+    bg = PointCharge(5.0)
+    gd = gradient_solve(bg, cfg)
+    assert gd.converged
+    assert abs(gd.energy.total - scf_solve(bg, cfg).energy.total) <= 1e-6
 
 
 def test_grid_refinement_second_order():
