@@ -62,7 +62,6 @@ from .grid import (
     from_function,
     integrate,
     kinetic_energy,
-    make_grid,
     normalize,
     reflect,
 )

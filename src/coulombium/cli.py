@@ -1,9 +1,14 @@
 """Command-line interface: solve, scan and verify subcommands.
 
-Configuration comes from an INI-style file with sections [background],
-[grid], [solver] and [output], every key of which can be overridden by a
-command-line flag.  Each output file embeds the fully resolved
-configuration and a schema version line; identical (config, seed) pairs
+``SETTINGS`` names each setting once: its INI section and key (none for a
+flag-only setting), type, default and allowed values.  ``COMMANDS`` lists
+the settings each subcommand reads: ``solve`` all but ``seed``, ``scan``
+the grid, solver and output settings, ``verify`` only ``seed`` and ``z``
+(and no config file).  A subcommand's flags, the INI keys its ``--config``
+file may hold, the one check of every value and the configuration its
+output records all come from its list, so a flag or key it does not read
+is a usage error and a bad value fails the same way from a flag or a
+file.  A flag overrides the file whenever it is given.  Identical settings
 produce byte-identical output.
 
 Exit codes: 0 success, 1 usage or configuration error, 2 non-convergence,
@@ -15,19 +20,21 @@ from __future__ import annotations
 import argparse
 import configparser
 import csv
+import inspect
 import json
 import sys
-from dataclasses import asdict, dataclass, fields
+from dataclasses import fields
+from typing import Any, Callable, NamedTuple
 
 from .background import PointCharge, load_background, total_charge
 from .diagnostics import moment
 from .energy import effective_potential, el_residual, total_energy
 from .errors import CoulombiumError, DivergingEnergyError, SolverError
-from .grid import make_grid
+from .grid import Grid
 from .solver import SolverConfig, gradient_solve, scf_solve
 from .verify import SUITES
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 _EXIT_OK = 0
 _EXIT_USAGE = 1
@@ -35,118 +42,121 @@ _EXIT_NO_CONVERGENCE = 2
 _EXIT_SUBCRITICAL = 3
 
 
-@dataclass
-class RunConfig:
-    """Fully resolved run parameters (background, grid, solver, output)."""
-
-    z: float | None = None
-    background_file: str | None = None
-    L: float = 30.0
-    N: int = 6001
-    method: str = "scf"
-    scf_damping: float = 0.6
-    tol_energy: float = 1e-10
-    tol_residual: float = 1e-7
-    max_iter: int = 20000
-    seed: int = 0
-    output: str = "ground_state"
-    format: str = "csv"
-    allow_subcritical: bool = False
-    include_background_self: bool = False
-
-    def solver_config(self) -> SolverConfig:
-        return SolverConfig(**{f.name: getattr(self, f.name) for f in fields(SolverConfig)})
-
-    def resolved(self) -> dict:
-        d = asdict(self)
-        return {k: d[k] for k in sorted(d)}
+class Setting(NamedTuple):
+    section: str | None  # INI section; None for a flag-only setting
+    key: str | None
+    type: Callable
+    default: Any
+    choices: tuple = ()
+    help: str | None = None
 
 
-_CONFIG_SECTIONS = {
-    "background": {"z": float, "file": str},
-    "grid": {"L": float, "N": int},
-    "solver": {
-        "method": str,
-        "scf_damping": float,
-        "tol_energy": float,
-        "tol_residual": float,
-        "max_iter": int,
-        "seed": int,
-    },
-    "output": {"path": str, "format": str},
+SETTINGS = {
+    "z": Setting("background", "z", float, None, help="point background charge ratio"),
+    "background_file": Setting("background", "file", str, None, help="(x, rho) text file"),
+    "L": Setting("grid", "L", float, 30.0, help="domain half-width"),
+    "N": Setting("grid", "N", int, 6001, help="node count (odd)"),
+    "method": Setting("solver", "method", str, "scf", ("scf", "gd", "both")),
+    "scf_damping": Setting("solver", "scf_damping", float, 0.6),
+    "tol_energy": Setting("solver", "tol_energy", float, 1e-10),
+    "tol_residual": Setting("solver", "tol_residual", float, 1e-7),
+    "max_iter": Setting("solver", "max_iter", int, 20000),
+    "output": Setting("output", "path", str, "ground_state", help="output path prefix"),
+    "format": Setting("output", "format", str, "csv", ("csv", "json")),
+    "allow_subcritical": Setting(None, None, bool, False, help="try z < 1 anyway"),
+    "include_background_self": Setting(None, None, bool, False, help="add the rho*rho energy"),
+    "seed": Setting(None, None, int, None, help="seed of the suite's random data"),
 }
-_KEY_MAP = {("background", "file"): "background_file", ("output", "path"): "output"}
+_GRID_SOLVER_OUTPUT = ("L", "N", "method", "scf_damping", "tol_energy", "tol_residual",
+                       "max_iter", "output", "format")
+COMMANDS = {
+    "solve": ("z", "background_file", *_GRID_SOLVER_OUTPUT,
+              "allow_subcritical", "include_background_self"),
+    "scan": _GRID_SOLVER_OUTPUT,
+    "verify": ("seed", "z"),
+}
+_SOLVERS = {"scf": scf_solve, "gd": gradient_solve}
 
 
-def load_config_file(path: str) -> dict:
+def _checked(name: str, raw):
+    """A flag's or INI key's value as the setting's type, within its allowed values."""
+    s = SETTINGS[name]
+    try:
+        value = s.type(raw)
+    except ValueError:
+        raise CoulombiumError(f"{name}: cannot read {raw!r} as {s.type.__name__}") from None
+    if s.choices and value not in s.choices:
+        raise CoulombiumError(f"{name} must be one of {', '.join(s.choices)}, got {value!r}")
+    return value
+
+
+def load_config_file(path: str, command: str) -> dict:
+    """Raw values, by setting name, of the INI file's keys; ``command`` must read each."""
     parser = configparser.ConfigParser()
     parser.optionxform = str  # keys are case-sensitive (L vs l)
-    read = parser.read(path)
-    if not read:
+    if not parser.read(path):
         raise CoulombiumError(f"cannot read config file {path}")
+    names = {(SETTINGS[n].section, SETTINGS[n].key): n for n in COMMANDS[command]}
     out = {}
-    for section, keys in _CONFIG_SECTIONS.items():
-        if not parser.has_section(section):
-            continue
+    for section in parser.sections():
         for key, value in parser.items(section):
-            if key not in keys:
-                raise CoulombiumError(f"unknown config key [{section}] {key}")
-            field = _KEY_MAP.get((section, key), key)
-            out[field] = keys[key](value)
+            if (section, key) not in names:
+                raise CoulombiumError(f"{command} reads no config key [{section}] {key}")
+            out[names[section, key]] = value
     return out
 
 
-def _add_common_args(p: argparse.ArgumentParser):
-    p.add_argument("--config", help="INI config file")
-    p.add_argument("--z", type=float, help="point background charge ratio")
-    p.add_argument("--background-file", help="two-column (x, rho) text file")
-    p.add_argument("--L", type=float, help="domain half-width")
-    p.add_argument("--N", type=int, help="node count (odd)")
-    p.add_argument("--method", choices=("scf", "gd", "both"))
-    p.add_argument("--scf-damping", type=float)
-    p.add_argument("--tol-energy", type=float)
-    p.add_argument("--tol-residual", type=float)
-    p.add_argument("--max-iter", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--output", help="output path prefix")
-    p.add_argument("--format", choices=("csv", "json"))
+def _subparser(sub, command: str, help: str) -> argparse.ArgumentParser:
+    p = sub.add_parser(command, help=help, allow_abbrev=False)
+    for name in COMMANDS[command]:
+        s = SETTINGS[name]
+        flag = "--" + name.replace("_", "-")
+        if s.type is bool:
+            p.add_argument(flag, action="store_true", default=None, help=s.help)
+        else:
+            metavar = "{" + ",".join(s.choices) + "}" if s.choices else None
+            p.add_argument(flag, metavar=metavar, help=s.help)
+    return p
 
 
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="coulombium",
         description="Ground states of the 1-D Schrodinger-Coulomb system",
+        allow_abbrev=False,
     )
     sub = p.add_subparsers(dest="command", required=True)
-
-    ps = sub.add_parser("solve", help="compute one ground state")
-    _add_common_args(ps)
-    ps.add_argument("--allow-subcritical", action="store_true")
-    ps.add_argument("--include-background-self", action="store_true")
-
-    pc = sub.add_parser("scan", help="sweep the charge ratio")
-    _add_common_args(pc)
+    ps = _subparser(sub, "solve", "compute one ground state")
+    pc = _subparser(sub, "scan", "sweep the charge ratio")
+    pv = _subparser(sub, "verify", "run a property suite")
+    for q in (ps, pc):
+        q.add_argument("--config", help="INI config file")
     pc.add_argument("--z-list", required=True, help="comma-separated z values")
-
-    pv = sub.add_parser("verify", help="run a property suite")
     pv.add_argument("suite", choices=sorted(SUITES))
-    _add_common_args(pv)
     return p
 
 
-def resolve_config(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig()
-    if getattr(args, "config", None):
-        for key, value in load_config_file(args.config).items():
-            setattr(cfg, key, value)
-    for f in fields(RunConfig):
-        value = getattr(args, f.name, None)
-        if value is not None:
-            setattr(cfg, f.name, value)
-    return cfg
+def read_settings(args: argparse.Namespace) -> dict:
+    """The settings given to ``args.command``: its config file, then its flags, checked."""
+    raw = load_config_file(args.config, args.command) if getattr(args, "config", None) else {}
+    for name in COMMANDS[args.command]:
+        if getattr(args, name) is not None:
+            raw[name] = getattr(args, name)
+    return {name: _checked(name, value) for name, value in raw.items()}
 
 
-def _build_background(cfg: RunConfig, grid):
+def resolve_config(args: argparse.Namespace) -> argparse.Namespace:
+    """Every setting ``args.command`` reads, by name in sorted order: given or default."""
+    values = {name: SETTINGS[name].default for name in COMMANDS[args.command]}
+    values.update(read_settings(args))
+    return argparse.Namespace(**dict(sorted(values.items())))
+
+
+def _solver_config(cfg: argparse.Namespace) -> SolverConfig:
+    return SolverConfig(**{f.name: getattr(cfg, f.name) for f in fields(SolverConfig)})
+
+
+def _build_background(cfg, grid):
     if cfg.background_file:
         return load_background(cfg.background_file, grid)
     if cfg.z is None:
@@ -160,8 +170,8 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _config_lines(cfg: RunConfig):
-    pairs = " ".join(f"{k}={_fmt(v)}" for k, v in cfg.resolved().items())
+def _config_lines(cfg: argparse.Namespace):
+    pairs = " ".join(f"{k}={_fmt(v)}" for k, v in vars(cfg).items())
     return [f"# schema_version={SCHEMA_VERSION}", f"# config {pairs}"]
 
 
@@ -179,7 +189,7 @@ def _write_csv(path, cfg, header, rows, extra_comments=()):
 def _write_json(path, cfg, payload):
     doc = {
         "schema_version": SCHEMA_VERSION,
-        "config": cfg.resolved(),
+        "config": vars(cfg),
         **payload,
     }
     with open(path, "w") as fh:
@@ -187,14 +197,10 @@ def _write_json(path, cfg, payload):
         fh.write("\n")
 
 
-def _solve_one(cfg: RunConfig, bg, method: str):
-    solver = scf_solve if method == "scf" else gradient_solve
-    return solver(bg, cfg.solver_config())
-
-
 def cmd_solve(args) -> int:
     cfg = resolve_config(args)
-    grid = make_grid(cfg.L, cfg.N)
+    solver_cfg = _solver_config(cfg)
+    grid = Grid(cfg.L, cfg.N)
     bg = _build_background(cfg, grid)
     z = -total_charge(bg)
     # quadrature-scale tolerance so nominally neutral file backgrounds pass
@@ -210,7 +216,7 @@ def cmd_solve(args) -> int:
     states = {}
     try:
         for method in methods:
-            states[method] = _solve_one(cfg, bg, method)
+            states[method] = _SOLVERS[method](bg, solver_cfg)
     except DivergingEnergyError as exc:
         print(f"subcritical divergence detected: {exc}", file=sys.stderr)
         return _EXIT_SUBCRITICAL
@@ -294,9 +300,9 @@ def cmd_solve(args) -> int:
 _SCAN_COLUMNS = ["z", "E", "epsilon", "kinetic", "coulomb", "moment1", "iterations", "status"]
 
 
-def _scan_row(cfg: RunConfig, z: float):
+def _scan_row(solve, solver_cfg: SolverConfig, z: float):
     try:
-        state = _solve_one(cfg, PointCharge(z), cfg.method)
+        state = solve(PointCharge(z), solver_cfg)
     except DivergingEnergyError:
         return {"z": z, "status": "diverged"}
     except SolverError:
@@ -316,12 +322,10 @@ def _scan_row(cfg: RunConfig, z: float):
 
 def cmd_scan(args) -> int:
     cfg = resolve_config(args)
-    if cfg.background_file:
-        print("scan sweeps point charges; it takes no background file", file=sys.stderr)
-        return _EXIT_USAGE
-    if cfg.method not in ("scf", "gd"):
+    if cfg.method not in _SOLVERS:
         print(f"scan runs one method, scf or gd, not {cfg.method!r}", file=sys.stderr)
         return _EXIT_USAGE
+    solver_cfg = _solver_config(cfg)
     try:
         z_values = [float(tok) for tok in args.z_list.split(",") if tok.strip()]
     except ValueError:
@@ -334,7 +338,7 @@ def cmd_scan(args) -> int:
         print("scan requires all z >= 1", file=sys.stderr)
         return _EXIT_USAGE
 
-    rows = [_scan_row(cfg, z) for z in z_values]
+    rows = [_scan_row(_SOLVERS[cfg.method], solver_cfg, z) for z in z_values]
 
     if cfg.format == "json":
         _write_json(cfg.output + ".json", cfg, {"rows": rows})
@@ -355,14 +359,10 @@ def cmd_scan(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    cfg = resolve_config(args)
     suite = SUITES[args.suite]
-    kwargs = {}
-    if args.suite in ("forms", "bnorm", "rearrange", "innerprod"):
-        kwargs["seed"] = cfg.seed
-    if args.suite == "counterexample" and cfg.z is not None:
-        kwargs["z"] = cfg.z
-    report = suite(**kwargs)
+    # each suite takes the settings among its parameters: seed, z or neither
+    params = inspect.signature(suite).parameters
+    report = suite(**{k: v for k, v in read_settings(args).items() if k in params})
     for line in report.lines():
         print(line)
     return _EXIT_OK if report.passed else _EXIT_USAGE

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GridTooSmallError
-from .grid import Grid, Samples, integrate, kinetic_energy, make_grid
+from .grid import Grid, Samples, integrate, kinetic_energy
 from .kernel import c_functional
 
 
@@ -127,7 +127,7 @@ def grid_for_counterexample(n: int, h_target: float = 0.0015) -> Grid:
     """Grid with L = n + 2 and spacing at most h_target (node count odd)."""
     L = n + 2.0
     half = math.ceil(L / h_target)
-    return make_grid(L, 2 * half + 1)
+    return Grid(L, 2 * half + 1)
 
 
 def unboundedness_scan(

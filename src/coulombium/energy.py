@@ -14,10 +14,10 @@ On the solver path every quantity is read from one potential:
 prefix-sum pass and returns the candidate's kinetic term, its Coulomb term
 2 int V_bg u^2 + int V_el u^2 and the objective kinetic + coulomb/2, with
 the background potential V_bg built once per solve by the caller.  The
-Euler-Lagrange residual and the next Hamiltonian reuse the same V.  The
-g-kernel quartic form ``c_functional`` gives the reported Coulomb term of a
-point background; the V route equals it to rounding, which the tests hold
-as an identity.
+Euler-Lagrange residual, the next Hamiltonian and the reported Coulomb term
+of every background reuse the same V.  The g-kernel quartic form
+``c_functional`` of a point background equals that term to rounding, which
+the tests hold as an identity.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ import numpy as np
 from .background import BackgroundCharge, PointCharge, background_potential
 from .errors import NotNormalizedError
 from .grid import Samples, integrate, kinetic_energy
-from .kernel import c_functional, coulomb_pair_energy, potential_from_density
+from .kernel import coulomb_pair_energy, potential_from_density
 
 
 @dataclass
@@ -75,24 +75,18 @@ def candidate_energy(
 ) -> EnergyBreakdown:
     """Reported energy of an evaluated, normalized candidate.
 
-    Point background: coulomb = C[u^2] with the g kernel at charge ratio z
-    (the rho*rho self-energy vanishes for the point case).  Sampled
-    background: the candidate's coulomb, 2 int V_rho u^2 + (1/2) * pair
-    energy of u^2 with itself; the finite rho*rho constant is added only on
-    request since it does not affect minimizers.
+    coulomb is the candidate's 2 int V_bg u^2 + (1/2) * pair energy of u^2
+    with itself, for every background.  The finite rho*rho constant of a
+    sampled background is added only on request since it does not affect
+    minimizers (it vanishes for the point case).
     """
-    sq = c.u.with_values(c.u.values * c.u.values)
-    mass = integrate(sq)
+    mass = integrate(c.u.with_values(c.u.values * c.u.values))
     if abs(mass - 1.0) > 1e-8:
         raise NotNormalizedError(f"integral of u^2 is {mass!r}, expected 1 within 1e-8")
     bconst = 0.0
-    if isinstance(bg, PointCharge):
-        coul = c_functional(sq, bg.z, warn_unnormalized=False)
-    else:
-        coul = c.coulomb
-        if include_background_self:
-            bconst = 0.5 * coulomb_pair_energy(bg.rho, bg.rho)
-    return EnergyBreakdown(c.kinetic, coul, bconst, c.kinetic + coul + bconst)
+    if include_background_self and not isinstance(bg, PointCharge):
+        bconst = 0.5 * coulomb_pair_energy(bg.rho, bg.rho)
+    return EnergyBreakdown(c.kinetic, c.coulomb, bconst, c.kinetic + c.coulomb + bconst)
 
 
 def total_energy(

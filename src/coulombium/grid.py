@@ -87,11 +87,6 @@ class Samples:
         return Samples(self.grid, values)
 
 
-def make_grid(L: float, N: int) -> Grid:
-    """Build the uniform symmetric grid on [-L, L] with N nodes (N odd)."""
-    return Grid(L, N)
-
-
 def from_function(grid: Grid, fn: Callable[[np.ndarray], np.ndarray]) -> Samples:
     """Sample a vectorized callable on the grid nodes."""
     return Samples(grid, np.asarray(fn(grid.x), dtype=float))

@@ -25,7 +25,7 @@ from .errors import (
     MaxIterExceededError,
     NoConvergenceError,
 )
-from .grid import Grid, Samples, make_grid, normalize
+from .grid import Grid, Samples, normalize
 
 _ALPHA_FLOOR = 1e-3
 _OBJECTIVE_FLOOR = -1e4
@@ -155,12 +155,13 @@ def scf_solve(
     Each pass takes the ground eigenpair of -D2 + V, with V the accepted
     iterate's potential, and mixes densities, u^2 <- (1-a) u^2 + a u_new^2.
     The damping a is halved (never below 1e-3) whenever the descent
-    objective would rise, which keeps the accepted trace non-increasing.
+    objective would not fall by 1e-4 of the decrease its slope predicts,
+    which keeps the accepted trace non-increasing.
     Stops when |delta objective| <= tol_energy and the Euler-Lagrange
     residual <= tol_residual.
     """
     cfg = cfg if cfg is not None else SolverConfig()
-    grid = make_grid(cfg.L, cfg.N)
+    grid = Grid(cfg.L, cfg.N)
     v_bg = background_potential(bg, grid)
     cur = solver_objective(_prepare_start(bg, u0, grid), v_bg)
     alpha = cfg.scf_damping
@@ -168,10 +169,16 @@ def scf_solve(
     for it in range(1, cfg.max_iter + 1):
         eps, u_lin = ground_eigenpair(cur.V)
         obj = cur.objective
+        # The objective is convex in the density, so its slope along the
+        # mixing direction is at most eps - <u, H u> <= 0.  Asking for a
+        # share of that decrease keeps the damping from settling into a
+        # two-cycle whose objective barely falls while its residual stays.
+        slope = eps - cur.kinetic - float(np.dot(grid.weights, cur.V.values * cur.u.values**2))
         while True:
             dens = (1.0 - alpha) * cur.u.values**2 + alpha * u_lin.values**2
             new = solver_objective(normalize(Samples(grid, np.sqrt(dens))), v_bg)
-            if new.objective <= obj + 1e-12 * max(1.0, abs(obj)) or alpha <= _ALPHA_FLOOR:
+            bound = obj + 1e-4 * alpha * slope + 1e-12 * max(1.0, abs(obj))
+            if new.objective <= bound or alpha <= _ALPHA_FLOOR:
                 break
             alpha *= 0.5
         res = el_residual(new.u, eps, bg, potential=new.V)
@@ -209,7 +216,7 @@ def gradient_solve(
     stopping rules match :func:`scf_solve`.
     """
     cfg = cfg if cfg is not None else SolverConfig()
-    grid = make_grid(cfg.L, cfg.N)
+    grid = Grid(cfg.L, cfg.N)
     w = grid.weights
     h = grid.h
 
@@ -220,14 +227,15 @@ def gradient_solve(
     cur = solver_objective(_prepare_start(bg, u0, grid), v_bg)
     u, obj = cur.u, cur.objective
     hu = _apply_hamiltonian(u.values, cur.V.values, h)
+    ray = inner(u.values, hu)
+    gt = 2.0 * (hu - ray * u.values)
     prev_obj = None
     du = dg = None
     step = _GD_FIRST_STEP
     history: list = []
     for it in range(1, cfg.max_iter + 1):
-        ray = inner(u.values, hu)
-        gt = 2.0 * (hu - ray * u.values)
-        res = 0.5 * np.sqrt(inner(gt, gt))
+        gnorm2 = inner(gt, gt)
+        res = 0.5 * np.sqrt(gnorm2)
         history.append((obj, res))
         if res <= cfg.tol_residual and (
             prev_obj is None or abs(obj - prev_obj) <= cfg.tol_energy
@@ -239,7 +247,6 @@ def gradient_solve(
             if denom > 0:
                 step = inner(du, du) / denom
             step = min(max(step, 1e-12), 1e3)
-        gnorm2 = inner(gt, gt)
         # Near the optimum the predicted decrease ~ s * ||g||^2 drops below
         # the rounding floor of the objective; the extra term keeps the
         # backtracking from rejecting such numerically flat steps.
@@ -256,13 +263,13 @@ def gradient_solve(
                 raise LineSearchStalledError(
                     f"no descent step found at iteration {it}", history
                 )
-        hu_new = _apply_hamiltonian(trial.u.values, trial.V.values, h)
-        ray_new = inner(trial.u.values, hu_new)
-        gt_new = 2.0 * (hu_new - ray_new * trial.u.values)
+        hu = _apply_hamiltonian(trial.u.values, trial.V.values, h)
+        ray = inner(trial.u.values, hu)
+        gt_new = 2.0 * (hu - ray * trial.u.values)
         du = trial.u.values - u.values
         dg = gt_new - gt
         cur, prev_obj = trial, obj
-        u, obj, hu = cur.u, cur.objective, hu_new
+        u, obj, gt = cur.u, cur.objective, gt_new
         step = st
         _check_divergence(u, bg, obj, history)
     raise MaxIterExceededError(

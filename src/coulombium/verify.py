@@ -13,7 +13,7 @@ import numpy as np
 
 from .background import delta_approximant
 from .diagnostics import unboundedness_scan
-from .grid import Samples, integrate, kinetic_energy, make_grid
+from .grid import Grid, Samples, integrate, kinetic_energy
 from .kernel import (
     CPlusForm,
     b_form,
@@ -77,7 +77,7 @@ def random_zero_mean_compact(grid, rng) -> Samples:
 def forms_suite(seed=0, trials=100, N=401, L=10.0) -> SuiteReport:
     """Agreement of the four half-axis forms on random nonnegative densities."""
     rng = np.random.default_rng(seed)
-    grid = make_grid(L, N)
+    grid = Grid(L, N)
     worst = 0.0
     for _ in range(trials):
         f = random_density(grid, rng)
@@ -93,7 +93,7 @@ def forms_suite(seed=0, trials=100, N=401, L=10.0) -> SuiteReport:
 def bnorm_suite(seed=0, pairs=1000, N=201, L=8.0) -> SuiteReport:
     """Norm axioms for the quartic functional on random sample pairs."""
     rng = np.random.default_rng(seed)
-    grid = make_grid(L, N)
+    grid = Grid(L, N)
     viol_h = viol_t = viol_cs = viol_uc = 0
     worst_t = worst_uc = worst_cs = -np.inf
     for _ in range(pairs):
@@ -141,7 +141,7 @@ def bnorm_suite(seed=0, pairs=1000, N=201, L=8.0) -> SuiteReport:
 def rearrange_suite(seed=0, trials=200, N=241, L=6.0) -> SuiteReport:
     """Equimeasurability, Hardy-Littlewood and interaction monotonicity (z=1)."""
     rng = np.random.default_rng(seed)
-    grid = make_grid(L, N)
+    grid = Grid(L, N)
     worst_hl = worst_c = -np.inf
     equi_fail = 0
     for _ in range(trials):
@@ -203,7 +203,7 @@ def counterexample_suite(z=0.5, n_list=(10, 20, 40, 80)) -> SuiteReport:
 
 def delta_suite(n_list=(1, 2, 4, 8), N=641, L=1.25) -> SuiteReport:
     """Log-log decay of the mollifier self-energy (target slope -1)."""
-    grid = make_grid(L, N)
+    grid = Grid(L, N)
     energies = []
     for n in n_list:
         d = delta_approximant(n, grid)
@@ -219,7 +219,7 @@ def delta_suite(n_list=(1, 2, 4, 8), N=641, L=1.25) -> SuiteReport:
 def innerprod_suite(seed=0, trials=500, N=401, L=10.0) -> SuiteReport:
     """Positivity and the Dirichlet-form identity of the -|x-y| inner product."""
     rng = np.random.default_rng(seed)
-    grid = make_grid(L, N)
+    grid = Grid(L, N)
     min_ip = np.inf
     worst_rel = 0.0
     for _ in range(trials):

@@ -19,6 +19,7 @@ import numpy as np
 import pytest
 
 from coulombium import (
+    Grid,
     PointCharge,
     SampledCharge,
     Samples,
@@ -37,7 +38,6 @@ from coulombium import (
     ground_eigenpair,
     integrate,
     kinetic_energy,
-    make_grid,
     neg_kernel_inner_product,
     normalize,
     potential_from_density,
@@ -122,7 +122,7 @@ def test_ac02_counterexample_kinetic():
 def test_ac03_delta_self_energy_decay():
     from coulombium import delta_approximant
 
-    g = make_grid(1.25, 641)
+    g = Grid(1.25, 641)
     ns = np.array([1, 2, 4, 8])
     se = [
         -coulomb_pair_energy(delta_approximant(n, g), delta_approximant(n, g))
@@ -148,7 +148,7 @@ def test_ac05_fast_vs_dense_oracles():
     rng = np.random.default_rng(5)
     worst = 0.0
     for n in (101, 251, 401):
-        g = make_grid(10.0, n)
+        g = Grid(10.0, n)
         f = Samples(g, rng.standard_normal(n))
         s = Samples(g, rng.standard_normal(n))
         vf = potential_from_density(f).values
@@ -210,7 +210,7 @@ def test_ac08_minimizer_symmetry(reference_states):
     sym_ok = worst <= 1e-5
 
     # strict energy drop for asymmetric trials at the neutral charge ratio
-    g = make_grid(12.0, 961)
+    g = Grid(12.0, 961)
     rng = np.random.default_rng(8)
     trials = []
     for shift in (1.0, 2.0, 3.5):
@@ -238,7 +238,7 @@ def test_ac08_minimizer_symmetry(reference_states):
 
 def test_ac09_nonnegativity_and_coercivity():
     rng = np.random.default_rng(9)
-    g = make_grid(8.0, 321)
+    g = Grid(8.0, 321)
     min_e1 = np.inf
     worst_gap = np.inf
     for _ in range(500):
@@ -260,7 +260,7 @@ def test_ac09_nonnegativity_and_coercivity():
 
 def test_ac10_tightness_bound():
     rng = np.random.default_rng(10)
-    g = make_grid(20.0, 2001)
+    g = Grid(20.0, 2001)
     worst = np.inf
     for _ in range(500):
         f = random_density(g, rng)
@@ -275,7 +275,7 @@ def test_ac10_tightness_bound():
 def test_ac11_linear_operator_sanity():
     eps = {}
     for n in (1001, 2001, 4001):
-        g = make_grid(20.0, n)
+        g = Grid(20.0, n)
         eps[n], _ = ground_eigenpair(Samples(g, np.abs(g.x)))
     extrap = (4.0 * eps[2001] - eps[1001]) / 3.0
     airy_ok = abs(eps[4001] - AIRY_PRIME_ZERO) <= 1e-3 and abs(
@@ -283,7 +283,7 @@ def test_ac11_linear_operator_sanity():
     ) <= 1e-3
 
     # independent dense oracle at small N
-    g = make_grid(20.0, 401)
+    g = Grid(20.0, 401)
     v = np.abs(g.x)
     m = (
         np.diag(2.0 / g.h**2 + v[1:-1])
@@ -294,7 +294,7 @@ def test_ac11_linear_operator_sanity():
     fast, _ = ground_eigenpair(Samples(g, v))
     oracle_ok = abs(dense - fast) <= 1e-10
 
-    gb = make_grid(10.0, 2001)
+    gb = Grid(10.0, 2001)
     box, _ = ground_eigenpair(Samples(gb, np.zeros(gb.N)))
     continuum = (np.pi / (2.0 * gb.L)) ** 2
     box_bound = continuum * (np.pi * gb.h / (2.0 * gb.L)) ** 2 / 6.0 + 1e-12
@@ -314,7 +314,7 @@ def test_ac11_linear_operator_sanity():
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_ac12_general_background_reduction():
     L, n_nodes = 18.0, 18001
-    grid = make_grid(L, n_nodes)
+    grid = Grid(L, n_nodes)
     width = 0.05
     raw = np.exp(-0.5 * (grid.x / width) ** 2)
     raw /= np.dot(grid.weights, raw)
@@ -341,7 +341,7 @@ def test_ac12_general_background_reduction():
 
 def test_ac13_inner_product_positivity():
     rng = np.random.default_rng(13)
-    g = make_grid(10.0, 401)
+    g = Grid(10.0, 401)
     min_ip = np.inf
     worst_rel = 0.0
     for _ in range(500):
@@ -365,7 +365,7 @@ def test_ac14_scan_determinism(tmp_path):
     from coulombium.cli import main
 
     args = [
-        "scan", "--z-list", "1.5,2", "--L", "16", "--N", "1601", "--seed", "3",
+        "scan", "--z-list", "1.5,2", "--L", "16", "--N", "1601",
         "--output", str(tmp_path / "det"),
     ]
     assert main(args) == 0

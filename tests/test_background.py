@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from coulombium import (
+    Grid,
     PointCharge,
     SampledCharge,
     Samples,
@@ -13,7 +14,6 @@ from coulombium import (
     integrate,
     jensen_lower_bound_check,
     load_background,
-    make_grid,
     recenter_shift,
     total_charge,
 )
@@ -33,14 +33,14 @@ def test_point_charge_validation():
 
 
 def test_sampled_charge_rejects_positive_values():
-    g = make_grid(2.0, 41)
+    g = Grid(2.0, 41)
     with pytest.raises(ValueError):
         SampledCharge(Samples(g, np.full(g.N, 0.1)))
 
 
 def test_total_charge():
     assert total_charge(PointCharge(1.0)) == -1.0
-    g = make_grid(3.0, 201)
+    g = Grid(3.0, 201)
     assert total_charge(SampledCharge(Samples(g, np.zeros(g.N)))) == 0.0
     bg = _bump_background(g, 1.5)
     assert total_charge(bg) == pytest.approx(-1.5, abs=1e-8)
@@ -48,7 +48,7 @@ def test_total_charge():
 
 def test_abs_moment():
     assert abs_moment(PointCharge(3.0)) == 0.0
-    g = make_grid(4.0, 401)
+    g = Grid(4.0, 401)
     # single-node mass at x = 2: moment is exactly 2 * mass
     j = np.argmin(np.abs(g.x - 2.0))
     vals = np.zeros(g.N)
@@ -61,7 +61,7 @@ def test_abs_moment():
 
 def test_abs_moment_uniform_block():
     # rho = -1/2 on [-1, 1] with trapezoid edge values: int |x|/2 = 1/2 exactly
-    g = make_grid(2.0, 401)
+    g = Grid(2.0, 401)
     vals = np.where(np.abs(g.x) < 1.0, -0.5, 0.0)
     vals[np.isclose(np.abs(g.x), 1.0)] = -0.25
     bg = SampledCharge(Samples(g, vals))
@@ -70,20 +70,20 @@ def test_abs_moment_uniform_block():
 
 
 def test_point_potential_is_exact():
-    g = make_grid(11.0, 443)
+    g = Grid(11.0, 443)
     v = background_potential(PointCharge(2.0), g)
     assert np.array_equal(v.values, np.abs(g.x))
 
 
 def test_sampled_zero_potential():
-    g = make_grid(2.0, 41)
+    g = Grid(2.0, 41)
     v = background_potential(SampledCharge(Samples(g, np.zeros(g.N))), g)
     assert np.all(v.values == 0.0)
 
 
 def test_potential_uniform_bound():
     # sup |V_rho - (z/2)|x|| <= abs_moment / 2, exact discretely
-    g = make_grid(10.0, 2001)
+    g = Grid(10.0, 2001)
     for width in (0.1, 0.4, 1.0):
         bg = _bump_background(g, 1.0, width=width)
         z = -total_charge(bg)
@@ -95,7 +95,7 @@ def test_potential_uniform_bound():
 def test_point_potential_distributional_identity():
     # second difference of (z/2)|x| vanishes off the origin and the kink
     # carries the whole charge -z
-    g = make_grid(5.0, 201)
+    g = Grid(5.0, 201)
     z = 1.3
     v = background_potential(PointCharge(z), g).values
     d2 = (v[2:] - 2.0 * v[1:-1] + v[:-2]) / g.h**2
@@ -108,7 +108,7 @@ def test_point_potential_distributional_identity():
 
 def test_recenter_shift():
     assert recenter_shift(PointCharge(2.0)) == 0.0
-    g = make_grid(8.0, 801)
+    g = Grid(8.0, 801)
     sym = _bump_background(g, 1.2)
     assert recenter_shift(sym) == pytest.approx(0.0, abs=1e-10)
     off = _bump_background(g, 1.0, center=3.0, width=0.2)
@@ -117,7 +117,7 @@ def test_recenter_shift():
 
 def test_recenter_shift_translation():
     # shifting the density by one node shifts the barycenter by exactly h
-    g = make_grid(8.0, 401)
+    g = Grid(8.0, 401)
     bg = _bump_background(g, 1.0, center=1.0, width=0.5)
     rolled = SampledCharge(Samples(g, np.roll(bg.rho.values, 1)))
     assert recenter_shift(rolled) - recenter_shift(bg) == pytest.approx(
@@ -126,7 +126,7 @@ def test_recenter_shift_translation():
 
 
 def test_jensen_point_surrogate_equality():
-    g = make_grid(5.0, 201)
+    g = Grid(5.0, 201)
     vals = np.zeros(g.N)
     vals[g.center_index] = -2.0 / g.weights[g.center_index]
     assert jensen_lower_bound_check(SampledCharge(Samples(g, vals)), g) <= 1e-12
@@ -134,7 +134,7 @@ def test_jensen_point_surrogate_equality():
 
 def test_jensen_random_background():
     rng = np.random.default_rng(0)
-    g = make_grid(6.0, 301)
+    g = Grid(6.0, 301)
     for _ in range(20):
         vals = -rng.random(g.N)
         scale = 1.5 / -np.dot(g.weights, vals)
@@ -143,7 +143,7 @@ def test_jensen_random_background():
 
 
 def test_jensen_two_masses_strict_slack():
-    g = make_grid(6.0, 601)
+    g = Grid(6.0, 601)
     a = 2.0
     vals = np.zeros(g.N)
     for s in (+1, -1):
@@ -158,13 +158,13 @@ def test_jensen_two_masses_strict_slack():
 
 
 def test_jensen_rejects_point():
-    g = make_grid(2.0, 41)
+    g = Grid(2.0, 41)
     with pytest.raises(TypeError):
         jensen_lower_bound_check(PointCharge(1.0), g)
 
 
 def test_delta_approximant_normalized_and_supported():
-    g = make_grid(1.25, 641)
+    g = Grid(1.25, 641)
     for n in (1, 2, 4):
         d = delta_approximant(n, g)
         assert integrate(d) == pytest.approx(1.0, abs=1e-8)
@@ -173,14 +173,14 @@ def test_delta_approximant_normalized_and_supported():
 
 
 def test_delta_approximant_resolution_guard():
-    g = make_grid(1.0, 41)  # h = 0.05 > 1/(4*8)
+    g = Grid(1.0, 41)  # h = 0.05 > 1/(4*8)
     with pytest.raises(UnderResolvedError):
         delta_approximant(8, g)
 
 
 def test_delta_self_energy_decay():
     # int int |x-y| d_n d_n scales like 1/n: log-log slope in [-1.1, -0.9]
-    g = make_grid(1.25, 641)
+    g = Grid(1.25, 641)
     ns = np.array([1, 2, 4, 8])
     se = np.array(
         [-coulomb_pair_energy(delta_approximant(n, g), delta_approximant(n, g)) for n in ns]
@@ -190,7 +190,7 @@ def test_delta_self_energy_decay():
 
 
 def test_load_background_roundtrip(tmp_path):
-    g = make_grid(4.0, 401)
+    g = Grid(4.0, 401)
     xs = np.linspace(-3.0, 3.0, 1501)
     rs = -np.exp(-(xs**2))
     path = tmp_path / "rho.dat"

@@ -18,7 +18,7 @@ def test_solve_point_charge(tmp_path):
     )
     assert code == 0
     table = (tmp_path / "sol.csv").read_text().splitlines()
-    assert table[0] == "# schema_version=2"
+    assert table[0] == "# schema_version=3"
     assert table[1].startswith("# config ")
     assert table[2].startswith("# summary ")
     assert "total_energy=" in table[2]
@@ -35,7 +35,7 @@ def test_solve_json_format(tmp_path):
     )
     assert code == 0
     doc = json.loads((tmp_path / "sol.json").read_text())
-    assert doc["schema_version"] == 2
+    assert doc["schema_version"] == 3
     assert doc["config"]["z"] == 2.0
     assert doc["summary"]["converged"] is True
     assert len(doc["table"]["x"]) == 1601
@@ -108,7 +108,7 @@ def test_scan_rejects_empty_and_subcritical(tmp_path):
 
 
 def test_scan_deterministic(tmp_path):
-    args = ["scan", "--z-list", "1.5,2", "--L", "16", "--N", "1601", "--seed", "7"]
+    args = ["scan", "--z-list", "1.5,2", "--L", "16", "--N", "1601"]
     assert run_cli(args + ["--output", str(tmp_path / "a")]) == 0
     assert run_cli(args + ["--output", str(tmp_path / "b")]) == 0
     a = (tmp_path / "a.csv").read_bytes()
@@ -142,12 +142,12 @@ def test_config_file_with_flag_override(tmp_path):
 def test_zero_flag_overrides_config_file(tmp_path):
     cfgfile = tmp_path / "run.ini"
     cfgfile.write_text(
-        "[background]\nz = 2\n\n[grid]\nL = 16\nN = 1601\n\n[solver]\nseed = 5\n\n"
+        "[background]\nz = 2\n\n[grid]\nL = 16\nN = 1601\n\n[solver]\nmax_iter = 5000\n\n"
         f"[output]\npath = {tmp_path / 'cfg'}\nformat = json\n"
     )
-    assert run_cli(["solve", "--config", str(cfgfile), "--seed", "0"]) == 0
-    doc = json.loads((tmp_path / "cfg.json").read_text())
-    assert doc["config"]["seed"] == 0
+    # the flag's 0 replaces the file's 5000 and is then refused
+    assert run_cli(["solve", "--config", str(cfgfile), "--max-iter", "0"]) == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run.ini"]
 
 
 def test_zero_half_width_is_usage_error(tmp_path, capsys):
@@ -165,7 +165,7 @@ def test_scan_rejects_background_file(tmp_path, capsys):
     code = run_cli(["scan", "--z-list", "2", "--background-file", str(path),
                     "--output", str(out)])
     assert code == 1
-    assert "background file" in capsys.readouterr().err
+    assert "unrecognized arguments: --background-file" in capsys.readouterr().err
     assert not (tmp_path / "s.csv").exists()
 
 
@@ -175,6 +175,100 @@ def test_scan_rejects_method_both(tmp_path, capsys):
     assert code == 1
     assert "one method" in capsys.readouterr().err
     assert not (tmp_path / "s.csv").exists()
+
+
+@pytest.mark.parametrize("section,key,value", [("solver", "method", "foo"),
+                                               ("output", "format", "xml")])
+def test_bad_choice_from_config_file_is_usage_error(tmp_path, capsys, section, key, value):
+    cfgfile = tmp_path / "bad.ini"
+    cfgfile.write_text(
+        f"[background]\nz = 2\n\n[grid]\nL = 8\nN = 201\n\n[{section}]\n{key} = {value}\n"
+    )
+    out = str(tmp_path / "x")
+    assert run_cli(["solve", "--config", str(cfgfile), "--output", out]) == 1
+    from_file = capsys.readouterr().err
+    assert run_cli(["solve", "--z", "2", f"--{key}", value, "--output", out]) == 1
+    assert capsys.readouterr().err == from_file  # the same check for a flag
+    assert f"{key} must be one of" in from_file
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.ini"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "delta", "--N", "11"],
+    ["verify", "delta", "--config", "run.ini"],
+    ["scan", "--z-list", "2", "--seed", "3"],
+    ["scan", "--z-list", "2", "--z", "9"],  # no prefix match of --z-list
+    ["solve", "--z", "2", "--max", "5"],  # no prefix match of --max-iter
+])
+def test_unread_or_abbreviated_flag_is_usage_error(tmp_path, capsys, argv):
+    assert run_cli(argv + ["--output", str(tmp_path / "x")]) == 1
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("entry", ["[background]\nz = 2\n", "[solver]\nseed = 3\n"])
+def test_scan_rejects_config_key_it_does_not_read(tmp_path, capsys, entry):
+    cfgfile = tmp_path / "scan.ini"
+    cfgfile.write_text(entry)
+    code = run_cli(["scan", "--config", str(cfgfile), "--z-list", "2",
+                    "--output", str(tmp_path / "s")])
+    assert code == 1
+    assert "scan reads no config key" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["scan.ini"]
+
+
+# Every solve setting with an INI key, a value other than its default, and
+# the flag that sets it.
+_SOLVE_SETTINGS = [
+    ("background", "z", "2.5", "--z"),
+    ("grid", "L", "13", "--L"),
+    ("grid", "N", "243", "--N"),
+    ("solver", "method", "gd", "--method"),
+    ("solver", "scf_damping", "0.5", "--scf-damping"),
+    ("solver", "tol_energy", "1e-09", "--tol-energy"),
+    ("solver", "tol_residual", "1e-06", "--tol-residual"),
+    ("solver", "max_iter", "5000", "--max-iter"),
+    ("output", "format", "json", "--format"),
+]
+
+
+def _config_record(path):
+    if path.suffix == ".json":
+        return json.loads(path.read_text())["config"]
+    return path.read_text().splitlines()[1]
+
+
+@pytest.mark.parametrize("section,key,value,flag", _SOLVE_SETTINGS)
+def test_config_key_and_flag_record_the_same(tmp_path, section, key, value, flag):
+    base = {"background": {"z": "2"}, "grid": {"L": "12", "N": "241"}}
+    base.setdefault(section, {})[key] = value
+    cfgfile = tmp_path / "run.ini"
+    cfgfile.write_text("".join(
+        f"[{sec}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items())
+        for sec, keys in base.items()
+    ))
+    out = str(tmp_path / "s")
+    ext = ".json" if key == "format" else ".csv"
+    assert run_cli(["solve", "--config", str(cfgfile), "--output", out]) == 0
+    from_file = _config_record(tmp_path / ("s" + ext))
+    argv = ["solve", "--z", "2", "--L", "12", "--N", "241", flag, value, "--output", out]
+    assert run_cli(argv) == 0
+    assert _config_record(tmp_path / ("s" + ext)) == from_file
+    assert value in str(from_file)
+
+
+def test_file_and_path_keys_and_flags_record_the_same(tmp_path):
+    cfgfile = tmp_path / "run.ini"
+    out = str(tmp_path / "s")
+    cfgfile.write_text(f"[background]\nfile = {tmp_path / 'rho.dat'}\n\n"
+                       f"[grid]\nL = 12\nN = 241\n\n[output]\npath = {out}\n")
+    (tmp_path / "rho.dat").write_text("-1 0\n0 -2\n1 0\n")  # charge -2
+    assert run_cli(["solve", "--config", str(cfgfile)]) == 0
+    from_file = _config_record(tmp_path / "s.csv")
+    assert run_cli(["solve", "--background-file", str(tmp_path / "rho.dat"),
+                    "--L", "12", "--N", "241", "--output", out]) == 0
+    assert _config_record(tmp_path / "s.csv") == from_file
+    assert f"output={out}" in from_file
 
 
 def test_config_file_unknown_key(tmp_path):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from coulombium import (
+    Grid,
     GridTooSmallError,
     PointCharge,
     Samples,
@@ -15,7 +16,6 @@ from coulombium import (
     from_function,
     grid_for_counterexample,
     integrate,
-    make_grid,
     moment,
     normalize,
     scf_solve,
@@ -61,7 +61,7 @@ def c_exact(n, z):
 # --- concentration ----------------------------------------------------------
 
 def test_concentration_full_mass_and_zero_radius():
-    g = make_grid(8.0, 321)
+    g = Grid(8.0, 321)
     u = normalize(from_function(g, lambda x: np.exp(-x * x)))
     f = u.with_values(u.values**2)
     prof = concentration_profile(f, [0.0, 1.0, g.L])
@@ -72,7 +72,7 @@ def test_concentration_full_mass_and_zero_radius():
 
 def test_concentration_monotone():
     rng = np.random.default_rng(0)
-    g = make_grid(6.0, 241)
+    g = Grid(6.0, 241)
     radii = np.linspace(0.0, 6.0, 61)
     for _ in range(20):
         f = random_density(g, rng)
@@ -81,7 +81,7 @@ def test_concentration_monotone():
 
 
 def test_concentration_escaping_bump():
-    g = make_grid(40.0, 1601)
+    g = Grid(40.0, 1601)
     qs = []
     for m in (5, 10, 20, 30):
         u = normalize(from_function(g, lambda x, m=m: np.exp(-((x - m) ** 2))))
@@ -92,7 +92,7 @@ def test_concentration_escaping_bump():
 
 
 def test_tail_mass_complementary():
-    g = make_grid(8.0, 321)
+    g = Grid(8.0, 321)
     u = normalize(from_function(g, lambda x: np.exp(-x * x)))
     f = u.with_values(u.values**2)
     assert tail_mass(f, 8.0) == pytest.approx(0.0, abs=1e-12)
@@ -104,7 +104,7 @@ def test_tail_mass_complementary():
 # --- tightness bound --------------------------------------------------------
 
 def test_tightness_bound_zero_inside():
-    g = make_grid(10.0, 801)
+    g = Grid(10.0, 801)
     u = normalize(from_function(g, lambda x: np.where(np.abs(x) < 2.0, 1.0, 0.0)))
     f = u.with_values(u.values**2)
     assert tightness_lower_bound(f, 5.0) == 0.0
@@ -112,7 +112,7 @@ def test_tightness_bound_zero_inside():
 
 def test_tightness_bound_two_bumps():
     # half of the mass at +-2R puts max(P+, P-) = 1/2, so the bound is R/4
-    g = make_grid(20.0, 4001)
+    g = Grid(20.0, 4001)
     R = 4.0
     vals = np.exp(-4.0 * (g.x - 2 * R) ** 2) + np.exp(-4.0 * (g.x + 2 * R) ** 2)
     f = Samples(g, vals / integrate(Samples(g, vals)))
@@ -121,7 +121,7 @@ def test_tightness_bound_two_bumps():
 
 def test_tightness_chain_inequality():
     rng = np.random.default_rng(1)
-    g = make_grid(20.0, 2001)  # h = 0.02 divides the radii
+    g = Grid(20.0, 2001)  # h = 0.02 divides the radii
     for _ in range(100):
         f = random_density(g, rng)
         f = f.with_values(f.values / integrate(f))
@@ -134,7 +134,7 @@ def test_tightness_chain_inequality():
 
 def test_counterexample_requires_large_grid():
     with pytest.raises(GridTooSmallError):
-        counterexample_un(10, make_grid(10.0, 2001))
+        counterexample_un(10, Grid(10.0, 2001))
 
 
 def test_counterexample_normalization():
@@ -234,7 +234,7 @@ def test_scan_rejects_empty():
 # --- moments -----------------------------------------------------------------
 
 def test_moment_basics():
-    g = make_grid(6.0, 481)
+    g = Grid(6.0, 481)
     u = normalize(from_function(g, lambda x: np.exp(-x * x)))
     f = u.with_values(u.values**2)
     assert moment(f, 0.0) == pytest.approx(1.0, abs=1e-12)

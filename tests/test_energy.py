@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coulombium import (
+    Grid,
     NotNormalizedError,
     PointCharge,
     SampledCharge,
@@ -18,7 +19,6 @@ from coulombium import (
     el_residual,
     from_function,
     ground_eigenpair,
-    make_grid,
     normalize,
     potential_from_density,
     reflect,
@@ -33,7 +33,7 @@ def _normalized_wave(grid, rng):
 
 
 def test_rejects_unnormalized():
-    g = make_grid(5.0, 201)
+    g = Grid(5.0, 201)
     u = from_function(g, lambda x: np.exp(-x * x))
     with pytest.raises(NotNormalizedError):
         total_energy(u, PointCharge(1.0))
@@ -41,7 +41,7 @@ def test_rejects_unnormalized():
 
 def test_nonnegative_at_unit_charge():
     rng = np.random.default_rng(0)
-    g = make_grid(8.0, 321)
+    g = Grid(8.0, 321)
     for _ in range(50):
         u = normalize(Samples(g, rng.random(g.N)))
         assert total_energy(u, PointCharge(1.0)).total >= 0.0
@@ -49,7 +49,7 @@ def test_nonnegative_at_unit_charge():
 
 def test_coercivity_above_unit_charge():
     rng = np.random.default_rng(1)
-    g = make_grid(8.0, 321)
+    g = Grid(8.0, 321)
     z = 2.0
     for _ in range(50):
         u = _normalized_wave(g, rng)
@@ -61,7 +61,7 @@ def test_coercivity_above_unit_charge():
 
 def test_gaussian_against_dense_quadrature():
     # dense evaluation of the full double integral for the point background
-    g = make_grid(20.0, 2001)
+    g = Grid(20.0, 2001)
     u = normalize(from_function(g, lambda x: np.exp(-0.5 * x * x)))
     z = 2.0
     e = total_energy(u, PointCharge(z))
@@ -81,7 +81,7 @@ def test_gaussian_against_dense_quadrature():
 def test_point_coulomb_two_routes_agree(half, L, z, seed):
     # The solvers read the Coulomb term from V; the g-kernel form must stay
     # equal to it, and the prefix-sum V to its dense twin, on any grid.
-    g = make_grid(L, 2 * half + 1)
+    g = Grid(L, 2 * half + 1)
     u = normalize(Samples(g, np.random.default_rng(seed).random(g.N)))
     sq = u.with_values(u.values**2)
     c = solver_objective(u, background_potential(PointCharge(z), g))
@@ -92,7 +92,7 @@ def test_point_coulomb_two_routes_agree(half, L, z, seed):
 
 
 def test_sampled_background_energy_terms():
-    g = make_grid(10.0, 801)
+    g = Grid(10.0, 801)
     raw = np.exp(-2.0 * g.x**2)
     raw /= np.dot(g.weights, raw)
     bg = SampledCharge(Samples(g, -raw))
@@ -107,7 +107,7 @@ def test_sampled_background_energy_terms():
 
 def test_reflection_invariance():
     rng = np.random.default_rng(3)
-    g = make_grid(8.0, 321)
+    g = Grid(8.0, 321)
     u = _normalized_wave(g, rng)
     a = total_energy(u, PointCharge(1.5))
     b = total_energy(reflect(u), PointCharge(1.5))
@@ -116,7 +116,7 @@ def test_reflection_invariance():
 
 def test_solver_objective_is_half_coulomb():
     rng = np.random.default_rng(4)
-    g = make_grid(8.0, 321)
+    g = Grid(8.0, 321)
     u = _normalized_wave(g, rng)
     e = total_energy(u, PointCharge(2.0))
     c = solver_objective(u, background_potential(PointCharge(2.0), g))
@@ -126,7 +126,7 @@ def test_solver_objective_is_half_coulomb():
 
 def test_effective_potential_background_only():
     # with u = 0 samples the potential reduces to the point cone
-    g = make_grid(6.0, 241)
+    g = Grid(6.0, 241)
     u = Samples(g, np.zeros(g.N))
     v = effective_potential(u, PointCharge(2.0))
     assert np.array_equal(v.values, np.abs(g.x))
@@ -134,7 +134,7 @@ def test_effective_potential_background_only():
 
 def test_effective_potential_neutral_far_field():
     # total charge zero: V approaches a constant toward the boundary
-    g = make_grid(12.0, 961)
+    g = Grid(12.0, 961)
     u = normalize(from_function(g, lambda x: np.exp(-x * x)))
     v = effective_potential(u, PointCharge(1.0)).values
     assert abs(v[-1] - v[-40]) < 1e-10
@@ -144,7 +144,7 @@ def test_effective_potential_neutral_far_field():
 def test_effective_potential_poisson_identity():
     # second difference of V recovers -(u^2 + rho) at interior nodes
     rng = np.random.default_rng(5)
-    g = make_grid(6.0, 241)
+    g = Grid(6.0, 241)
     u = normalize(Samples(g, rng.random(g.N)))
     v = effective_potential(u, PointCharge(1.2)).values
     d2 = (v[2:] - 2.0 * v[1:-1] + v[:-2]) / g.h**2
@@ -155,7 +155,7 @@ def test_effective_potential_poisson_identity():
 
 
 def test_el_residual_exact_eigenvector():
-    g = make_grid(10.0, 801)
+    g = Grid(10.0, 801)
     v = Samples(g, np.abs(g.x))
     eps, u = ground_eigenpair(v)
     assert el_residual(u, eps, PointCharge(1.0), potential=v) <= 1e-10
@@ -173,7 +173,7 @@ def test_el_residual_epsilon_perturbation():
 
 
 def test_boundary_flux_diagnostic_small_for_neutral():
-    g = make_grid(12.0, 961)
+    g = Grid(12.0, 961)
     u = normalize(from_function(g, lambda x: np.exp(-x * x)))
     left, right = boundary_flux_diagnostic(u, PointCharge(1.0))
     assert abs(left) < 1e-8 and abs(right) < 1e-8

@@ -2,24 +2,24 @@ import numpy as np
 import pytest
 
 from coulombium import (
+    Grid,
     Samples,
     from_function,
     integrate,
     kinetic_energy,
-    make_grid,
     normalize,
     reflect,
 )
 
 
 def test_make_grid_smallest_legal():
-    g = make_grid(1.0, 3)
+    g = Grid(1.0, 3)
     assert np.array_equal(g.x, [-1.0, 0.0, 1.0])
     assert g.h == 1.0
 
 
 def test_make_grid_arithmetic():
-    g = make_grid(40.0, 4001)
+    g = Grid(40.0, 4001)
     assert g.h == pytest.approx(0.02, abs=1e-15)
     assert g.x[2000] == 0.0
     assert abs(g.h * (g.N - 1) - 2 * g.L) < 1e-12
@@ -28,40 +28,40 @@ def test_make_grid_arithmetic():
 @pytest.mark.parametrize("L,N", [(1.0, 4), (1.0, 2), (0.0, 3), (-2.0, 5)])
 def test_make_grid_rejects(L, N):
     with pytest.raises(ValueError):
-        make_grid(L, N)
+        Grid(L, N)
 
 
 def test_grid_symmetry_exact():
-    g = make_grid(7.3, 501)
+    g = Grid(7.3, 501)
     assert np.array_equal(g.x, -g.x[::-1])
     assert g.x[g.center_index] == 0.0
 
 
 def test_samples_length_checked():
-    g = make_grid(1.0, 5)
+    g = Grid(1.0, 5)
     with pytest.raises(ValueError):
         Samples(g, np.zeros(4))
 
 
 def test_integrate_constant_exact():
-    g = make_grid(1.0, 3)
+    g = Grid(1.0, 3)
     assert integrate(Samples(g, np.ones(3))) == pytest.approx(2.0, abs=0)
 
 
 def test_integrate_odd_function():
-    g = make_grid(5.0, 101)
+    g = Grid(5.0, 101)
     assert integrate(from_function(g, lambda x: x)) == pytest.approx(0.0, abs=1e-13)
 
 
 def test_integrate_quadratic():
     # closed form: int_{-1}^{1} x^2 dx = 2/3
-    g = make_grid(1.0, 2001)
+    g = Grid(1.0, 2001)
     assert integrate(from_function(g, lambda x: x * x)) == pytest.approx(2.0 / 3.0, abs=1e-6)
 
 
 def test_integrate_linearity():
     rng = np.random.default_rng(7)
-    g = make_grid(3.0, 201)
+    g = Grid(3.0, 201)
     f = Samples(g, rng.standard_normal(g.N))
     s = Samples(g, rng.standard_normal(g.N))
     a, b = 1.7, -0.3
@@ -72,40 +72,40 @@ def test_integrate_linearity():
 
 
 def test_kinetic_zero_and_hat():
-    g = make_grid(1.0, 3)
+    g = Grid(1.0, 3)
     assert kinetic_energy(Samples(g, np.zeros(3))) == 0.0
     assert kinetic_energy(Samples(g, [0.0, 1.0, 0.0])) == pytest.approx(2.0, abs=0)
 
 
 def test_kinetic_constant_is_zero():
-    g = make_grid(4.0, 81)
+    g = Grid(4.0, 81)
     assert kinetic_energy(Samples(g, np.full(g.N, 2.5))) == 0.0
 
 
 def test_kinetic_gaussian():
     # int u'^2 = 1/2 for u = pi^{-1/4} exp(-x^2/2)
-    g = make_grid(10.0, 4001)
+    g = Grid(10.0, 4001)
     u = from_function(g, lambda x: np.pi**-0.25 * np.exp(-0.5 * x * x))
     assert kinetic_energy(u) == pytest.approx(0.5, abs=1e-4)
 
 
 def test_kinetic_nonnegative_random():
     rng = np.random.default_rng(11)
-    g = make_grid(2.0, 101)
+    g = Grid(2.0, 101)
     for _ in range(20):
         assert kinetic_energy(Samples(g, rng.standard_normal(g.N))) >= 0.0
 
 
 def test_reflection_invariance():
     rng = np.random.default_rng(3)
-    g = make_grid(6.0, 301)
+    g = Grid(6.0, 301)
     f = Samples(g, rng.random(g.N))
     assert integrate(reflect(f)) == pytest.approx(integrate(f), abs=1e-13)
     assert kinetic_energy(reflect(f)) == pytest.approx(kinetic_energy(f), rel=1e-13)
 
 
 def test_normalize():
-    g = make_grid(5.0, 201)
+    g = Grid(5.0, 201)
     u = normalize(from_function(g, lambda x: np.exp(-x * x)))
     assert integrate(Samples(g, u.values**2)) == pytest.approx(1.0, abs=1e-14)
     with pytest.raises(ValueError):

@@ -3,6 +3,7 @@ import pytest
 
 from coulombium import (
     CPlusForm,
+    Grid,
     NonZeroMeanError,
     NormalizationWarning,
     Samples,
@@ -18,7 +19,6 @@ from coulombium import (
     g_kernel,
     integrate,
     kinetic_energy,
-    make_grid,
     min_kernel,
     neg_kernel_inner_product,
     potential_from_density,
@@ -36,7 +36,7 @@ def _rel(a, b, scale=None):
 
 def test_potential_of_point_mass_is_cone():
     # a single-node mass -z/w at the origin generates exactly (z/2)|x|
-    g = make_grid(5.0, 201)
+    g = Grid(5.0, 201)
     z = 1.7
     vals = np.zeros(g.N)
     vals[g.center_index] = -z / g.weights[g.center_index]
@@ -45,14 +45,14 @@ def test_potential_of_point_mass_is_cone():
 
 
 def test_potential_of_zero_density():
-    g = make_grid(3.0, 101)
+    g = Grid(3.0, 101)
     v = potential_from_density(Samples(g, np.zeros(g.N)))
     assert np.all(v.values == 0.0)
 
 
 def test_potential_matches_dense():
     rng = np.random.default_rng(0)
-    g = make_grid(7.0, 201)
+    g = Grid(7.0, 201)
     f = Samples(g, rng.standard_normal(g.N))
     fast = potential_from_density(f).values
     dense = dense_potential_from_density(f).values
@@ -62,7 +62,7 @@ def test_potential_matches_dense():
 # --- pair energy -----------------------------------------------------------
 
 def test_pair_energy_zero_argument():
-    g = make_grid(4.0, 81)
+    g = Grid(4.0, 81)
     z = Samples(g, np.zeros(g.N))
     f = Samples(g, np.ones(g.N))
     assert coulomb_pair_energy(f, z) == 0.0
@@ -71,7 +71,7 @@ def test_pair_energy_zero_argument():
 
 def test_pair_energy_symmetric():
     rng = np.random.default_rng(1)
-    g = make_grid(4.0, 161)
+    g = Grid(4.0, 161)
     f = Samples(g, rng.random(g.N))
     s = Samples(g, rng.random(g.N))
     assert coulomb_pair_energy(f, s) == pytest.approx(
@@ -81,7 +81,7 @@ def test_pair_energy_symmetric():
 
 def test_pair_energy_matches_dense():
     rng = np.random.default_rng(2)
-    g = make_grid(6.0, 201)
+    g = Grid(6.0, 201)
     f = Samples(g, rng.standard_normal(g.N))
     s = Samples(g, rng.standard_normal(g.N))
     assert _rel(coulomb_pair_energy(f, s), dense_coulomb_pair_energy(f, s)) < 1e-12
@@ -106,21 +106,21 @@ def test_g_kernel_reduces_to_min_kernel_at_unit_charge():
 # --- c_plus ----------------------------------------------------------------
 
 def test_c_plus_zero_for_all_forms():
-    g = make_grid(2.0, 41)
+    g = Grid(2.0, 41)
     f = Samples(g, np.zeros(g.N))
     for form in CPlusForm:
         assert c_plus(f, form) == 0.0
 
 
 def test_c_plus_accepts_form_names():
-    g = make_grid(2.0, 41)
+    g = Grid(2.0, 41)
     f = Samples(g, np.ones(g.N))
     assert c_plus(f, "A") == pytest.approx(c_plus(f, CPlusForm.A), abs=0)
 
 
 def test_four_forms_agree():
     rng = np.random.default_rng(4)
-    g = make_grid(10.0, 401)
+    g = Grid(10.0, 401)
     for _ in range(25):
         f = random_density(g, rng)
         vals = [c_plus(f, form) for form in CPlusForm]
@@ -130,13 +130,13 @@ def test_four_forms_agree():
 def test_form_c_indicator_third():
     # int_0^1 (1 - z)^2 dz = 1/3 for the unit-height indicator of [0, 1];
     # the jump at 1 limits quadrature accuracy to O(h)
-    g = make_grid(2.0, 801)
+    g = Grid(2.0, 801)
     f = Samples(g, np.where((g.x >= 0) & (g.x <= 1.0), 1.0, 0.0))
     assert c_plus(f, CPlusForm.C) == pytest.approx(1.0 / 3.0, abs=2 * g.h)
 
 
 def test_c_plus_positivity_and_nondegeneracy():
-    g = make_grid(3.0, 121)
+    g = Grid(3.0, 121)
     rng = np.random.default_rng(5)
     for _ in range(20):
         f = Samples(g, rng.standard_normal(g.N))  # positivity holds for signed f too
@@ -152,7 +152,7 @@ def test_c_plus_positivity_and_nondegeneracy():
 
 def test_c_plus_ignores_negative_axis():
     rng = np.random.default_rng(6)
-    g = make_grid(4.0, 161)
+    g = Grid(4.0, 161)
     f = random_density(g, rng)
     modified = f.values.copy()
     modified[: g.center_index] = 9.9
@@ -161,7 +161,7 @@ def test_c_plus_ignores_negative_axis():
 
 def test_c_plus_matches_dense():
     rng = np.random.default_rng(7)
-    g = make_grid(8.0, 401)
+    g = Grid(8.0, 401)
     f = random_density(g, rng)
     assert _rel(c_plus(f, CPlusForm.C), dense_c_plus(f)) < 1e-12
 
@@ -169,12 +169,12 @@ def test_c_plus_matches_dense():
 # --- c_functional ----------------------------------------------------------
 
 def test_c_functional_zero():
-    g = make_grid(2.0, 41)
+    g = Grid(2.0, 41)
     assert c_functional(Samples(g, np.zeros(g.N)), 2.0, warn_unnormalized=False) == 0.0
 
 
 def test_c_functional_warns_off_unit_mass():
-    g = make_grid(2.0, 81)
+    g = Grid(2.0, 81)
     f = Samples(g, np.full(g.N, 0.075))  # integral = 0.3
     with pytest.warns(NormalizationWarning):
         c_functional(f, 1.0)
@@ -182,7 +182,7 @@ def test_c_functional_warns_off_unit_mass():
 
 def test_decoupling_one_sided_density():
     # at z=1 a density supported on x>0 interacts only through C+
-    g = make_grid(6.0, 241)
+    g = Grid(6.0, 241)
     vals = np.where(g.x > 0.5, np.exp(-((g.x - 2.0) ** 2)), 0.0)
     f = Samples(g, vals / integrate(Samples(g, vals)))
     assert c_functional(f, 1.0) == pytest.approx(c_plus(f), rel=1e-12)
@@ -190,7 +190,7 @@ def test_decoupling_one_sided_density():
 
 def test_decoupling_identity_general():
     rng = np.random.default_rng(8)
-    g = make_grid(5.0, 201)
+    g = Grid(5.0, 201)
     f = random_density(g, rng, normalized=True)
     total = c_plus(f) + c_plus(reflect(f))
     assert reflected_half_sum(f) == pytest.approx(total, abs=0)
@@ -199,14 +199,14 @@ def test_decoupling_identity_general():
 
 def test_c_functional_matches_dense():
     rng = np.random.default_rng(9)
-    g = make_grid(7.0, 201)
+    g = Grid(7.0, 201)
     f = random_density(g, rng, normalized=True)
     assert _rel(c_functional(f, 2.0), dense_c_functional(f, 2.0)) < 1e-10
 
 
 def test_c_functional_upper_bound_by_first_moment():
     rng = np.random.default_rng(10)
-    g = make_grid(6.0, 241)
+    g = Grid(6.0, 241)
     for _ in range(20):
         f = random_density(g, rng, normalized=True)
         m1 = float(np.dot(g.weights, np.abs(g.x) * f.values))
@@ -216,13 +216,13 @@ def test_c_functional_upper_bound_by_first_moment():
 # --- quartic norm ----------------------------------------------------------
 
 def test_b_norm_zero():
-    g = make_grid(2.0, 41)
+    g = Grid(2.0, 41)
     assert b_norm(Samples(g, np.zeros(g.N))) == 0.0
 
 
 def test_b_norm_homogeneity():
     rng = np.random.default_rng(11)
-    g = make_grid(5.0, 201)
+    g = Grid(5.0, 201)
     u = Samples(g, rng.standard_normal(g.N))
     bu = b_norm(u)
     for lam in (-2.0, 0.5, 3.0):
@@ -233,7 +233,7 @@ def test_b_norm_homogeneity():
 
 def test_b_norm_triangle_inequality():
     rng = np.random.default_rng(12)
-    g = make_grid(5.0, 201)
+    g = Grid(5.0, 201)
     for _ in range(100):
         u = Samples(g, rng.standard_normal(g.N))
         v = Samples(g, rng.standard_normal(g.N))
@@ -242,7 +242,7 @@ def test_b_norm_triangle_inequality():
 
 def test_bilinear_cauchy_schwarz():
     rng = np.random.default_rng(13)
-    g = make_grid(5.0, 201)
+    g = Grid(5.0, 201)
     for _ in range(100):
         usq = random_density(g, rng)
         vsq = random_density(g, rng)
@@ -252,7 +252,7 @@ def test_bilinear_cauchy_schwarz():
 
 def test_uniform_convexity_inequality():
     rng = np.random.default_rng(14)
-    g = make_grid(5.0, 201)
+    g = Grid(5.0, 201)
     for _ in range(100):
         u = Samples(g, rng.standard_normal(g.N))
         v = Samples(g, rng.standard_normal(g.N))
@@ -265,7 +265,7 @@ def test_uniform_convexity_inequality():
 # --- inner product ---------------------------------------------------------
 
 def test_inner_product_dipole_positive():
-    g = make_grid(4.0, 161)
+    g = Grid(4.0, 161)
     vals = np.zeros(g.N)
     vals[40] = 1.0
     vals[120] = -1.0  # equal interior weights, zero mean
@@ -275,7 +275,7 @@ def test_inner_product_dipole_positive():
 
 
 def test_inner_product_rejects_nonzero_mean():
-    g = make_grid(2.0, 81)
+    g = Grid(2.0, 81)
     f = Samples(g, np.full(g.N, 0.075))
     with pytest.raises(NonZeroMeanError):
         neg_kernel_inner_product(f, f)
@@ -284,7 +284,7 @@ def test_inner_product_rejects_nonzero_mean():
 def test_inner_product_equals_dirichlet_form():
     # <f, f> = 2 int u'^2 with -u'' = f; exact discretely for compact f
     rng = np.random.default_rng(15)
-    g = make_grid(10.0, 401)
+    g = Grid(10.0, 401)
     for _ in range(20):
         f = random_zero_mean_compact(g, rng)
         ip = neg_kernel_inner_product(f, f)

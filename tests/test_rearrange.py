@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from coulombium import (
+    Grid,
     NegativeInputError,
     Samples,
     c_functional,
@@ -10,7 +11,6 @@ from coulombium import (
     hardy_littlewood_check,
     integrate,
     kinetic_energy,
-    make_grid,
     moment,
     normalize,
     symmetric_decreasing_rearrangement,
@@ -19,14 +19,14 @@ from coulombium.verify import normalize_density, random_density, random_smooth
 
 
 def test_fixed_point_exact():
-    g = make_grid(6.0, 241)
+    g = Grid(6.0, 241)
     f = from_function(g, lambda x: np.exp(-np.abs(x)))
     star = symmetric_decreasing_rearrangement(f)
     assert np.array_equal(star.values, f.values)
 
 
 def test_indicator_block_recentered():
-    g = make_grid(4.0, 161)
+    g = Grid(4.0, 161)
     f = Samples(g, np.where((g.x >= 1.0) & (g.x <= 2.0), 1.0, 0.0))
     star = symmetric_decreasing_rearrangement(f)
     k = int(np.sum(f.values))  # number of unit samples
@@ -39,7 +39,7 @@ def test_indicator_block_recentered():
 
 def test_equimeasurable():
     rng = np.random.default_rng(0)
-    g = make_grid(5.0, 201)
+    g = Grid(5.0, 201)
     for _ in range(50):
         f = random_density(g, rng)
         star = symmetric_decreasing_rearrangement(f)
@@ -48,7 +48,7 @@ def test_equimeasurable():
 
 def test_shape_even_and_decreasing():
     rng = np.random.default_rng(1)
-    g = make_grid(5.0, 201)
+    g = Grid(5.0, 201)
     f = random_density(g, rng)
     star = symmetric_decreasing_rearrangement(f).values
     c = g.center_index
@@ -61,7 +61,7 @@ def test_shape_even_and_decreasing():
 
 
 def test_rejects_negative_input():
-    g = make_grid(2.0, 41)
+    g = Grid(2.0, 41)
     vals = np.zeros(g.N)
     vals[3] = -1e-3
     with pytest.raises(NegativeInputError):
@@ -70,7 +70,7 @@ def test_rejects_negative_input():
 
 def test_mass_preserved_with_endpoint_correction():
     rng = np.random.default_rng(2)
-    g = make_grid(5.0, 201)
+    g = Grid(5.0, 201)
     f = random_density(g, rng)
     star = symmetric_decreasing_rearrangement(f)
     # equal-weight part is an exact permutation; only the half-weight ends differ
@@ -86,7 +86,7 @@ def test_mass_preserved_with_endpoint_correction():
 
 def test_hardy_littlewood_inequality():
     rng = np.random.default_rng(3)
-    g = make_grid(5.0, 201)
+    g = Grid(5.0, 201)
     for _ in range(100):
         f = random_density(g, rng)
         lhs, rhs = hardy_littlewood_check(f, lambda a: a)
@@ -94,7 +94,7 @@ def test_hardy_littlewood_inequality():
 
 
 def test_hardy_littlewood_equality_at_fixed_point():
-    g = make_grid(6.0, 241)
+    g = Grid(6.0, 241)
     f = from_function(g, lambda x: 1.0 / (1.0 + x * x))
     lhs, rhs = hardy_littlewood_check(f, lambda a: a)
     assert lhs == pytest.approx(rhs, abs=1e-12)
@@ -102,7 +102,7 @@ def test_hardy_littlewood_equality_at_fixed_point():
 
 def test_hardy_littlewood_strict_for_asymmetric():
     rng = np.random.default_rng(4)
-    g = make_grid(5.0, 201)
+    g = Grid(5.0, 201)
     for _ in range(20):
         f = random_density(g, rng)
         lhs, rhs = hardy_littlewood_check(f, lambda a: a)  # strictly increasing g
@@ -112,7 +112,7 @@ def test_hardy_littlewood_strict_for_asymmetric():
 def test_moment_never_increases():
     # the |x| weight is the nondecreasing-profile case, any z > 1 moment term
     rng = np.random.default_rng(5)
-    g = make_grid(5.0, 201)
+    g = Grid(5.0, 201)
     for _ in range(50):
         f = random_density(g, rng)
         star = symmetric_decreasing_rearrangement(f)
@@ -121,7 +121,7 @@ def test_moment_never_increases():
 
 def test_interaction_never_increases_at_unit_charge():
     rng = np.random.default_rng(6)
-    g = make_grid(5.0, 201)
+    g = Grid(5.0, 201)
     for _ in range(200):
         f = random_density(g, rng)
         star = symmetric_decreasing_rearrangement(f)
@@ -132,7 +132,7 @@ def test_interaction_never_increases_at_unit_charge():
 
 
 def test_report_symmetric_density():
-    g = make_grid(8.0, 321)
+    g = Grid(8.0, 321)
     u = normalize(from_function(g, lambda x: np.exp(-0.5 * x * x)))
     rep = double_rearrangement_check(u.with_values(u.values**2), 1.0)
     assert rep.was_symmetric
@@ -140,7 +140,7 @@ def test_report_symmetric_density():
 
 
 def test_report_shifted_gaussian():
-    g = make_grid(10.0, 801)
+    g = Grid(10.0, 801)
     u = normalize(from_function(g, lambda x: np.exp(-0.5 * (x - 2.0) ** 2)))
     rep = double_rearrangement_check(u.with_values(u.values**2), 1.0)
     assert not rep.was_symmetric
@@ -149,7 +149,7 @@ def test_report_shifted_gaussian():
 
 
 def test_report_two_bump_density():
-    g = make_grid(10.0, 801)
+    g = Grid(10.0, 801)
     vals = np.exp(-2.0 * (g.x - 3.0) ** 2) + np.exp(-2.0 * (g.x + 3.0) ** 2)
     u = normalize(Samples(g, vals))
     rep = double_rearrangement_check(u.with_values(u.values**2), 1.0)
@@ -158,7 +158,7 @@ def test_report_two_bump_density():
 
 def test_kinetic_polya_szego_on_smooth_densities():
     rng = np.random.default_rng(7)
-    g = make_grid(8.0, 641)
+    g = Grid(8.0, 641)
     for _ in range(25):
         f = normalize_density(random_smooth(g, rng))
         star = symmetric_decreasing_rearrangement(f)
