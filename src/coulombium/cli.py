@@ -28,13 +28,13 @@ from typing import Any, Callable, NamedTuple
 
 from .background import PointCharge, load_background, total_charge
 from .diagnostics import moment
-from .energy import effective_potential, el_residual, total_energy
+from .energy import candidate_energy
 from .errors import CoulombiumError, DivergingEnergyError, SolverError
 from .grid import Grid
 from .solver import SolverConfig, gradient_solve, scf_solve
 from .verify import SUITES
 
-SCHEMA_VERSION = 3
+SCHEMA_VERSION = 4
 
 _EXIT_OK = 0
 _EXIT_USAGE = 1
@@ -57,7 +57,6 @@ SETTINGS = {
     "L": Setting("grid", "L", float, 30.0, help="domain half-width"),
     "N": Setting("grid", "N", int, 6001, help="node count (odd)"),
     "method": Setting("solver", "method", str, "scf", ("scf", "gd", "both")),
-    "scf_damping": Setting("solver", "scf_damping", float, 0.6),
     "tol_energy": Setting("solver", "tol_energy", float, 1e-10),
     "tol_residual": Setting("solver", "tol_residual", float, 1e-7),
     "max_iter": Setting("solver", "max_iter", int, 20000),
@@ -67,8 +66,8 @@ SETTINGS = {
     "include_background_self": Setting(None, None, bool, False, help="add the rho*rho energy"),
     "seed": Setting(None, None, int, None, help="seed of the suite's random data"),
 }
-_GRID_SOLVER_OUTPUT = ("L", "N", "method", "scf_damping", "tol_energy", "tol_residual",
-                       "max_iter", "output", "format")
+_GRID_SOLVER_OUTPUT = ("L", "N", "method", "tol_energy", "tol_residual", "max_iter",
+                       "output", "format")
 COMMANDS = {
     "solve": ("z", "background_file", *_GRID_SOLVER_OUTPUT,
               "allow_subcritical", "include_background_self"),
@@ -225,11 +224,10 @@ def cmd_solve(args) -> int:
         return _EXIT_NO_CONVERGENCE
 
     primary = states[methods[0]]
-    V = effective_potential(primary.u, bg)
-    residual = el_residual(primary.u, primary.epsilon, bg, potential=V)
+    V = primary.candidate.V
     breakdown = primary.energy
     if cfg.include_background_self:
-        breakdown = total_energy(primary.u, bg, include_background_self=True)
+        breakdown = candidate_energy(primary.candidate, bg, include_background_self=True)
     summary = {
         "method": methods[0],
         "epsilon": primary.epsilon,
@@ -237,8 +235,8 @@ def cmd_solve(args) -> int:
         "coulomb": breakdown.coulomb,
         "background_const": breakdown.background_const,
         "total_energy": breakdown.total,
-        "objective": primary.objective,
-        "residual": residual,
+        "objective": primary.candidate.objective,
+        "residual": primary.residual,
         "iterations": primary.iterations,
         "converged": primary.converged,
     }

@@ -155,15 +155,11 @@ def dense_c_plus(f: Samples) -> float:
 def _g_form(f: Samples, z: float) -> float:
     """int int g(x,y) f(x) f(y) with no normalization check.
 
-    Evaluates (z-1) * (int f) * (int |x| f) plus the two half-axis min-kernel
-    parts; exact discrete decomposition of the g-kernel double sum.
+    Evaluates (z-1) * (int f) * (int |x| f) plus the min-kernel form
+    b[f, f] (the two half-axis parts); exact discrete decomposition of the
+    g-kernel double sum.
     """
-    h = f.grid.h
-    t_p, m_p = _half_axis(f, +1)
-    t_m, m_m = _half_axis(f, -1)
-    cg = _c_plus_masses(t_p, m_p, h, CPlusForm.C) + _c_plus_masses(
-        t_m, m_m, h, CPlusForm.C
-    )
+    cg = b_form(f, f)
     if z == 1.0:
         return cg
     s0 = float(np.dot(f.grid.weights, f.values))
@@ -203,10 +199,8 @@ def b_form(f: Samples, g: Samples) -> float:
     h = f.grid.h
     acc = 0.0
     for side in (+1, -1):
-        _, mf = _half_axis(f, side)
-        _, mg = _half_axis(g, side)
-        Sf = np.cumsum(mf[::-1])[::-1]
-        Sg = np.cumsum(mg[::-1])[::-1]
+        Sf = np.cumsum(_half_axis(f, side)[1][::-1])[::-1]  # S_i = sum_{k>=i} m_k
+        Sg = Sf if g is f else np.cumsum(_half_axis(g, side)[1][::-1])[::-1]
         acc += h * float(np.dot(Sf[1:], Sg[1:]))
     return acc
 

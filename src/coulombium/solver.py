@@ -1,32 +1,38 @@
 """Ground-state solvers: damped SCF eigen-iteration and projected gradient.
 
-Both methods drive the same coupled fixed point -u'' + Vu = eps u with
-V = -(1/2)|x-y| * (u^2 + rho), share the tridiagonal Dirichlet ground
-eigenpair kernel, preserve unit L2 mass at every accepted iterate, and
-enforce a non-increasing trace of the descent objective (kinetic +
-coulomb/2) after an initial transient.  Subcritical backgrounds (z < 1)
-have no bound state; the solvers detect the resulting mass flight to the
-domain boundary and raise :class:`DivergingEnergyError`.
+Both drive the fixed point -u'' + Vu = eps u, V = -(1/2)|x-y| * (u^2 + rho),
+through unit-mass iterates whose descent objective (kinetic + coulomb/2) is
+kept from rising; only SCF calls the ground eigenpair, so each checks the other.
+Each method supplies only its accepted iterates.  One driver builds the
+grid, V_bg and the start, records the trace and applies the single
+stopping rule: an iterate is the ground state when its Euler-Lagrange
+residual is at most tol_residual and its objective moved by at most
+tol_energy from the previous iterate's (the start's, for the first).
+Subcritical backgrounds (z < 1) have no bound state; the driver detects the
+mass flight to the domain boundary and raises :class:`DivergingEnergyError`.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from itertools import count, islice
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
 from .background import BackgroundCharge, background_potential, recenter_shift, total_charge
-from .energy import EnergyBreakdown, candidate_energy, el_residual, solver_objective
+from .energy import Candidate, EnergyBreakdown, candidate_energy, el_residual, solver_objective
 from .errors import (
     DivergingEnergyError,
     LineSearchStalledError,
     MaxIterExceededError,
     NoConvergenceError,
+    SolverError,
 )
 from .grid import Grid, Samples, normalize
 
+_SCF_FIRST_MIX = 0.6  # SCF mixing weight until a step fails to decrease enough
 _ALPHA_FLOOR = 1e-3
 _OBJECTIVE_FLOOR = -1e4
 _BOUNDARY_FRACTION = 0.9
@@ -36,18 +42,15 @@ _GD_FIRST_STEP = 1e-4  # gradient step before the first Barzilai-Borwein quotien
 
 @dataclass
 class SolverConfig:
-    """Grid, damping and stopping parameters shared by both solvers."""
+    """Grid and stopping parameters shared by both solvers."""
 
     L: float = 30.0
     N: int = 6001
-    scf_damping: float = 0.6
     tol_energy: float = 1e-10
     tol_residual: float = 1e-7
     max_iter: int = 20000
 
     def __post_init__(self):
-        if not (0.0 < self.scf_damping <= 1.0):
-            raise ValueError(f"scf_damping must lie in (0, 1], got {self.scf_damping}")
         for name in ("tol_energy", "tol_residual"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
@@ -57,15 +60,19 @@ class SolverConfig:
 
 @dataclass
 class GroundState:
-    """Converged minimizer with its multiplier, energies and trace."""
+    """Converged minimizer: the accepted candidate, its multiplier, energies and trace."""
 
-    u: Samples
+    candidate: Candidate  # u, V and the objective's terms of the accepted iterate
     epsilon: float
+    residual: float  # the Euler-Lagrange residual the stopping rule read
     energy: EnergyBreakdown
     iterations: int
     converged: bool
     history: list = field(repr=False)  # (objective, residual) per accepted iterate
-    objective: float = 0.0
+
+    @property
+    def u(self) -> Samples:
+        return self.candidate.u
 
 
 def ground_eigenpair(V: Samples) -> tuple[float, Samples]:
@@ -115,15 +122,13 @@ def _boundary_mass_fraction(u: Samples) -> float:
     return float(np.dot(g.weights[mask], sq[mask])) / total
 
 
-def _check_divergence(u: Samples, bg: BackgroundCharge, objective: float, history):
+def _check_divergence(u: Samples, bg: BackgroundCharge, objective: float):
     if objective < _OBJECTIVE_FLOOR:
-        raise DivergingEnergyError(
-            f"objective fell below {_OBJECTIVE_FLOOR}; no bound state", history
-        )
+        raise DivergingEnergyError(f"objective fell below {_OBJECTIVE_FLOOR}; no bound state")
     z = -total_charge(bg)
     if z < 1.0 - 1e-9 and _boundary_mass_fraction(u) > _BOUNDARY_MASS_LIMIT:
         raise DivergingEnergyError(
-            f"mass accumulating at the domain boundary (z = {z:.4g} < 1)", history
+            f"mass accumulating at the domain boundary (z = {z:.4g} < 1)"
         )
 
 
@@ -133,16 +138,39 @@ def _warn_if_truncated(u: Samples):
         warnings.warn(
             f"tail mass {tail:.2e} beyond 0.9 L; consider a larger half-width",
             RuntimeWarning,
-            stacklevel=3,
+            stacklevel=4,  # past the driver and the public solver, to their caller
         )
 
 
-def _prepare_start(bg, u0, grid):
-    if u0 is None:
-        return default_initial_guess(bg, grid)
-    if not u0.grid.same_mesh(grid):
+def _solve(name: str, iterates, bg: BackgroundCharge, cfg, u0) -> GroundState:
+    """Trace, check and stop the ``(candidate, eps, residual)`` that ``iterates`` yields.
+
+    Every :class:`SolverError` raised on the way carries the trace.
+    """
+    cfg = cfg if cfg is not None else SolverConfig()
+    grid = Grid(cfg.L, cfg.N)
+    if u0 is not None and not u0.grid.same_mesh(grid):
         raise ValueError("initial guess lives on a different mesh than the config grid")
-    return normalize(u0)
+    u = default_initial_guess(bg, grid) if u0 is None else normalize(u0)
+    v_bg = background_potential(bg, grid)
+    start = solver_objective(u, v_bg)
+    prev = start.objective
+    history: list = []
+    try:
+        for it, (cur, eps, res) in enumerate(islice(iterates(start, v_bg), cfg.max_iter), 1):
+            res = float(res)
+            history.append((cur.objective, res))
+            _check_divergence(cur.u, bg, cur.objective)
+            if res <= cfg.tol_residual and abs(cur.objective - prev) <= cfg.tol_energy:
+                _warn_if_truncated(cur.u)
+                return GroundState(cur, eps, res, candidate_energy(cur, bg), it, True, history)
+            prev = cur.objective
+    except SolverError as exc:
+        exc.history = history
+        raise
+    raise MaxIterExceededError(
+        f"{name} did not converge in {cfg.max_iter} iterations", history
+    )
 
 
 def scf_solve(
@@ -154,45 +182,35 @@ def scf_solve(
 
     Each pass takes the ground eigenpair of -D2 + V, with V the accepted
     iterate's potential, and mixes densities, u^2 <- (1-a) u^2 + a u_new^2.
-    The damping a is halved (never below 1e-3) whenever the descent
-    objective would not fall by 1e-4 of the decrease its slope predicts,
-    which keeps the accepted trace non-increasing.
-    Stops when |delta objective| <= tol_energy and the Euler-Lagrange
-    residual <= tol_residual.
+    The mixing weight a starts at 0.6 and is halved (never below 1e-3)
+    whenever the descent objective would not fall by 1e-4 of the decrease
+    its slope predicts, which keeps the accepted trace non-increasing.
+    Each iterate's residual is the Euler-Lagrange residual in its own V.
     """
-    cfg = cfg if cfg is not None else SolverConfig()
-    grid = Grid(cfg.L, cfg.N)
-    v_bg = background_potential(bg, grid)
-    cur = solver_objective(_prepare_start(bg, u0, grid), v_bg)
-    alpha = cfg.scf_damping
-    history: list = []
-    for it in range(1, cfg.max_iter + 1):
-        eps, u_lin = ground_eigenpair(cur.V)
-        obj = cur.objective
-        # The objective is convex in the density, so its slope along the
-        # mixing direction is at most eps - <u, H u> <= 0.  Asking for a
-        # share of that decrease keeps the damping from settling into a
-        # two-cycle whose objective barely falls while its residual stays.
-        slope = eps - cur.kinetic - float(np.dot(grid.weights, cur.V.values * cur.u.values**2))
+
+    def iterates(cur: Candidate, v_bg: Samples):
+        grid = cur.u.grid
+        alpha = _SCF_FIRST_MIX
         while True:
-            dens = (1.0 - alpha) * cur.u.values**2 + alpha * u_lin.values**2
-            new = solver_objective(normalize(Samples(grid, np.sqrt(dens))), v_bg)
-            bound = obj + 1e-4 * alpha * slope + 1e-12 * max(1.0, abs(obj))
-            if new.objective <= bound or alpha <= _ALPHA_FLOOR:
-                break
-            alpha *= 0.5
-        res = el_residual(new.u, eps, bg, potential=new.V)
-        delta = abs(new.objective - obj)
-        cur = new
-        history.append((cur.objective, res))
-        _check_divergence(cur.u, bg, cur.objective, history)
-        if delta <= cfg.tol_energy and res <= cfg.tol_residual:
-            _warn_if_truncated(cur.u)
-            energy = candidate_energy(cur, bg)
-            return GroundState(cur.u, eps, energy, it, True, history, cur.objective)
-    raise MaxIterExceededError(
-        f"scf did not converge in {cfg.max_iter} iterations", history
-    )
+            eps, u_lin = ground_eigenpair(cur.V)
+            obj = cur.objective
+            # The objective is convex in the density, so its slope along the
+            # mixing direction is at most eps - <u, H u> <= 0.  Asking for a
+            # share of that decrease keeps the damping from settling into a
+            # two-cycle whose objective barely falls while its residual stays.
+            vu2 = float(np.dot(grid.weights, cur.V.values * cur.u.values**2))
+            slope = eps - cur.kinetic - vu2
+            while True:
+                dens = (1.0 - alpha) * cur.u.values**2 + alpha * u_lin.values**2
+                new = solver_objective(normalize(Samples(grid, np.sqrt(dens))), v_bg)
+                bound = obj + 1e-4 * alpha * slope + 1e-12 * max(1.0, abs(obj))
+                if new.objective <= bound or alpha <= _ALPHA_FLOOR:
+                    break
+                alpha *= 0.5
+            cur = new
+            yield cur, eps, el_residual(cur.u, eps, bg, potential=cur.V)
+
+    return _solve("scf", iterates, bg, cfg, u0)
 
 
 def _apply_hamiltonian(uv: np.ndarray, vv: np.ndarray, h: float) -> np.ndarray:
@@ -212,66 +230,51 @@ def gradient_solve(
     the potential the accepted iterate's objective was read from; steps
     are proposed by a Barzilai-Borwein quotient and safeguarded by Armijo
     backtracking on the descent objective, then the iterate is renormalized.
-    The multiplier is reported as the Rayleigh quotient at convergence;
-    stopping rules match :func:`scf_solve`.
+    The start is the first iterate.  Each iterate's multiplier is its
+    Rayleigh quotient and its residual is half the norm of its tangent
+    gradient.
     """
-    cfg = cfg if cfg is not None else SolverConfig()
-    grid = Grid(cfg.L, cfg.N)
-    w = grid.weights
-    h = grid.h
 
-    def inner(a, b):
-        return float(np.dot(w * a, b))
+    def iterates(cur: Candidate, v_bg: Samples):
+        grid = cur.u.grid
+        w = grid.weights
+        h = grid.h
 
-    v_bg = background_potential(bg, grid)
-    cur = solver_objective(_prepare_start(bg, u0, grid), v_bg)
-    u, obj = cur.u, cur.objective
-    hu = _apply_hamiltonian(u.values, cur.V.values, h)
-    ray = inner(u.values, hu)
-    gt = 2.0 * (hu - ray * u.values)
-    prev_obj = None
-    du = dg = None
-    step = _GD_FIRST_STEP
-    history: list = []
-    for it in range(1, cfg.max_iter + 1):
-        gnorm2 = inner(gt, gt)
-        res = 0.5 * np.sqrt(gnorm2)
-        history.append((obj, res))
-        if res <= cfg.tol_residual and (
-            prev_obj is None or abs(obj - prev_obj) <= cfg.tol_energy
-        ):
-            _warn_if_truncated(u)
-            return GroundState(u, ray, candidate_energy(cur, bg), it, True, history, obj)
-        if du is not None:
-            denom = inner(du, dg)
-            if denom > 0:
-                step = inner(du, du) / denom
-            step = min(max(step, 1e-12), 1e3)
-        # Near the optimum the predicted decrease ~ s * ||g||^2 drops below
-        # the rounding floor of the objective; the extra term keeps the
-        # backtracking from rejecting such numerically flat steps.
-        floor = 4e-16 * max(1.0, abs(obj))
-        st = step
-        while True:
-            cand = u.values - st * gt
-            cand[0] = cand[-1] = 0.0
-            trial = solver_objective(normalize(Samples(grid, cand)), v_bg)
-            if trial.objective <= obj - 1e-4 * st * gnorm2 + floor:
-                break
-            st *= 0.5
-            if st < 1e-20:
-                raise LineSearchStalledError(
-                    f"no descent step found at iteration {it}", history
-                )
-        hu = _apply_hamiltonian(trial.u.values, trial.V.values, h)
-        ray = inner(trial.u.values, hu)
-        gt_new = 2.0 * (hu - ray * trial.u.values)
-        du = trial.u.values - u.values
-        dg = gt_new - gt
-        cur, prev_obj = trial, obj
-        u, obj, gt = cur.u, cur.objective, gt_new
-        step = st
-        _check_divergence(u, bg, obj, history)
-    raise MaxIterExceededError(
-        f"gradient descent did not converge in {cfg.max_iter} iterations", history
-    )
+        def inner(a, b):
+            return float(np.dot(w * a, b))
+
+        hu = _apply_hamiltonian(cur.u.values, cur.V.values, h)
+        ray = inner(cur.u.values, hu)
+        gt = 2.0 * (hu - ray * cur.u.values)
+        du = dg = None
+        step = _GD_FIRST_STEP
+        for it in count(1):
+            gnorm2 = inner(gt, gt)
+            yield cur, ray, 0.5 * np.sqrt(gnorm2)
+            if du is not None:
+                denom = inner(du, dg)
+                if denom > 0:
+                    step = inner(du, du) / denom
+                step = min(max(step, 1e-12), 1e3)
+            # Near the optimum the predicted decrease ~ s * ||g||^2 drops below
+            # the rounding floor of the objective; the extra term keeps the
+            # backtracking from rejecting such numerically flat steps.
+            floor = 4e-16 * max(1.0, abs(cur.objective))
+            st = step
+            while True:
+                cand = cur.u.values - st * gt
+                cand[0] = cand[-1] = 0.0
+                trial = solver_objective(normalize(Samples(grid, cand)), v_bg)
+                if trial.objective <= cur.objective - 1e-4 * st * gnorm2 + floor:
+                    break
+                st *= 0.5
+                if st < 1e-20:
+                    raise LineSearchStalledError(f"no descent step found at iteration {it}")
+            hu = _apply_hamiltonian(trial.u.values, trial.V.values, h)
+            ray = inner(trial.u.values, hu)
+            gt_new = 2.0 * (hu - ray * trial.u.values)
+            du = trial.u.values - cur.u.values
+            dg = gt_new - gt
+            cur, gt, step = trial, gt_new, st
+
+    return _solve("gradient descent", iterates, bg, cfg, u0)

@@ -1,8 +1,10 @@
 import json
+import sys
 
 import numpy as np
 import pytest
 
+import coulombium.background
 from coulombium.cli import main
 from coulombium.verify import SUITES
 
@@ -18,7 +20,7 @@ def test_solve_point_charge(tmp_path):
     )
     assert code == 0
     table = (tmp_path / "sol.csv").read_text().splitlines()
-    assert table[0] == "# schema_version=3"
+    assert table[0] == "# schema_version=4"
     assert table[1].startswith("# config ")
     assert table[2].startswith("# summary ")
     assert "total_energy=" in table[2]
@@ -35,7 +37,7 @@ def test_solve_json_format(tmp_path):
     )
     assert code == 0
     doc = json.loads((tmp_path / "sol.json").read_text())
-    assert doc["schema_version"] == 3
+    assert doc["schema_version"] == 4
     assert doc["config"]["z"] == 2.0
     assert doc["summary"]["converged"] is True
     assert len(doc["table"]["x"]) == 1601
@@ -224,7 +226,6 @@ _SOLVE_SETTINGS = [
     ("grid", "L", "13", "--L"),
     ("grid", "N", "243", "--N"),
     ("solver", "method", "gd", "--method"),
-    ("solver", "scf_damping", "0.5", "--scf-damping"),
     ("solver", "tol_energy", "1e-09", "--tol-energy"),
     ("solver", "tol_residual", "1e-06", "--tol-residual"),
     ("solver", "max_iter", "5000", "--max-iter"),
@@ -309,3 +310,49 @@ def test_suite_registry_complete():
     assert set(SUITES) == {
         "forms", "bnorm", "rearrange", "counterexample", "delta", "innerprod",
     }
+
+
+def _count_background_builds(monkeypatch):
+    name = "background_potential"
+    original = getattr(coulombium.background, name)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for module_name, module in list(sys.modules.items()):
+        if module_name.startswith("coulombium") and getattr(module, name, None) is original:
+            monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("source,flags,builds", [
+    ("z", ["--method", "scf"], 1),
+    ("z", ["--method", "both"], 2),
+    ("file", ["--include-background-self"], 1),
+])
+def test_solve_builds_the_background_once_per_solver_run(tmp_path, monkeypatch, source, flags,
+                                                         builds):
+    # V, the residual and the energy are read from the solve, not rebuilt
+    (tmp_path / "rho.dat").write_text("-1 0\n0 -2\n1 0\n")  # charge -2
+    bg = ["--z", "2"] if source == "z" else ["--background-file", str(tmp_path / "rho.dat")]
+    calls = _count_background_builds(monkeypatch)
+    argv = ["solve", *bg, "--L", "12", "--N", "241", *flags, "--output", str(tmp_path / "s")]
+    assert run_cli(argv) == 0
+    assert len(calls) == builds
+
+
+@pytest.mark.parametrize("method", ["scf", "gd"])
+def test_trace_cells_are_plain_floats(tmp_path, method):
+    out = tmp_path / "s"
+    argv = ["solve", "--z", "2", "--L", "12", "--N", "241", "--method", method,
+            "--output", str(out)]
+    assert run_cli(argv) == 0
+    lines = (tmp_path / "s_trace.csv").read_text().splitlines()
+    rows = [line.split(",") for line in lines if not line.startswith("#")]
+    assert rows[0] == ["iteration", "objective", "residual"]
+    assert len(rows) > 2
+    for row in rows[1:]:
+        assert len(row) == 3
+        [float(cell) for cell in row]

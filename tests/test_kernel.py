@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coulombium import (
     CPlusForm,
@@ -118,13 +120,17 @@ def test_c_plus_accepts_form_names():
     assert c_plus(f, "A") == pytest.approx(c_plus(f, CPlusForm.A), abs=0)
 
 
-def test_four_forms_agree():
-    rng = np.random.default_rng(4)
-    g = Grid(10.0, 401)
-    for _ in range(25):
-        f = random_density(g, rng)
-        vals = [c_plus(f, form) for form in CPlusForm]
-        assert (max(vals) - min(vals)) / max(abs(v) for v in vals) < 1e-9
+# odd N in [3, 801], L in [0.5, 40] and a seed for the random nonnegative density
+_ODD_GRIDS = dict(half=st.integers(1, 400), L=st.floats(0.5, 40.0),
+                  seed=st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(**_ODD_GRIDS)
+def test_four_forms_agree(half, L, seed):
+    f = random_density(Grid(L, 2 * half + 1), np.random.default_rng(seed))
+    vals = [c_plus(f, form) for form in CPlusForm]
+    assert (max(vals) - min(vals)) / max(abs(v) for v in vals) < 1e-9
 
 
 def test_form_c_indicator_third():
@@ -197,10 +203,10 @@ def test_decoupling_identity_general():
     assert c_functional(f, 1.0) == pytest.approx(total, rel=1e-12)
 
 
-def test_c_functional_matches_dense():
-    rng = np.random.default_rng(9)
-    g = Grid(7.0, 201)
-    f = random_density(g, rng, normalized=True)
+@settings(max_examples=60, deadline=None, database=None)
+@given(**_ODD_GRIDS)
+def test_c_functional_matches_dense(half, L, seed):
+    f = random_density(Grid(L, 2 * half + 1), np.random.default_rng(seed), normalized=True)
     assert _rel(c_functional(f, 2.0), dense_c_functional(f, 2.0)) < 1e-10
 
 

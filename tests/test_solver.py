@@ -233,9 +233,34 @@ def test_truncation_warning_for_small_domain():
         scf_solve(PointCharge(1.0), cfg)
 
 
+@pytest.mark.parametrize("solve", [scf_solve, gradient_solve])
+def test_truncation_warning_names_the_caller(solve):
+    with pytest.warns(RuntimeWarning, match="tail mass") as record:
+        solve(PointCharge(1.0), SolverConfig(L=8.0, N=401, tol_residual=1e-6))
+    assert [w.filename for w in record] == [__file__]
+
+
+def test_state_residual_is_the_el_residual():
+    # the residual the stopping rule read, not one rebuilt after the solve
+    bg = PointCharge(2.0)
+    cfg = SolverConfig(L=12.0, N=241)
+    scf = scf_solve(bg, cfg)
+    assert scf.residual == el_residual(scf.u, scf.epsilon, bg)
+    gd = gradient_solve(bg, cfg)
+    assert gd.residual == pytest.approx(el_residual(gd.u, gd.epsilon, bg), rel=0, abs=1e-12)
+    assert gd.residual <= cfg.tol_residual
+
+
+@pytest.mark.parametrize("solve", [scf_solve, gradient_solve])
+def test_max_iter_error_carries_one_float_entry_per_iteration(solve):
+    with pytest.raises(MaxIterExceededError) as excinfo:
+        solve(PointCharge(2.0), SolverConfig(L=12.0, N=241, max_iter=3))
+    history = excinfo.value.history
+    assert len(history) == 3
+    assert all(type(v) is float for entry in history for v in entry)
+
+
 def test_solver_config_validation():
-    with pytest.raises(ValueError):
-        SolverConfig(scf_damping=0.0)
     with pytest.raises(ValueError):
         SolverConfig(tol_energy=-1.0)
     with pytest.raises(ValueError):
