@@ -1,4 +1,4 @@
-"""Ground-state solvers: damped SCF eigen-iteration and projected gradient.
+"""Ground-state solvers: damped SCF eigen-iteration and preconditioned gradient.
 
 Both drive the fixed point -u'' + Vu = eps u, V = -(1/2)|x-y| * (u^2 + rho),
 through unit-mass iterates whose descent objective (kinetic + coulomb/2) is
@@ -8,8 +8,10 @@ grid, V_bg and the start, records the trace and applies the single
 stopping rule: an iterate is the ground state when its Euler-Lagrange
 residual is at most tol_residual and its objective moved by at most
 tol_energy from the previous iterate's (the start's, for the first).
-Subcritical backgrounds (z < 1) have no bound state; the driver detects the
-mass flight to the domain boundary and raises :class:`DivergingEnergyError`.
+Subcritical backgrounds (z < 1) have no bound state; the driver raises
+:class:`DivergingEnergyError` when mass flees to the domain boundary, or
+when the stopping rule accepts a state that only the box holds (tail mass
+beyond 0.9 L above 1e-10, where z >= 1 only warns of truncation).
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from itertools import count, islice
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
+from scipy.linalg.lapack import dpttrf, dpttrs
 
 from .background import BackgroundCharge, background_potential, recenter_shift, total_charge
 from .energy import Candidate, EnergyBreakdown, candidate_energy, el_residual, solver_objective
@@ -36,8 +39,10 @@ _SCF_FIRST_MIX = 0.6  # SCF mixing weight until a step fails to decrease enough
 _ALPHA_FLOOR = 1e-3
 _OBJECTIVE_FLOOR = -1e4
 _BOUNDARY_FRACTION = 0.9
-_BOUNDARY_MASS_LIMIT = 0.1
-_GD_FIRST_STEP = 1e-4  # gradient step before the first Barzilai-Borwein quotient
+_BOUNDARY_MASS_LIMIT = 0.1  # boundary mass share that stops a subcritical solve early
+_TAIL_MASS_LIMIT = 1e-10  # boundary mass share a converged state may carry unremarked
+_SUBCRITICAL = 1.0 - 1e-9  # charge ratios z below this have no bound state
+_SOBOLEV_SHIFT = 1.0  # s in the gradient preconditioner P = -D2 + s
 
 
 @dataclass
@@ -122,24 +127,30 @@ def _boundary_mass_fraction(u: Samples) -> float:
     return float(np.dot(g.weights[mask], sq[mask])) / total
 
 
-def _check_divergence(u: Samples, bg: BackgroundCharge, objective: float):
+def _check_divergence(u: Samples, z: float, objective: float):
     if objective < _OBJECTIVE_FLOOR:
         raise DivergingEnergyError(f"objective fell below {_OBJECTIVE_FLOOR}; no bound state")
-    z = -total_charge(bg)
-    if z < 1.0 - 1e-9 and _boundary_mass_fraction(u) > _BOUNDARY_MASS_LIMIT:
+    if z < _SUBCRITICAL and _boundary_mass_fraction(u) > _BOUNDARY_MASS_LIMIT:
         raise DivergingEnergyError(
             f"mass accumulating at the domain boundary (z = {z:.4g} < 1)"
         )
 
 
-def _warn_if_truncated(u: Samples):
+def _check_tail(u: Samples, z: float):
+    """Warn of a converged state's tail mass; refuse it below z = 1, where the box holds it."""
     tail = _boundary_mass_fraction(u)
-    if tail > 1e-10:
-        warnings.warn(
-            f"tail mass {tail:.2e} beyond 0.9 L; consider a larger half-width",
-            RuntimeWarning,
-            stacklevel=4,  # past the driver and the public solver, to their caller
+    if tail <= _TAIL_MASS_LIMIT:
+        return
+    if z < _SUBCRITICAL:
+        raise DivergingEnergyError(
+            f"converged with tail mass {tail:.2e} beyond 0.9 L at z = {z:.4g} < 1; "
+            "the domain, not the charge, holds this state"
         )
+    warnings.warn(
+        f"tail mass {tail:.2e} beyond 0.9 L; consider a larger half-width",
+        RuntimeWarning,
+        stacklevel=4,  # past the driver and the public solver, to their caller
+    )
 
 
 def _solve(name: str, iterates, bg: BackgroundCharge, cfg, u0) -> GroundState:
@@ -155,14 +166,15 @@ def _solve(name: str, iterates, bg: BackgroundCharge, cfg, u0) -> GroundState:
     v_bg = background_potential(bg, grid)
     start = solver_objective(u, v_bg)
     prev = start.objective
+    z = -total_charge(bg)
     history: list = []
     try:
         for it, (cur, eps, res) in enumerate(islice(iterates(start, v_bg), cfg.max_iter), 1):
             res = float(res)
             history.append((cur.objective, res))
-            _check_divergence(cur.u, bg, cur.objective)
+            _check_divergence(cur.u, z, cur.objective)
             if res <= cfg.tol_residual and abs(cur.objective - prev) <= cfg.tol_energy:
-                _warn_if_truncated(cur.u)
+                _check_tail(cur.u, z)
                 return GroundState(cur, eps, res, candidate_energy(cur, bg), it, True, history)
             prev = cur.objective
     except SolverError as exc:
@@ -224,57 +236,73 @@ def gradient_solve(
     cfg: SolverConfig | None = None,
     u0: Samples | None = None,
 ) -> GroundState:
-    """Projected gradient descent on the unit sphere.
+    """Sobolev-preconditioned projected gradient descent on the unit sphere.
 
-    The descent direction is the tangent part of g = 2(-D2 u + V u), with V
-    the potential the accepted iterate's objective was read from; steps
-    are proposed by a Barzilai-Borwein quotient and safeguarded by Armijo
-    backtracking on the descent objective, then the iterate is renormalized.
-    The start is the first iterate.  Each iterate's multiplier is its
-    Rayleigh quotient and its residual is half the norm of its tangent
-    gradient.
+    The Euclidean tangent gradient is g_t = 2(H u - ray u), with H = -D2 + V,
+    V the potential the accepted iterate's objective was read from and ray
+    its Rayleigh quotient.  The step direction is g_t's Riesz representative
+    in the metric of P = -D2 + s (Dirichlet ends, s = 1), projected onto the
+    sphere's tangent space in that metric,
+
+        d = P^-1 g_t - (<u, P^-1 g_t> / <u, P^-1 u>) P^-1 u,   <u, d> = 0,
+
+    which removes the Laplacian's 1/h^2 conditioning, so the iteration count
+    does not grow with the mesh.  P holds no V, so the method stays
+    independent of SCF's eigen-step; it is factored once per solve (LAPACK
+    dpttrf) and applied by one two-column dpttrs per iterate.  Steps are
+    proposed by the Barzilai-Borwein quotient <du, dg_t> / <dg_t, dd> in the
+    P-metric (0.5 at first, clamped to [1e-6, 1e3]) and safeguarded by Armijo
+    backtracking against the slope <g_t, d>, then the iterate is renormalized.
+    Near the optimum the predicted decrease falls below the objective's
+    rounding, so the test allows a flat step of 4e-16 |obj|; without it the
+    search rejects every step there and stalls.  The start is the first
+    iterate.  Each iterate's multiplier is its Rayleigh quotient and its
+    residual is half the Euclidean norm of g_t.
     """
 
     def iterates(cur: Candidate, v_bg: Samples):
         grid = cur.u.grid
         w = grid.weights
         h = grid.h
+        # P is diagonally dominant with eigenvalues above s, so dpttrf cannot fail
+        pd, pe, _ = dpttrf(
+            np.full(grid.N - 2, 2.0 / h**2 + _SOBOLEV_SHIFT), np.full(grid.N - 3, -1.0 / h**2)
+        )
 
         def inner(a, b):
             return float(np.dot(w * a, b))
 
-        hu = _apply_hamiltonian(cur.u.values, cur.V.values, h)
-        ray = inner(cur.u.values, hu)
-        gt = 2.0 * (hu - ray * cur.u.values)
-        du = dg = None
-        step = _GD_FIRST_STEP
+        def tangent_gradient(c: Candidate):
+            hu = _apply_hamiltonian(c.u.values, c.V.values, h)
+            ray = inner(c.u.values, hu)
+            gt = 2.0 * (hu - ray * c.u.values)
+            sol, _ = dpttrs(pd, pe, np.column_stack((gt[1:-1], c.u.values[1:-1])))
+            pg, pu = sol.T
+            d = np.zeros_like(gt)
+            d[1:-1] = pg - (np.dot(c.u.values[1:-1], pg) / np.dot(c.u.values[1:-1], pu)) * pu
+            return ray, gt, d
+
+        ray, gt, d = tangent_gradient(cur)
+        step = 0.5  # before the first Barzilai-Borwein quotient
         for it in count(1):
-            gnorm2 = inner(gt, gt)
-            yield cur, ray, 0.5 * np.sqrt(gnorm2)
-            if du is not None:
-                denom = inner(du, dg)
-                if denom > 0:
-                    step = inner(du, du) / denom
-                step = min(max(step, 1e-12), 1e3)
-            # Near the optimum the predicted decrease ~ s * ||g||^2 drops below
-            # the rounding floor of the objective; the extra term keeps the
-            # backtracking from rejecting such numerically flat steps.
+            yield cur, ray, 0.5 * np.sqrt(inner(gt, gt))
+            slope = inner(gt, d)
             floor = 4e-16 * max(1.0, abs(cur.objective))
             st = step
             while True:
-                cand = cur.u.values - st * gt
-                cand[0] = cand[-1] = 0.0
+                cand = cur.u.values - st * d
                 trial = solver_objective(normalize(Samples(grid, cand)), v_bg)
-                if trial.objective <= cur.objective - 1e-4 * st * gnorm2 + floor:
+                if trial.objective <= cur.objective - 1e-4 * st * slope + floor:
                     break
                 st *= 0.5
                 if st < 1e-20:
                     raise LineSearchStalledError(f"no descent step found at iteration {it}")
-            hu = _apply_hamiltonian(trial.u.values, trial.V.values, h)
-            ray = inner(trial.u.values, hu)
-            gt_new = 2.0 * (hu - ray * trial.u.values)
-            du = trial.u.values - cur.u.values
+            ray, gt_new, d_new = tangent_gradient(trial)
             dg = gt_new - gt
-            cur, gt, step = trial, gt_new, st
+            curv, den = inner(trial.u.values - cur.u.values, dg), inner(dg, d_new - d)
+            # along negative curvature the quotient means nothing: keep the step taken
+            step = curv / den if curv > 0 and den > 0 else st
+            step = min(max(step, 1e-6), 1e3)
+            cur, gt, d = trial, gt_new, d_new
 
     return _solve("gradient descent", iterates, bg, cfg, u0)

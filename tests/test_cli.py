@@ -60,6 +60,15 @@ def test_solve_subcritical_with_flag_detects_divergence(tmp_path):
     assert code in (2, 3)
 
 
+def test_subcritical_gradient_solve_exits_as_divergence(tmp_path):
+    # the gradient solve converges on a box-held state, which is no ground state
+    code = run_cli(
+        ["solve", "--z", "0.9", "--allow-subcritical", "--method", "gd", "--L", "30",
+         "--N", "1201", "--output", str(tmp_path / "x")]
+    )
+    assert code == 3
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_solve_with_background_file(tmp_path):
     xs = np.linspace(-2.0, 2.0, 2001)

@@ -8,6 +8,7 @@ from coulombium import (
     Grid,
     MaxIterExceededError,
     PointCharge,
+    SampledCharge,
     Samples,
     SolverConfig,
     background_potential,
@@ -182,6 +183,7 @@ def test_neutral_minimizer_symmetric_decreasing():
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("solve", [scf_solve, gradient_solve])
 @settings(max_examples=60, deadline=None, database=None)
 @given(
     z=st.floats(1.0, 8.0),
@@ -191,14 +193,15 @@ def test_neutral_minimizer_symmetric_decreasing():
 )
 # a draw on which damped SCF used to settle into a two-cycle (residual 0.038)
 @example(z=1.0448621786501713, half=372, L=29.608782849122623, shift=0.5392201699257031)
-def test_scf_minimizer_is_symmetric_decreasing(z, half, L, shift):
-    # From any shifted start the point-charge minimizer is its own symmetric
-    # decreasing rearrangement, with unit mass and a trace that never rises.
+def test_minimizer_is_symmetric_decreasing(solve, z, half, L, shift):
+    # From any shifted start either solver's point-charge minimizer is its own
+    # symmetric decreasing rearrangement, with unit mass and a trace that
+    # never rises.
     g = Grid(L, 2 * half + 1)
     vals = np.exp(-0.5 * (g.x - shift) ** 2)
     vals[0] = vals[-1] = 0.0
     u0 = normalize(Samples(g, vals))
-    state = scf_solve(PointCharge(z), SolverConfig(L=L, N=g.N), u0=u0)
+    state = solve(PointCharge(z), SolverConfig(L=L, N=g.N), u0=u0)
     sq = state.u.with_values(state.u.values**2)
     star = symmetric_decreasing_rearrangement(sq)
     assert np.max(np.abs(np.sqrt(star.values) - state.u.values)) <= 1e-6
@@ -225,6 +228,36 @@ def test_subcritical_charge_flagged():
     with pytest.raises((DivergingEnergyError, MaxIterExceededError)) as excinfo:
         scf_solve(PointCharge(0.5), cfg)
     assert excinfo.value.history  # trace attached
+
+
+@pytest.mark.parametrize("z", [0.8, 0.9])
+def test_subcritical_gradient_solve_refuses_a_box_held_state(z):
+    # Below z = 1 there is no ground state: the solve settles on a state the
+    # domain's edge holds, and the driver refuses it instead of returning it.
+    with pytest.raises(DivergingEnergyError, match="tail mass") as excinfo:
+        gradient_solve(PointCharge(z), SolverConfig(L=30.0, N=3001))
+    assert excinfo.value.history
+
+
+def test_gradient_iterations_at_the_neutral_charge():
+    state = gradient_solve(PointCharge(1.0), SolverConfig(L=30.0, N=6001))
+    assert state.converged and state.iterations <= 100
+
+
+def test_gradient_iterations_do_not_grow_with_the_mesh():
+    # The preconditioner removes the 1/h^2 conditioning of the Laplacian, so
+    # refining the mesh fourfold at most doubles the iteration count.
+    # max_iter stops a mesh-bound iteration in seconds instead of minutes.
+    iterations = {}
+    for n in (3001, 12001):
+        g = Grid(30.0, n)
+        wells = np.exp(-0.5 * ((g.x + 1.0) / 0.8) ** 2) + 0.7 * np.exp(
+            -0.5 * ((g.x - 1.0) / 0.8) ** 2
+        )
+        rho = Samples(g, wells * (-1.6 / np.dot(g.weights, wells)))
+        cfg = SolverConfig(L=30.0, N=n, max_iter=500)
+        iterations[n] = gradient_solve(SampledCharge(rho), cfg).iterations
+    assert iterations[12001] <= 2 * iterations[3001]
 
 
 def test_truncation_warning_for_small_domain():
@@ -268,7 +301,7 @@ def test_solver_config_validation():
 
 
 def test_initial_guess_recentered():
-    from coulombium import SampledCharge, default_initial_guess
+    from coulombium import default_initial_guess
 
     g = Grid(12.0, 601)
     raw = np.exp(-8.0 * (g.x - 3.0) ** 2)
