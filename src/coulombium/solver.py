@@ -21,7 +21,6 @@ from dataclasses import dataclass, field
 from itertools import count, islice
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 from scipy.linalg.lapack import dpttrf, dpttrs
 
 from .background import BackgroundCharge, background_potential, recenter_shift, total_charge
@@ -33,7 +32,7 @@ from .errors import (
     NoConvergenceError,
     SolverError,
 )
-from .grid import Grid, Samples, normalize
+from .grid import Grid, Samples, normalize, require_same_mesh
 
 _SCF_FIRST_MIX = 0.6  # SCF mixing weight until a step fails to decrease enough
 _ALPHA_FLOOR = 1e-3
@@ -43,6 +42,7 @@ _BOUNDARY_MASS_LIMIT = 0.1  # boundary mass share that stops a subcritical solve
 _TAIL_MASS_LIMIT = 1e-10  # boundary mass share a converged state may carry unremarked
 _SUBCRITICAL = 1.0 - 1e-9  # charge ratios z below this have no bound state
 _SOBOLEV_SHIFT = 1.0  # s in the gradient preconditioner P = -D2 + s
+_EIGEN_MAX_STEPS = 200  # inverse-iteration steps per eigensolve
 
 
 @dataclass
@@ -80,35 +80,92 @@ class GroundState:
         return self.candidate.u
 
 
-def ground_eigenpair(V: Samples) -> tuple[float, Samples]:
-    """Lowest eigenpair of -D2 + V with Dirichlet ends.
+def ground_eigenpair(V: Samples, start: Samples | None = None) -> tuple[float, Samples]:
+    """Lowest eigenpair of H = -D2 + V with Dirichlet ends, by certified inverse iteration.
 
-    The matrix is symmetric tridiagonal with diagonal 2/h^2 + V_i and
-    off-diagonal -1/h^2 over the interior nodes; the eigenvalue comes from
-    bisection with Sturm sequence counts and the eigenvector from inverse
-    iteration (LAPACK stebz/stein).  u is embedded with zero ends,
-    normalized to unit trapezoid mass and sign-fixed so u(0) >= 0.
+    H is symmetric tridiagonal over the interior nodes, with diagonal
+    2/h^2 + V_i and off-diagonal -1/h^2.  Starting from y = |start| (the box
+    ground state cos(pi x / 2L) by default), each step solves
+    (H - sigma) y <- y with LAPACK dpttrs on a dpttrf factor of H - sigma.
+    dpttrf succeeds exactly when sigma < lambda_1, and then (H - sigma)^-1
+    is entrywise positive, so every iterate stays nonnegative and tends to
+    the positive ground state, never to a sign-changing excited one
+    (Parlett, The Symmetric Eigenvalue Problem, ch. 4).
+
+    With rho the Rayleigh quotient and r = |H y - rho y| at |y| = 1, the
+    shift starts at rho - 2r, clamped below by the Gershgorin bound min V,
+    and falls halfway toward min V - 1 while dpttrf refuses it.  After each
+    step it rises to rho - 2 max(r, tol) when dpttrf accepts that.  A
+    refusal proves lambda_1 lies below that value, and the shift bisects
+    toward it instead: a start held in a shallower well, far from the
+    deepest, otherwise settles on an excited state with a tiny residual.
+    Iteration stops when r <= tol = 64 eps_mach (4/h^2 + max |V|) and an
+    accepted shift lies within 2 tol of rho, which certifies lambda_1 in
+    (rho - 2 tol, rho]; rho is the eigenvalue returned.  u is embedded with
+    zero ends and normalized to unit trapezoid mass, so u >= 0.
+
+    Raises ValueError for a non-finite V or start, or a start that vanishes
+    on the interior, and :class:`NoConvergenceError` if the step cap is hit
+    or the result is not one-signed.
     """
     g = V.grid
-    h = g.h
-    diag = 2.0 / h**2 + V.values[1:-1]
-    off = np.full(g.N - 3, -1.0 / h**2)
-    vec = None
-    for _ in range(2):
-        try:
-            w, vecs = eigh_tridiagonal(diag, off, select="i", select_range=(0, 0))
-            vec = vecs[:, 0]
-            break
-        except np.linalg.LinAlgError:
-            diag = diag * (1.0 + 1e-14) + 1e-14  # jitter and retry once
-    if vec is None:
-        raise NoConvergenceError("tridiagonal eigensolve failed after restart")
-    u = np.zeros(g.N)
-    u[1:-1] = vec
-    c = g.center_index
-    if u[c] < 0 or (u[c] == 0 and u.sum() < 0):
-        u = -u
-    return float(w[0]), normalize(Samples(g, u))
+    if not np.all(np.isfinite(V.values)):
+        raise ValueError("potential must be finite")
+    v = V.values[1:-1]
+    if start is None:
+        y = np.cos((0.5 * np.pi / g.L) * g.x)
+    else:
+        require_same_mesh(V, start)
+        y = np.abs(start.values)
+        if not np.all(np.isfinite(y)) or not np.any(y[1:-1]):
+            raise ValueError("start must be finite and nonzero on the interior")
+    y[0] = y[-1] = 0.0
+    diag = 2.0 / g.h**2 + v
+    off = np.full(g.N - 3, -1.0 / g.h**2)
+    tol = 64.0 * np.finfo(float).eps * (4.0 / g.h**2 + float(np.max(np.abs(v))))
+    vmin = float(np.min(v))  # Gershgorin: lambda_1 > min V
+    floor = vmin - 1.0  # H - floor is strictly diagonally dominant, so dpttrf accepts it
+
+    def rayleigh(y):
+        y /= np.linalg.norm(y)
+        hy = _apply_hamiltonian(y, V.values, g.h)
+        rho = float(np.dot(y, hy))
+        hy -= rho * y
+        return rho, float(np.linalg.norm(hy))
+
+    def factor(sigma):
+        d, e, info = dpttrf(diag - sigma, off, overwrite_d=True)
+        return (d, e) if info == 0 else None
+
+    rho, res = rayleigh(y)
+    sigma, above = max(rho - 2.0 * res, vmin), np.inf  # lambda_1 lies in (sigma, above]
+    while (fac := factor(sigma)) is None:
+        sigma, above = 0.5 * (sigma + floor), sigma
+    for _ in range(_EIGEN_MAX_STEPS):
+        y[1:-1] = dpttrs(*fac, y[1:-1], overwrite_b=True)[0]
+        rho, res = rayleigh(y)
+        target = rho - 2.0 * max(res, tol)
+        if target > sigma:
+            if target < above and (raised := factor(target)) is not None:
+                sigma, fac = target, raised
+            else:
+                # lambda_1 <= target: y leans on an excited state
+                above = min(above, target)
+                mid = 0.5 * (sigma + above)
+                if (raised := factor(mid)) is not None:
+                    sigma, fac = mid, raised
+                else:
+                    above = mid
+        if res <= tol and target <= sigma:
+            break  # lambda_1 lies in (sigma, rho], within 2 tol of rho
+    else:
+        raise NoConvergenceError(
+            f"inverse iteration uncertified after {_EIGEN_MAX_STEPS} steps "
+            f"(residual {res:.3e}, tolerance {tol:.3e})"
+        )
+    if np.any(y < 0.0):
+        raise NoConvergenceError("inverse iteration returned a sign-changing vector")
+    return rho, normalize(Samples(g, y))
 
 
 def default_initial_guess(bg: BackgroundCharge, grid: Grid) -> Samples:
@@ -194,6 +251,9 @@ def scf_solve(
 
     Each pass takes the ground eigenpair of -D2 + V, with V the accepted
     iterate's potential, and mixes densities, u^2 <- (1-a) u^2 + a u_new^2.
+    The eigensolve starts from the previous pass's eigenvector (the first
+    from the box ground state), which is already near the new one, so it
+    takes a few inverse-iteration steps.
     The mixing weight a starts at 0.6 and is halved (never below 1e-3)
     whenever the descent objective would not fall by 1e-4 of the decrease
     its slope predicts, which keeps the accepted trace non-increasing.
@@ -203,8 +263,9 @@ def scf_solve(
     def iterates(cur: Candidate, v_bg: Samples):
         grid = cur.u.grid
         alpha = _SCF_FIRST_MIX
+        u_lin = None
         while True:
-            eps, u_lin = ground_eigenpair(cur.V)
+            eps, u_lin = ground_eigenpair(cur.V, u_lin)
             obj = cur.objective
             # The objective is convex in the density, so its slope along the
             # mixing direction is at most eps - <u, H u> <= 0.  Asking for a

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from scipy.linalg import eigh_tridiagonal
 
 from coulombium import (
     DivergingEnergyError,
@@ -79,6 +80,95 @@ def test_ground_eigenpair_sign_convention():
     g = Grid(8.0, 801)
     _, u = ground_eigenpair(Samples(g, np.abs(g.x)))
     assert u.values[g.center_index] > 0
+
+
+def _lowest_two(v: Samples) -> np.ndarray:
+    # LAPACK bisection + inverse iteration (stebz/stein) as the reference
+    g = v.grid
+    diag = 2.0 / g.h**2 + v.values[1:-1]
+    off = np.full(g.N - 3, -1.0 / g.h**2)
+    return eigh_tridiagonal(diag, off, select="i", select_range=(0, 1))[0]
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_ground_eigenpair_rejects_a_non_finite_potential(bad):
+    g = Grid(8.0, 201)
+    v = np.abs(g.x)
+    v[57] = bad
+    with pytest.raises(ValueError, match="finite"):
+        ground_eigenpair(Samples(g, v))
+    with pytest.raises(ValueError, match="finite"):
+        ground_eigenpair(Samples(g, np.abs(g.x)), start=Samples(g, v))
+
+
+def test_ground_eigenpair_leaves_a_start_held_in_a_shallower_well():
+    # The start sits in the shallower of two far-apart wells, where the ground
+    # state is ~1e-19: inverse iteration reaches the excited state there with
+    # a tiny residual, and only the shift certificate sends it on to lambda_1.
+    g = Grid(20.0, 801)
+
+    def well(c):
+        return np.exp(-0.5 * ((g.x - c) / 0.5) ** 2)
+
+    v = Samples(g, -20.0 * well(-5.0) - 19.9 * well(5.0))
+    lam = _lowest_two(v)
+    eps, u = ground_eigenpair(v, start=Samples(g, well(5.0)))
+    assert lam[1] - lam[0] > 0.08
+    assert eps == pytest.approx(lam[0], abs=1e-10)
+    assert u.values[np.argmin(np.abs(g.x + 5.0))] > 0.5
+
+
+@st.composite
+def eigen_problems(draw):
+    """A Dirichlet potential of 0-3 Gaussian wells and a start for its eigensolve."""
+    g = Grid(draw(st.floats(5.0, 25.0)), 2 * draw(st.integers(50, 400)) + 1)
+    x = g.x
+    if draw(st.booleans()):
+        # symmetric double well: its gap falls like exp(-2 sqrt(depth) c)
+        depth = draw(st.floats(2.0, 10.0))
+        c = draw(st.floats(0.5, 14.0 / np.sqrt(depth)))
+        v = -depth * (np.exp(-0.5 * ((x - c) / 0.5) ** 2) + np.exp(-0.5 * ((x + c) / 0.5) ** 2))
+    else:
+        v = np.zeros(g.N)
+        for c, w, depth in draw(
+            st.lists(st.tuples(st.floats(-0.6, 0.6), st.floats(0.3, 1.5), st.floats(0.5, 20.0)),
+                     max_size=3)
+        ):
+            v -= depth * np.exp(-0.5 * ((x - c * g.L) / w) ** 2)
+    kind = draw(st.sampled_from(["box", "sign-changing", "bump", "noise"]))
+    shift = draw(st.floats(-0.8, 0.8)) * g.L
+    if kind == "box":
+        start = None
+    elif kind == "sign-changing":
+        start = Samples(g, np.tanh(x - shift) * np.exp(-(x**2) / 10.0))
+    elif kind == "bump":
+        start = Samples(g, np.exp(-0.5 * (x - shift) ** 2))
+    else:
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        start = Samples(g, rng.standard_normal(g.N))
+    return Samples(g, v), start
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(eigen_problems())
+def test_ground_eigenpair_finds_the_lowest_pair_from_any_start(problem):
+    v, start = problem
+    lam = _lowest_two(v)
+    gap = lam[1] - lam[0]
+    assume(gap >= 1e-8)  # below this the two are not told apart
+    eps, u = ground_eigenpair(v, start)
+    assert abs(eps - lam[0]) <= 1e-9
+    assert abs(eps - lam[0]) < abs(eps - lam[1])
+    assert np.all(u.values >= 0.0)
+    assert integrate(Samples(v.grid, u.values**2)) == pytest.approx(1.0, abs=1e-12)
+    warm_eps, warm_u = ground_eigenpair(v, u)
+    assert abs(warm_eps - eps) <= 1e-10
+    # Both solves stop at an eigen-residual of at most 64 eps_mach (4/h^2 +
+    # max |V|) on unit vectors (u sqrt(h)), which fixes the eigenvector only
+    # to residual / gap (Davis-Kahan).
+    h = v.grid.h
+    resid = 64.0 * np.finfo(float).eps * (4.0 / h**2 + np.max(np.abs(v.values)))
+    assert np.max(np.abs(warm_u.values - u.values)) <= 1e-10 + 2.0 * resid / (gap * np.sqrt(h))
 
 
 @pytest.fixture(scope="module")
