@@ -72,10 +72,6 @@ from .kernel import (
     c_functional,
     c_plus,
     coulomb_pair_energy,
-    dense_c_functional,
-    dense_c_plus,
-    dense_coulomb_pair_energy,
-    dense_potential_from_density,
     g_kernel,
     min_kernel,
     neg_kernel_inner_product,

@@ -15,7 +15,14 @@ m_k = w_k f_k, so the Fubini rearrangements behind the continuum
 identities become exact rearrangements of one double sum: the four C+
 forms, the half-axis decoupling and the fast/dense agreement all hold to
 rounding error by construction.  Dense O(N^2) twins of each fast path
-are provided so tests can prove the prefix-sum algebra.
+are kept in this module, outside the package's public names, so tests
+can prove the prefix-sum algebra.
+
+The min-kernel form b[f, g] and the quartic norm have one array-level
+evaluation each, ``_b_rows`` and ``_b_norm_rows``, which reduce over the
+last axis: ``b_form``, ``c_functional`` and ``b_norm`` pass them one row,
+``verify.bnorm_suite`` a block of rows, and each row gets the same bits
+either way.
 """
 
 from __future__ import annotations
@@ -26,7 +33,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import NonZeroMeanError, NormalizationWarning
-from .grid import Samples, integrate, reflect, require_same_mesh
+from .grid import Grid, Samples, integrate, reflect, require_same_mesh
 
 
 class CPlusForm(Enum):
@@ -100,20 +107,19 @@ def min_kernel(x, y):
     return np.where(x * y > 0, np.minimum(np.abs(x), np.abs(y)), 0.0)
 
 
-def _half_axis(f: Samples, side: int):
-    """Nodes of one closed half-axis as (|x|, point masses).
+def _half_axis(values: np.ndarray, grid: Grid, side: int):
+    """Nodes of one closed half-axis as (|x|, point masses along the last axis).
 
     The origin node carries half of its full-grid weight on each side, so
     the two halves split the axis exactly; G(0, y) = 0 makes the split
     immaterial for the kernel value itself.
     """
-    c = f.grid.center_index
-    h = f.grid.h
-    vals = f.values[c:] if side > 0 else f.values[c::-1]
-    t = f.grid.x[c:]
-    v = np.full(t.size, h)
-    v[0] = 0.5 * h
-    v[-1] = 0.5 * h
+    c = grid.center_index
+    vals = values[..., c:] if side > 0 else values[..., c::-1]
+    t = grid.x[c:]
+    v = np.full(t.size, grid.h)
+    v[0] = 0.5 * grid.h
+    v[-1] = 0.5 * grid.h
     return t, v * vals
 
 
@@ -142,29 +148,64 @@ def c_plus(f: Samples, form: CPlusForm | str = CPlusForm.C) -> float:
     the default fast path.
     """
     form = CPlusForm(form)
-    t, m = _half_axis(f, +1)
+    t, m = _half_axis(f.values, f.grid, +1)
     return _c_plus_masses(t, m, f.grid.h, form)
 
 
 def dense_c_plus(f: Samples) -> float:
     """O(N^2) twin of :func:`c_plus` (verification only)."""
-    t, m = _half_axis(f, +1)
+    t, m = _half_axis(f.values, f.grid, +1)
     return float(m @ np.minimum.outer(t, t) @ m)
 
 
-def _g_form(f: Samples, z: float) -> float:
-    """int int g(x,y) f(x) f(y) with no normalization check.
+def _b_rows(f: np.ndarray, g: np.ndarray, grid: Grid):
+    """Min-kernel form b[f, g] along the last axis of two sample arrays.
+
+    Each closed half-axis adds h * sum_{i>=1} S_i[f] S_i[g], where
+    S_i = sum_{k>=i} m_k are the suffix sums of the half-axis point masses
+    (form C of C+, polarized).  The suffix sums are copied into node order
+    and contiguous rows: there ``np.vecdot`` gives every row the bits of a
+    one-row ``np.dot`` (on reversed strided views it sums in another
+    order), so a row's value does not depend on the block it sits in.
+    Returns one value per row.
+    """
+
+    def suffix(a, side):
+        m = _half_axis(a, grid, side)[1]
+        return np.ascontiguousarray(np.cumsum(m[..., ::-1], axis=-1)[..., -2::-1])  # S_1 .. S_n-1
+
+    acc = 0.0
+    for side in (+1, -1):
+        sf = suffix(f, side)
+        sg = sf if g is f else suffix(g, side)
+        acc = acc + grid.h * np.vecdot(sf, sg)
+    return acc
+
+
+def _g_form(f: np.ndarray, grid: Grid, z: float):
+    """int int g(x,y) f(x) f(y) along the last axis, with no normalization check.
 
     Evaluates (z-1) * (int f) * (int |x| f) plus the min-kernel form
     b[f, f] (the two half-axis parts); exact discrete decomposition of the
     g-kernel double sum.
     """
-    cg = b_form(f, f)
+    cg = _b_rows(f, f, grid)
     if z == 1.0:
         return cg
-    s0 = float(np.dot(f.grid.weights, f.values))
-    m1 = float(np.dot(f.grid.weights, np.abs(f.grid.x) * f.values))
+    s0 = np.vecdot(grid.weights, f)
+    m1 = np.vecdot(grid.weights, np.abs(grid.x) * f)
     return (z - 1.0) * s0 * m1 + cg
+
+
+def _b_norm_rows(u: np.ndarray, grid: Grid, z: float = 1.0):
+    """Quartic norm (int int g u^2 u^2)^(1/4) along the last axis.
+
+    The fourth root is two correctly rounded square roots, which give a
+    row the same bits alone and inside a block (a vectorized ``** 0.25``
+    need not).
+    """
+    sq = u * u
+    return np.sqrt(np.sqrt(_g_form(sq, grid, z)))
 
 
 def c_functional(f: Samples, z: float, warn_unnormalized: bool = True) -> float:
@@ -183,7 +224,7 @@ def c_functional(f: Samples, z: float, warn_unnormalized: bool = True) -> float:
                 NormalizationWarning,
                 stacklevel=2,
             )
-    return _g_form(f, z)
+    return float(_g_form(f.values, f.grid, z))
 
 
 def dense_c_functional(f: Samples, z: float) -> float:
@@ -196,13 +237,7 @@ def dense_c_functional(f: Samples, z: float) -> float:
 def b_form(f: Samples, g: Samples) -> float:
     """Bilinear min-kernel form b[f, g] = int int G(x,y) f(x) g(y) dx dy."""
     require_same_mesh(f, g)
-    h = f.grid.h
-    acc = 0.0
-    for side in (+1, -1):
-        Sf = np.cumsum(_half_axis(f, side)[1][::-1])[::-1]  # S_i = sum_{k>=i} m_k
-        Sg = Sf if g is f else np.cumsum(_half_axis(g, side)[1][::-1])[::-1]
-        acc += h * float(np.dot(Sf[1:], Sg[1:]))
-    return acc
+    return float(_b_rows(f.values, g.values, f.grid))
 
 
 def b_norm(u: Samples, z: float = 1.0) -> float:
@@ -212,8 +247,7 @@ def b_norm(u: Samples, z: float = 1.0) -> float:
     well defined off the unit sphere.  The default z = 1 gives the pure
     min-kernel form whose fourth root is a genuine norm.
     """
-    sq = u.with_values(u.values * u.values)
-    return float(_g_form(sq, z)) ** 0.25
+    return float(_b_norm_rows(u.values, u.grid, z))
 
 
 def neg_kernel_inner_product(f: Samples, g: Samples) -> float:

@@ -9,9 +9,9 @@ stopping rule: an iterate is the ground state when its Euler-Lagrange
 residual is at most tol_residual and its objective moved by at most
 tol_energy from the previous iterate's (the start's, for the first).
 Subcritical backgrounds (z < 1) have no bound state; the driver raises
-:class:`DivergingEnergyError` when mass flees to the domain boundary, or
-when the stopping rule accepts a state that only the box holds (tail mass
-beyond 0.9 L above 1e-10, where z >= 1 only warns of truncation).
+:class:`DivergingEnergyError` as soon as an iterate carries more than
+1e-10 of its mass beyond 0.9 L, where at z >= 1 a converged state's tail
+only warns of truncation.
 """
 
 from __future__ import annotations
@@ -38,8 +38,7 @@ _SCF_FIRST_MIX = 0.6  # SCF mixing weight until a step fails to decrease enough
 _ALPHA_FLOOR = 1e-3
 _OBJECTIVE_FLOOR = -1e4
 _BOUNDARY_FRACTION = 0.9
-_BOUNDARY_MASS_LIMIT = 0.1  # boundary mass share that stops a subcritical solve early
-_TAIL_MASS_LIMIT = 1e-10  # boundary mass share a converged state may carry unremarked
+_TAIL_MASS_LIMIT = 1e-10  # boundary mass share beyond which z < 1 diverges and z >= 1 warns
 _SUBCRITICAL = 1.0 - 1e-9  # charge ratios z below this have no bound state
 _SOBOLEV_SHIFT = 1.0  # s in the gradient preconditioner P = -D2 + s
 _EIGEN_MAX_STEPS = 200  # inverse-iteration steps per eigensolve
@@ -187,27 +186,22 @@ def _boundary_mass_fraction(u: Samples) -> float:
 def _check_divergence(u: Samples, z: float, objective: float):
     if objective < _OBJECTIVE_FLOOR:
         raise DivergingEnergyError(f"objective fell below {_OBJECTIVE_FLOOR}; no bound state")
-    if z < _SUBCRITICAL and _boundary_mass_fraction(u) > _BOUNDARY_MASS_LIMIT:
+    if z < _SUBCRITICAL and (tail := _boundary_mass_fraction(u)) > _TAIL_MASS_LIMIT:
         raise DivergingEnergyError(
-            f"mass accumulating at the domain boundary (z = {z:.4g} < 1)"
+            f"tail mass {tail:.2e} beyond 0.9 L at z = {z:.10g} < 1: "
+            "mass is leaving for the domain boundary, and there is no bound state"
         )
 
 
-def _check_tail(u: Samples, z: float):
-    """Warn of a converged state's tail mass; refuse it below z = 1, where the box holds it."""
+def _check_tail(u: Samples):
+    """Warn when a converged state carries mass near the domain's edge."""
     tail = _boundary_mass_fraction(u)
-    if tail <= _TAIL_MASS_LIMIT:
-        return
-    if z < _SUBCRITICAL:
-        raise DivergingEnergyError(
-            f"converged with tail mass {tail:.2e} beyond 0.9 L at z = {z:.4g} < 1; "
-            "the domain, not the charge, holds this state"
+    if tail > _TAIL_MASS_LIMIT:
+        warnings.warn(
+            f"tail mass {tail:.2e} beyond 0.9 L; consider a larger half-width",
+            RuntimeWarning,
+            stacklevel=4,  # past the driver and the public solver, to their caller
         )
-    warnings.warn(
-        f"tail mass {tail:.2e} beyond 0.9 L; consider a larger half-width",
-        RuntimeWarning,
-        stacklevel=4,  # past the driver and the public solver, to their caller
-    )
 
 
 def _solve(name: str, iterates, bg: BackgroundCharge, cfg, u0) -> GroundState:
@@ -231,7 +225,7 @@ def _solve(name: str, iterates, bg: BackgroundCharge, cfg, u0) -> GroundState:
             history.append((cur.objective, res))
             _check_divergence(cur.u, z, cur.objective)
             if res <= cfg.tol_residual and abs(cur.objective - prev) <= cfg.tol_energy:
-                _check_tail(cur.u, z)
+                _check_tail(cur.u)
                 return GroundState(cur, eps, res, candidate_energy(cur, bg), it, True, history)
             prev = cur.objective
     except SolverError as exc:

@@ -29,9 +29,6 @@ from coulombium import (
     c_functional,
     coulomb_pair_energy,
     counterexample_un,
-    dense_c_functional,
-    dense_coulomb_pair_energy,
-    dense_potential_from_density,
     el_residual,
     gradient_solve,
     grid_for_counterexample,
@@ -46,6 +43,11 @@ from coulombium import (
     total_charge,
     total_energy,
     unboundedness_scan,
+)
+from coulombium.kernel import (
+    dense_c_functional,
+    dense_coulomb_pair_energy,
+    dense_potential_from_density,
 )
 from coulombium.rearrange import double_rearrangement_check, symmetric_decreasing_rearrangement
 from coulombium.verify import (

@@ -57,7 +57,15 @@ def test_solve_subcritical_with_flag_detects_divergence(tmp_path):
         ["solve", "--z", "0.5", "--L", "24", "--N", "1201", "--max-iter", "200",
          "--allow-subcritical", "--output", str(tmp_path / "x")]
     )
-    assert code in (2, 3)
+    assert code == 3
+
+
+def test_subcritical_scf_solve_exits_as_divergence(tmp_path):
+    code = run_cli(
+        ["solve", "--z", "0.9", "--allow-subcritical", "--method", "scf", "--L", "30",
+         "--N", "1201", "--output", str(tmp_path / "x")]
+    )
+    assert code == 3
 
 
 def test_subcritical_gradient_solve_exits_as_divergence(tmp_path):
@@ -298,6 +306,20 @@ def test_verify_suites_pass(suite, capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert f"suite {suite}: PASS" in out
+
+
+def test_verify_bnorm_seed0_output_is_pinned(capsys):
+    # recorded from the pair-by-pair suite; the blocked suite must print the same
+    assert run_cli(["verify", "bnorm", "--seed", "0"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "suite bnorm: PASS",
+        "  cauchy_schwarz_violations = 0",
+        "  homogeneity_violations = 0",
+        "  triangle_violations = 0",
+        "  uniform_convexity_violations = 0",
+        "  worst_convexity_excess = -1656.77",
+        "  worst_triangle_excess = -1.59863",
+    ]
 
 
 def test_verify_counterexample_reports_slope(capsys):

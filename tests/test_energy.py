@@ -13,8 +13,6 @@ from coulombium import (
     boundary_flux_diagnostic,
     c_functional,
     coulomb_pair_energy,
-    dense_coulomb_pair_energy,
-    dense_potential_from_density,
     effective_potential,
     el_residual,
     from_function,
@@ -25,6 +23,7 @@ from coulombium import (
     solver_objective,
     total_energy,
 )
+from coulombium.kernel import dense_coulomb_pair_energy, dense_potential_from_density
 from coulombium.verify import random_smooth
 
 

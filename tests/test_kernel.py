@@ -14,10 +14,6 @@ from coulombium import (
     c_functional,
     c_plus,
     coulomb_pair_energy,
-    dense_c_functional,
-    dense_c_plus,
-    dense_coulomb_pair_energy,
-    dense_potential_from_density,
     g_kernel,
     integrate,
     kinetic_energy,
@@ -26,6 +22,13 @@ from coulombium import (
     potential_from_density,
     reflect,
     reflected_half_sum,
+)
+from coulombium import kernel, verify
+from coulombium.kernel import (
+    dense_c_functional,
+    dense_c_plus,
+    dense_coulomb_pair_energy,
+    dense_potential_from_density,
 )
 from coulombium.verify import random_density, random_zero_mean_compact
 
@@ -266,6 +269,47 @@ def test_uniform_convexity_inequality():
         lhs += b_norm(Samples(g, u.values - v.values)) ** 4
         rhs = 4.0 * (b_norm(u) ** 2 + b_norm(v) ** 2) ** 2
         assert lhs <= rhs + 1e-10
+
+
+def _b_form_by_dots(f, g, grid):
+    """b[f, g] by one np.dot of suffix-sum views per half-axis: the loop reference."""
+    acc = 0.0
+    for side in (+1, -1):
+        sf, sg = (np.cumsum(kernel._half_axis(a, grid, side)[1][::-1])[::-1] for a in (f, g))
+        acc += grid.h * float(np.dot(sf[1:], sg[1:]))
+    return acc
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(**_ODD_GRIDS, rows=st.integers(1, 9))
+def test_block_rows_match_one_row_results(half, L, seed, rows):
+    # the suite's blocks must give each row the bits of the one-row calls,
+    # and those the bits of the reference
+    grid = Grid(L, 2 * half + 1)
+    rng = np.random.default_rng(seed)
+    f, g = rng.standard_normal((rows, grid.N)), rng.standard_normal((rows, grid.N))
+    forms, self_forms = kernel._b_rows(f, g, grid), kernel._b_rows(f, f, grid)
+    norms = kernel._b_norm_rows(f, grid)
+    for i in range(rows):
+        fi, gi = Samples(grid, f[i]), Samples(grid, g[i])
+        assert forms[i] == b_form(fi, gi) == _b_form_by_dots(f[i], g[i], grid)
+        assert self_forms[i] == b_form(fi, fi)
+        assert norms[i] == b_norm(fi)
+    # and the fast form is the dense min-kernel double sum
+    mf, mg = f[0] * grid.weights, g[0] * grid.weights
+    kern = min_kernel(grid.x[:, None], grid.x[None, :])
+    scale = np.abs(mf) @ kern @ np.abs(mg)
+    assert abs(b_form(Samples(grid, f[0]), Samples(grid, g[0])) - mf @ kern @ mg) <= 1e-12 * scale
+
+
+def test_bnorm_suite_fails_a_non_norm(monkeypatch):
+    # the squared quartic norm is homogeneous of degree 2, not 1
+    norm = verify._b_norm_rows
+    monkeypatch.setattr(verify, "_b_norm_rows", lambda u, grid: norm(u, grid) ** 2)
+    rep = verify.bnorm_suite(seed=0, pairs=100)
+    assert not rep.passed
+    assert rep.metrics["homogeneity_violations"] > 0
+    assert rep.failures
 
 
 # --- inner product ---------------------------------------------------------
