@@ -1,15 +1,16 @@
 """Command-line interface: solve, scan and verify subcommands.
 
 ``SETTINGS`` names each setting once: its INI section and key (none for a
-flag-only setting), type, default and allowed values.  ``COMMANDS`` lists
-the settings each subcommand reads: ``solve`` all but ``seed``, ``scan``
-the grid, solver and output settings, ``verify`` only ``seed`` and ``z``
-(and no config file).  A subcommand's flags, the INI keys its ``--config``
-file may hold, the one check of every value and the configuration its
-output records all come from its list, so a flag or key it does not read
-is a usage error and a bad value fails the same way from a flag or a
-file.  A flag overrides the file whenever it is given.  Identical settings
-produce byte-identical output.
+flag-only setting), type, default (``SolverConfig``'s for the grid and
+solver settings) and allowed values.  ``COMMANDS`` lists the settings each
+subcommand reads: ``solve`` all but ``seed``, ``scan`` the grid, solver
+and output settings, ``verify`` only ``seed`` and ``z`` (and no config
+file).  A subcommand's flags, the INI keys its ``--config`` file may hold,
+the one check of every value and the configuration its output records all
+come from its list, so a flag or key it does not read is a usage error and
+a bad value fails the same way from a flag or a file.  A flag overrides
+the file whenever it is given.  Identical settings produce byte-identical
+output.
 
 Exit codes: 0 success, 1 usage or configuration error, 2 non-convergence,
 3 subcritical divergence detected.
@@ -31,7 +32,7 @@ from .diagnostics import moment
 from .energy import candidate_energy
 from .errors import CoulombiumError, DivergingEnergyError, SolverError
 from .grid import Grid
-from .solver import SolverConfig, gradient_solve, scf_solve
+from .solver import _SUBCRITICAL, SolverConfig, gradient_solve, scf_solve
 from .verify import SUITES
 
 SCHEMA_VERSION = 4
@@ -54,12 +55,12 @@ class Setting(NamedTuple):
 SETTINGS = {
     "z": Setting("background", "z", float, None, help="point background charge ratio"),
     "background_file": Setting("background", "file", str, None, help="(x, rho) text file"),
-    "L": Setting("grid", "L", float, 30.0, help="domain half-width"),
-    "N": Setting("grid", "N", int, 6001, help="node count (odd)"),
+    "L": Setting("grid", "L", float, SolverConfig.L, help="domain half-width"),
+    "N": Setting("grid", "N", int, SolverConfig.N, help="node count (odd)"),
     "method": Setting("solver", "method", str, "scf", ("scf", "gd", "both")),
-    "tol_energy": Setting("solver", "tol_energy", float, 1e-10),
-    "tol_residual": Setting("solver", "tol_residual", float, 1e-7),
-    "max_iter": Setting("solver", "max_iter", int, 20000),
+    "tol_energy": Setting("solver", "tol_energy", float, SolverConfig.tol_energy),
+    "tol_residual": Setting("solver", "tol_residual", float, SolverConfig.tol_residual),
+    "max_iter": Setting("solver", "max_iter", int, SolverConfig.max_iter),
     "output": Setting("output", "path", str, "ground_state", help="output path prefix"),
     "format": Setting("output", "format", str, "csv", ("csv", "json")),
     "allow_subcritical": Setting(None, None, bool, False, help="try z < 1 anyway"),
@@ -332,7 +333,7 @@ def cmd_scan(args) -> int:
     if not z_values:
         print("empty z list", file=sys.stderr)
         return _EXIT_USAGE
-    if any(z < 1.0 - 1e-9 for z in z_values):
+    if any(z < _SUBCRITICAL for z in z_values):
         print("scan requires all z >= 1", file=sys.stderr)
         return _EXIT_USAGE
 

@@ -123,33 +123,29 @@ def counterexample_un(n: int, grid: Grid) -> Samples:
     return Samples(grid, np.sqrt(dens))
 
 
-def grid_for_counterexample(n: int, h_target: float = 0.0015) -> Grid:
-    """Grid with L = n + 2 and spacing at most h_target (node count odd)."""
+def grid_for_counterexample(n: int) -> Grid:
+    """Grid with L = n + 2 and spacing at most 0.0015 (node count odd)."""
     L = n + 2.0
-    half = math.ceil(L / h_target)
+    half = math.ceil(L / 0.0015)
     return Grid(L, 2 * half + 1)
 
 
-def unboundedness_scan(
-    z: float,
-    n_list,
-    h_target: float = 0.0015,
-) -> UnboundednessScanResult:
+def unboundedness_scan(z: float, n_list) -> UnboundednessScanResult:
     """Evaluate the family over n_list and fit C against log(n+1).
 
-    Each n gets its own grid (L = n + 2, h <= h_target) so the widening
+    Each n gets its own grid (L = n + 2, h <= 0.0015) so the widening
     support is never truncated.  The asymptotic slope is z - 1, but the
     remainder C - (z-1) log(n+1) approaches its limit 11(1-z)/6 + 1/2 only
     at rate O(log(n)/n): at z = 0.5 the exact slope is -0.316 over
-    n = 10..80 and -0.491 over n = 1000..8000.  Memory grows like n / h_target
-    (about 0.7 GB peak for n = 8000 at the default spacing).
+    n = 10..80 and -0.491 over n = 1000..8000.  Memory grows like n / h
+    (about 0.7 GB peak for n = 8000).
     """
     n_list = list(n_list)
     if not n_list:
         raise ValueError("empty n list")
     metrics = []
     for n in n_list:
-        g = grid_for_counterexample(n, h_target)
+        g = grid_for_counterexample(n)
         u = counterexample_un(n, g)
         sq = u.with_values(u.values * u.values)
         norm = integrate(sq)

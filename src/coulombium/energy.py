@@ -14,10 +14,12 @@ On the solver path every quantity is read from one potential:
 prefix-sum pass and returns the candidate's kinetic term, its Coulomb term
 2 int V_bg u^2 + int V_el u^2 and the objective kinetic + coulomb/2, with
 the background potential V_bg built once per solve by the caller.  The
-Euler-Lagrange residual, the next Hamiltonian and the reported Coulomb term
-of every background reuse the same V.  The g-kernel quartic form
-``c_functional`` of a point background equals that term to rounding, which
-the tests hold as an identity.
+g-kernel quartic form ``c_functional`` of a point background equals that
+Coulomb term to rounding, which the tests hold as an identity.  The
+discrete Hamiltonian H = -D2 + V (Dirichlet ends) lives only here: one
+stencil for (H - eps) u, one Rayleigh quotient <u, H u> = kinetic +
+int V u^2 and one residual norm serve the eigensolve, both solvers and
+:func:`el_residual`.
 """
 
 from __future__ import annotations
@@ -108,6 +110,22 @@ def effective_potential(u: Samples, bg: BackgroundCharge) -> Samples:
     return solver_objective(u, background_potential(bg, u.grid)).V
 
 
+def _shifted_hamiltonian(uv: np.ndarray, vv: np.ndarray, h: float, eps: float) -> np.ndarray:
+    """(-D2 + V - eps) u on the interior nodes, embedded with zero ends."""
+    out = np.zeros_like(uv)
+    out[1:-1] = -(uv[2:] - 2.0 * uv[1:-1] + uv[:-2]) / h**2 + (vv[1:-1] - eps) * uv[1:-1]
+    return out
+
+
+def _residual_norm(r: np.ndarray, h: float) -> float:
+    return float(np.sqrt(h * np.dot(r[1:-1], r[1:-1])))
+
+
+def _rayleigh_quotient(c: Candidate) -> float:
+    """<u, H u> = kinetic + int V u^2 of a candidate whose u has zero ends."""
+    return c.kinetic + float(np.dot(c.u.grid.weights, c.V.values * c.u.values**2))
+
+
 def el_residual(
     u: Samples,
     epsilon: float,
@@ -120,11 +138,7 @@ def el_residual(
     from (u, bg) unless an explicit potential is supplied.
     """
     v = potential if potential is not None else effective_potential(u, bg)
-    h = u.grid.h
-    uv = u.values
-    lap = (uv[2:] - 2.0 * uv[1:-1] + uv[:-2]) / h**2
-    r = -lap + (v.values[1:-1] - epsilon) * uv[1:-1]
-    return float(np.sqrt(h * np.dot(r, r)))
+    return _residual_norm(_shifted_hamiltonian(u.values, v.values, u.grid.h, epsilon), u.grid.h)
 
 
 def boundary_flux_diagnostic(u: Samples, bg: BackgroundCharge) -> tuple[float, float]:

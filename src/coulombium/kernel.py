@@ -189,23 +189,20 @@ def _g_form(f: np.ndarray, grid: Grid, z: float):
     b[f, f] (the two half-axis parts); exact discrete decomposition of the
     g-kernel double sum.
     """
-    cg = _b_rows(f, f, grid)
-    if z == 1.0:
-        return cg
     s0 = np.vecdot(grid.weights, f)
     m1 = np.vecdot(grid.weights, np.abs(grid.x) * f)
-    return (z - 1.0) * s0 * m1 + cg
+    return (z - 1.0) * s0 * m1 + _b_rows(f, f, grid)
 
 
-def _b_norm_rows(u: np.ndarray, grid: Grid, z: float = 1.0):
-    """Quartic norm (int int g u^2 u^2)^(1/4) along the last axis.
+def _b_norm_rows(u: np.ndarray, grid: Grid):
+    """Quartic norm b[u^2, u^2]^(1/4) along the last axis.
 
     The fourth root is two correctly rounded square roots, which give a
     row the same bits alone and inside a block (a vectorized ``** 0.25``
     need not).
     """
     sq = u * u
-    return np.sqrt(np.sqrt(_g_form(sq, grid, z)))
+    return np.sqrt(np.sqrt(_b_rows(sq, sq, grid)))
 
 
 def c_functional(f: Samples, z: float, warn_unnormalized: bool = True) -> float:
@@ -240,14 +237,14 @@ def b_form(f: Samples, g: Samples) -> float:
     return float(_b_rows(f.values, g.values, f.grid))
 
 
-def b_norm(u: Samples, z: float = 1.0) -> float:
-    """Quartic norm ||u||_B = ( int int g u^2 u^2 )^(1/4).
+def b_norm(u: Samples) -> float:
+    """Quartic norm ||u||_B = ( int int G u^2 u^2 )^(1/4).
 
-    Uses the raw double-kernel form (no unit-mass rewriting), so it is
-    well defined off the unit sphere.  The default z = 1 gives the pure
-    min-kernel form whose fourth root is a genuine norm.
+    The g kernel at z = 1 is the min kernel G, the one charge ratio at which
+    the fourth root is a genuine norm.  Uses the raw double-kernel form (no
+    unit-mass rewriting), so it is well defined off the unit sphere.
     """
-    return float(_b_norm_rows(u.values, u.grid, z))
+    return float(_b_norm_rows(u.values, u.grid))
 
 
 def neg_kernel_inner_product(f: Samples, g: Samples) -> float:

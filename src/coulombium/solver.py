@@ -4,14 +4,16 @@ Both drive the fixed point -u'' + Vu = eps u, V = -(1/2)|x-y| * (u^2 + rho),
 through unit-mass iterates whose descent objective (kinetic + coulomb/2) is
 kept from rising; only SCF calls the ground eigenpair, so each checks the other.
 Each method supplies only its accepted iterates.  One driver builds the
-grid, V_bg and the start, records the trace and applies the single
-stopping rule: an iterate is the ground state when its Euler-Lagrange
-residual is at most tol_residual and its objective moved by at most
-tol_energy from the previous iterate's (the start's, for the first).
-Subcritical backgrounds (z < 1) have no bound state; the driver raises
-:class:`DivergingEnergyError` as soon as an iterate carries more than
-1e-10 of its mass beyond 0.9 L, where at z >= 1 a converged state's tail
-only warns of truncation.
+grid, V_bg and the start (a supplied start's two end values are zeroed),
+records the trace and applies the single stopping rule: an iterate is the
+ground state when its Euler-Lagrange residual (``el_residual`` at its
+multiplier, from the one discrete Hamiltonian in :mod:`coulombium.energy`)
+is at most tol_residual and its objective moved by at most tol_energy from
+the previous iterate's (the start's, for the first).  Subcritical
+backgrounds (z < 1) have no bound state; ``_solve`` raises
+:class:`DivergingEnergyError` as soon as an iterate carries more than 1e-10
+of its mass beyond 0.9 L, where at z >= 1 a converged state's tail only
+warns of truncation.
 """
 
 from __future__ import annotations
@@ -24,7 +26,8 @@ import numpy as np
 from scipy.linalg.lapack import dpttrf, dpttrs
 
 from .background import BackgroundCharge, background_potential, recenter_shift, total_charge
-from .energy import Candidate, EnergyBreakdown, candidate_energy, el_residual, solver_objective
+from .energy import (Candidate, EnergyBreakdown, _rayleigh_quotient, _residual_norm,
+                     _shifted_hamiltonian, candidate_energy, el_residual, solver_objective)
 from .errors import (
     DivergingEnergyError,
     LineSearchStalledError,
@@ -127,7 +130,7 @@ def ground_eigenpair(V: Samples, start: Samples | None = None) -> tuple[float, S
 
     def rayleigh(y):
         y /= np.linalg.norm(y)
-        hy = _apply_hamiltonian(y, V.values, g.h)
+        hy = _shifted_hamiltonian(y, V.values, g.h, 0.0)
         rho = float(np.dot(y, hy))
         hy -= rho * y
         return rho, float(np.linalg.norm(hy))
@@ -213,6 +216,8 @@ def _solve(name: str, iterates, bg: BackgroundCharge, cfg, u0) -> GroundState:
     grid = Grid(cfg.L, cfg.N)
     if u0 is not None and not u0.grid.same_mesh(grid):
         raise ValueError("initial guess lives on a different mesh than the config grid")
+    if u0 is not None:
+        u0 = Samples(grid, np.pad(u0.values[1:-1], 1))  # no gradient step moves the ends
     u = default_initial_guess(bg, grid) if u0 is None else normalize(u0)
     v_bg = background_potential(bg, grid)
     start = solver_objective(u, v_bg)
@@ -251,6 +256,8 @@ def scf_solve(
     The mixing weight a starts at 0.6 and is halved (never below 1e-3)
     whenever the descent objective would not fall by 1e-4 of the decrease
     its slope predicts, which keeps the accepted trace non-increasing.
+    The slope eps - <u, H u> rounds unlike eps - kinetic - int V u^2, so
+    bit-identity with that form is measured on ROADMAP's inputs, not proven.
     Each iterate's residual is the Euler-Lagrange residual in its own V.
     """
 
@@ -265,8 +272,7 @@ def scf_solve(
             # mixing direction is at most eps - <u, H u> <= 0.  Asking for a
             # share of that decrease keeps the damping from settling into a
             # two-cycle whose objective barely falls while its residual stays.
-            vu2 = float(np.dot(grid.weights, cur.V.values * cur.u.values**2))
-            slope = eps - cur.kinetic - vu2
+            slope = eps - _rayleigh_quotient(cur)
             while True:
                 dens = (1.0 - alpha) * cur.u.values**2 + alpha * u_lin.values**2
                 new = solver_objective(normalize(Samples(grid, np.sqrt(dens))), v_bg)
@@ -280,12 +286,6 @@ def scf_solve(
     return _solve("scf", iterates, bg, cfg, u0)
 
 
-def _apply_hamiltonian(uv: np.ndarray, vv: np.ndarray, h: float) -> np.ndarray:
-    out = np.zeros_like(uv)
-    out[1:-1] = -(uv[2:] - 2.0 * uv[1:-1] + uv[:-2]) / h**2 + vv[1:-1] * uv[1:-1]
-    return out
-
-
 def gradient_solve(
     bg: BackgroundCharge,
     cfg: SolverConfig | None = None,
@@ -293,11 +293,11 @@ def gradient_solve(
 ) -> GroundState:
     """Sobolev-preconditioned projected gradient descent on the unit sphere.
 
-    The Euclidean tangent gradient is g_t = 2(H u - ray u), with H = -D2 + V,
+    The Euclidean tangent gradient is g_t = 2(H - ray) u, with H = -D2 + V,
     V the potential the accepted iterate's objective was read from and ray
-    its Rayleigh quotient.  The step direction is g_t's Riesz representative
-    in the metric of P = -D2 + s (Dirichlet ends, s = 1), projected onto the
-    sphere's tangent space in that metric,
+    its Rayleigh quotient <u, H u> = kinetic + int V u^2.  The step direction
+    is g_t's Riesz representative in the metric of P = -D2 + s (Dirichlet
+    ends, s = 1), projected onto the sphere's tangent space in that metric,
 
         d = P^-1 g_t - (<u, P^-1 g_t> / <u, P^-1 u>) P^-1 u,   <u, d> = 0,
 
@@ -312,7 +312,7 @@ def gradient_solve(
     rounding, so the test allows a flat step of 4e-16 |obj|; without it the
     search rejects every step there and stalls.  The start is the first
     iterate.  Each iterate's multiplier is its Rayleigh quotient and its
-    residual is half the Euclidean norm of g_t.
+    residual is ``el_residual`` there, read from the same (H - ray) u = g_t / 2.
     """
 
     def iterates(cur: Candidate, v_bg: Samples):
@@ -328,19 +328,19 @@ def gradient_solve(
             return float(np.dot(w * a, b))
 
         def tangent_gradient(c: Candidate):
-            hu = _apply_hamiltonian(c.u.values, c.V.values, h)
-            ray = inner(c.u.values, hu)
-            gt = 2.0 * (hu - ray * c.u.values)
+            ray = _rayleigh_quotient(c)
+            r = _shifted_hamiltonian(c.u.values, c.V.values, h, ray)
+            gt = 2.0 * r
             sol, _ = dpttrs(pd, pe, np.column_stack((gt[1:-1], c.u.values[1:-1])))
             pg, pu = sol.T
             d = np.zeros_like(gt)
             d[1:-1] = pg - (np.dot(c.u.values[1:-1], pg) / np.dot(c.u.values[1:-1], pu)) * pu
-            return ray, gt, d
+            return ray, _residual_norm(r, h), gt, d
 
-        ray, gt, d = tangent_gradient(cur)
+        ray, res, gt, d = tangent_gradient(cur)
         step = 0.5  # before the first Barzilai-Borwein quotient
         for it in count(1):
-            yield cur, ray, 0.5 * np.sqrt(inner(gt, gt))
+            yield cur, ray, res
             slope = inner(gt, d)
             floor = 4e-16 * max(1.0, abs(cur.objective))
             st = step
@@ -352,7 +352,7 @@ def gradient_solve(
                 st *= 0.5
                 if st < 1e-20:
                     raise LineSearchStalledError(f"no descent step found at iteration {it}")
-            ray, gt_new, d_new = tangent_gradient(trial)
+            ray, res, gt_new, d_new = tangent_gradient(trial)
             dg = gt_new - gt
             curv, den = inner(trial.u.values - cur.u.values, dg), inner(dg, d_new - d)
             # along negative curvature the quotient means nothing: keep the step taken

@@ -2,12 +2,13 @@
 
 Each suite draws seeded random data, measures the margins of the
 inequalities it exercises and reports pass/fail against the declared
-tolerances.  The same generators are reused by the test suite.
+tolerances; trial counts and grids are fixed in the suite's body.  The
+same generators are reused by the test suite.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,9 +31,12 @@ from .rearrange import hardy_littlewood_check, symmetric_decreasing_rearrangemen
 @dataclass
 class SuiteReport:
     name: str
-    passed: bool
-    metrics: dict = field(default_factory=dict)
-    failures: list = field(default_factory=list)
+    metrics: dict
+    failures: list
+
+    @property
+    def passed(self) -> bool:
+        return not self.failures
 
     def lines(self):
         out = [f"suite {self.name}: {'PASS' if self.passed else 'FAIL'}"]
@@ -74,27 +78,25 @@ def random_zero_mean_compact(grid, rng) -> Samples:
     return Samples(grid, vals)
 
 
-def forms_suite(seed=0, trials=100, N=401, L=10.0) -> SuiteReport:
-    """Agreement of the four half-axis forms on random nonnegative densities."""
+def forms_suite(seed=0) -> SuiteReport:
+    """Agreement of the four half-axis forms on 100 random nonnegative densities."""
     rng = np.random.default_rng(seed)
-    grid = Grid(L, N)
+    grid = Grid(10.0, 401)
     worst = 0.0
-    for _ in range(trials):
+    for _ in range(100):
         f = random_density(grid, rng)
         vals = [c_plus(f, form) for form in CPlusForm]
         scale = max(abs(v) for v in vals)
         worst = max(worst, (max(vals) - min(vals)) / scale)
-    rep = SuiteReport("forms", worst <= 1e-9, {"max_rel_deviation": worst})
-    if not rep.passed:
-        rep.failures.append(f"four-form deviation {worst:.3e} > 1e-9")
-    return rep
+    fails = [] if worst <= 1e-9 else [f"four-form deviation {worst:.3e} > 1e-9"]
+    return SuiteReport("forms", {"max_rel_deviation": worst}, fails)
 
 
 _BNORM_BLOCK = 64  # pairs per kernel call: amortizes the call overhead, keeps the arrays small
 
 
-def bnorm_suite(seed=0, pairs=1000, N=201, L=8.0) -> SuiteReport:
-    """Norm axioms for the quartic functional on random sample pairs.
+def bnorm_suite(seed=0) -> SuiteReport:
+    """Norm axioms for the quartic functional on 1000 random sample pairs.
 
     Each pair draws u, then v, then the scale lambda, in the same order as
     a pair-by-pair loop, so a seed always gives the same data.  The four
@@ -104,7 +106,8 @@ def bnorm_suite(seed=0, pairs=1000, N=201, L=8.0) -> SuiteReport:
     row is that of :func:`b_form` and :func:`b_norm` on the row alone.
     """
     rng = np.random.default_rng(seed)
-    grid = Grid(L, N)
+    pairs, N = 1000, 201
+    grid = Grid(8.0, N)
     viol_h = viol_t = viol_cs = viol_uc = 0
     worst_t = worst_uc = -np.inf
     for start in range(0, pairs, _BNORM_BLOCK):
@@ -129,9 +132,9 @@ def bnorm_suite(seed=0, pairs=1000, N=201, L=8.0) -> SuiteReport:
         worst_uc = max(worst_uc, float(np.max(uc)))
         viol_uc += np.count_nonzero(uc > 1e-10)
     total = viol_h + viol_t + viol_cs + viol_uc
-    rep = SuiteReport(
+    fails = [f"{total} axiom violations over {pairs} pairs"] if total else []
+    return SuiteReport(
         "bnorm",
-        total == 0,
         {
             "homogeneity_violations": viol_h,
             "triangle_violations": viol_t,
@@ -140,19 +143,17 @@ def bnorm_suite(seed=0, pairs=1000, N=201, L=8.0) -> SuiteReport:
             "worst_triangle_excess": worst_t,
             "worst_convexity_excess": worst_uc,
         },
+        fails,
     )
-    if total:
-        rep.failures.append(f"{total} axiom violations over {pairs} pairs")
-    return rep
 
 
-def rearrange_suite(seed=0, trials=200, N=241, L=6.0) -> SuiteReport:
-    """Equimeasurability, Hardy-Littlewood and interaction monotonicity (z=1)."""
+def rearrange_suite(seed=0) -> SuiteReport:
+    """Equimeasurability, Hardy-Littlewood and interaction monotonicity (z=1), 200 trials."""
     rng = np.random.default_rng(seed)
-    grid = Grid(L, N)
+    grid = Grid(6.0, 241)
     worst_hl = worst_c = -np.inf
     equi_fail = 0
-    for _ in range(trials):
+    for _ in range(200):
         f = random_density(grid, rng)
         fstar = symmetric_decreasing_rearrangement(f)
         if not np.array_equal(np.sort(f.values), np.sort(fstar.values)):
@@ -163,37 +164,35 @@ def rearrange_suite(seed=0, trials=200, N=241, L=6.0) -> SuiteReport:
             f, 1.0, warn_unnormalized=False
         )
         worst_c = max(worst_c, dc)
-    passed = equi_fail == 0 and worst_hl <= 1e-10 and worst_c <= 1e-10
-    rep = SuiteReport(
+    ok = equi_fail == 0 and worst_hl <= 1e-10 and worst_c <= 1e-10
+    return SuiteReport(
         "rearrange",
-        passed,
         {
             "equimeasurability_failures": equi_fail,
             "worst_hardy_littlewood_excess": worst_hl,
             "worst_interaction_increase": worst_c,
         },
+        [] if ok else ["rearrangement inequality violated"],
     )
-    if not passed:
-        rep.failures.append("rearrangement inequality violated")
-    return rep
 
 
-def counterexample_suite(z=0.5, n_list=(10, 20, 40, 80)) -> SuiteReport:
-    """Slope of the widening-family interaction against log(n+1).
+def counterexample_suite(z=0.5) -> SuiteReport:
+    """Slope of the widening-family interaction against log(n+1), n = 10, 20, 40, 80.
 
     The asymptotic prediction is slope z-1; the finite-n remainder drifts,
     so the measured slope is reported with the +-0.03 window verdict.
     """
-    res = unboundedness_scan(z, n_list)
+    res = unboundedness_scan(z, (10, 20, 40, 80))
     slope_err = abs(res.slope - (z - 1.0))
     kin_last = res.metrics[-1].kinetic
     o1 = [
         mtr.c_value - (z - 1.0) * np.log(mtr.n + 1.0) for mtr in res.metrics
     ]
-    passed = slope_err <= 0.03
-    rep = SuiteReport(
+    fails = [] if slope_err <= 0.03 else [
+        f"slope {res.slope:.4f} outside {z - 1.0} +- 0.03 at n <= {res.metrics[-1].n}"
+    ]
+    return SuiteReport(
         "counterexample",
-        passed,
         {
             "slope": res.slope,
             "target_slope": z - 1.0,
@@ -201,51 +200,43 @@ def counterexample_suite(z=0.5, n_list=(10, 20, 40, 80)) -> SuiteReport:
             "kinetic_at_largest_n": kin_last,
             "o1_span": max(o1) - min(o1),
         },
+        fails,
     )
-    if not passed:
-        rep.failures.append(
-            f"slope {res.slope:.4f} outside {z - 1.0} +- 0.03 at n <= {max(n_list)}"
-        )
-    return rep
 
 
-def delta_suite(n_list=(1, 2, 4, 8), N=641, L=1.25) -> SuiteReport:
-    """Log-log decay of the mollifier self-energy (target slope -1)."""
-    grid = Grid(L, N)
+def delta_suite() -> SuiteReport:
+    """Log-log decay of the mollifier self-energy (target slope -1), n = 1, 2, 4, 8."""
+    n_list = (1, 2, 4, 8)
+    grid = Grid(1.25, 641)
     energies = []
     for n in n_list:
         d = delta_approximant(n, grid)
         energies.append(-coulomb_pair_energy(d, d))
     slope = float(np.polyfit(np.log(n_list), np.log(energies), 1)[0])
-    passed = -1.1 <= slope <= -0.9
-    rep = SuiteReport("delta", passed, {"loglog_slope": slope})
-    if not passed:
-        rep.failures.append(f"self-energy slope {slope:.4f} outside [-1.1, -0.9]")
-    return rep
+    ok = -1.1 <= slope <= -0.9
+    fails = [] if ok else [f"self-energy slope {slope:.4f} outside [-1.1, -0.9]"]
+    return SuiteReport("delta", {"loglog_slope": slope}, fails)
 
 
-def innerprod_suite(seed=0, trials=500, N=401, L=10.0) -> SuiteReport:
-    """Positivity and the Dirichlet-form identity of the -|x-y| inner product."""
+def innerprod_suite(seed=0) -> SuiteReport:
+    """Positivity and the Dirichlet-form identity of the -|x-y| inner product, 500 trials."""
     rng = np.random.default_rng(seed)
-    grid = Grid(L, N)
+    grid = Grid(10.0, 401)
     min_ip = np.inf
     worst_rel = 0.0
-    for _ in range(trials):
+    for _ in range(500):
         f = random_zero_mean_compact(grid, rng)
         ip = neg_kernel_inner_product(f, f)
         min_ip = min(min_ip, ip)
         u = potential_from_density(f)
         ident = 2.0 * kinetic_energy(u)
         worst_rel = max(worst_rel, abs(ip - ident) / max(abs(ip), 1e-300))
-    passed = min_ip > 0.0 and worst_rel <= 1e-6
-    rep = SuiteReport(
+    ok = min_ip > 0.0 and worst_rel <= 1e-6
+    return SuiteReport(
         "innerprod",
-        passed,
         {"min_inner_product": min_ip, "worst_identity_rel_err": worst_rel},
+        [] if ok else ["positivity or Dirichlet identity violated"],
     )
-    if not passed:
-        rep.failures.append("positivity or Dirichlet identity violated")
-    return rep
 
 
 SUITES = {

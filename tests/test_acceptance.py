@@ -136,7 +136,7 @@ def test_ac03_delta_self_energy_decay():
 
 
 def test_ac04_four_form_equivalence():
-    rep = forms_suite(seed=0, trials=100, N=401)
+    rep = forms_suite(seed=0)
     ok = rep.passed
     check(
         4,
@@ -168,7 +168,7 @@ def test_ac05_fast_vs_dense_oracles():
 
 
 def test_ac06_quartic_norm_axioms():
-    rep = bnorm_suite(seed=0, pairs=1000)
+    rep = bnorm_suite(seed=0)
     viol = sum(
         rep.metrics[k]
         for k in (

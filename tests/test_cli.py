@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 import coulombium.background
-from coulombium.cli import main
+from coulombium.cli import _solver_config, build_parser, main, resolve_config
+from coulombium.solver import SolverConfig
 from coulombium.verify import SUITES
 
 
@@ -287,6 +288,13 @@ def test_file_and_path_keys_and_flags_record_the_same(tmp_path):
                     "--L", "12", "--N", "241", "--output", out]) == 0
     assert _config_record(tmp_path / "s.csv") == from_file
     assert f"output={out}" in from_file
+
+
+@pytest.mark.parametrize("command", ["solve", "scan"])
+def test_resolve_config_records_the_solver_defaults(command):
+    args = build_parser().parse_args([command, "--z-list", "2"] if command == "scan" else [command])
+    cfg = resolve_config(args)
+    assert _solver_config(cfg) == SolverConfig()
 
 
 def test_config_file_unknown_key(tmp_path):

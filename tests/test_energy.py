@@ -17,12 +17,14 @@ from coulombium import (
     el_residual,
     from_function,
     ground_eigenpair,
+    kinetic_energy,
     normalize,
     potential_from_density,
     reflect,
     solver_objective,
     total_energy,
 )
+from coulombium.energy import Candidate, _rayleigh_quotient, _shifted_hamiltonian
 from coulombium.kernel import dense_coulomb_pair_energy, dense_potential_from_density
 from coulombium.verify import random_smooth
 
@@ -176,3 +178,20 @@ def test_boundary_flux_diagnostic_small_for_neutral():
     u = normalize(from_function(g, lambda x: np.exp(-x * x)))
     left, right = boundary_flux_diagnostic(u, PointCharge(1.0))
     assert abs(left) < 1e-8 and abs(right) < 1e-8
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(half=st.integers(1, 400), L=st.floats(0.5, 40.0), seed=st.integers(0, 2**32 - 1))
+def test_rayleigh_quotient_is_the_stencils_quadratic_form(half, L, seed):
+    # <u, H u> = kinetic + int V u^2 holds by summation by parts for zero-ended u
+    g = Grid(L, 2 * half + 1)
+    rng = np.random.default_rng(seed)
+    u = Samples(g, rng.standard_normal(g.N))
+    u.values[0] = u.values[-1] = 0.0
+    V = Samples(g, rng.standard_normal(g.N))
+    kin = kinetic_energy(u)
+    rq = _rayleigh_quotient(Candidate(u, V, kin, 0.0, 0.0))
+    hu = _shifted_hamiltonian(u.values, V.values, g.h, 0.0)
+    # V changes sign, so the error is measured against kinetic + int |V| u^2
+    scale = kin + float(np.dot(g.weights, np.abs(V.values) * u.values**2))
+    assert abs(rq - float(np.dot(g.weights * u.values, hu))) <= 1e-12 * scale

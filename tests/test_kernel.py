@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from coulombium import (
@@ -35,6 +35,11 @@ from coulombium.verify import random_density, random_zero_mean_compact
 
 def _rel(a, b, scale=None):
     return abs(a - b) / max(abs(b) if scale is None else scale, 1e-300)
+
+
+# odd N in [3, 801], L in [0.5, 40] and a seed for the random samples
+_ODD_GRIDS = dict(half=st.integers(1, 400), L=st.floats(0.5, 40.0),
+                  seed=st.integers(0, 2**32 - 1))
 
 
 # --- potential -------------------------------------------------------------
@@ -92,6 +97,18 @@ def test_pair_energy_matches_dense():
     assert _rel(coulomb_pair_energy(f, s), dense_coulomb_pair_energy(f, s)) < 1e-12
 
 
+@settings(max_examples=60, deadline=None, database=None)
+@given(**_ODD_GRIDS)
+def test_pair_energy_matches_dense_on_odd_grids(half, L, seed):
+    rng = np.random.default_rng(seed)
+    g = Grid(L, 2 * half + 1)
+    f = Samples(g, rng.standard_normal(g.N))
+    s = Samples(g, rng.standard_normal(g.N))
+    # signed samples cancel, so the error is measured against the absolute sum
+    scale = -dense_coulomb_pair_energy(Samples(g, np.abs(f.values)), Samples(g, np.abs(s.values)))
+    assert _rel(coulomb_pair_energy(f, s), dense_coulomb_pair_energy(f, s), scale) < 1e-12
+
+
 # --- kernels ---------------------------------------------------------------
 
 def test_min_kernel_branches():
@@ -121,11 +138,6 @@ def test_c_plus_accepts_form_names():
     g = Grid(2.0, 41)
     f = Samples(g, np.ones(g.N))
     assert c_plus(f, "A") == pytest.approx(c_plus(f, CPlusForm.A), abs=0)
-
-
-# odd N in [3, 801], L in [0.5, 40] and a seed for the random nonnegative density
-_ODD_GRIDS = dict(half=st.integers(1, 400), L=st.floats(0.5, 40.0),
-                  seed=st.integers(0, 2**32 - 1))
 
 
 @settings(max_examples=60, deadline=None, database=None)
@@ -168,11 +180,14 @@ def test_c_plus_ignores_negative_axis():
     assert c_plus(Samples(g, modified)) == c_plus(f)
 
 
-def test_c_plus_matches_dense():
-    rng = np.random.default_rng(7)
-    g = Grid(8.0, 401)
-    f = random_density(g, rng)
-    assert _rel(c_plus(f, CPlusForm.C), dense_c_plus(f)) < 1e-12
+@settings(max_examples=60, deadline=None, database=None)
+@given(**_ODD_GRIDS)
+@example(half=200, L=8.0, seed=7)
+def test_c_plus_matches_dense(half, L, seed):
+    f = random_density(Grid(L, 2 * half + 1), np.random.default_rng(seed))
+    dense = dense_c_plus(f)
+    for form in CPlusForm:
+        assert _rel(c_plus(f, form), dense) < 1e-12
 
 
 # --- c_functional ----------------------------------------------------------
@@ -306,7 +321,7 @@ def test_bnorm_suite_fails_a_non_norm(monkeypatch):
     # the squared quartic norm is homogeneous of degree 2, not 1
     norm = verify._b_norm_rows
     monkeypatch.setattr(verify, "_b_norm_rows", lambda u, grid: norm(u, grid) ** 2)
-    rep = verify.bnorm_suite(seed=0, pairs=100)
+    rep = verify.bnorm_suite(seed=0)
     assert not rep.passed
     assert rep.metrics["homogeneity_violations"] > 0
     assert rep.failures

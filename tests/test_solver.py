@@ -367,14 +367,31 @@ def test_truncation_warning_names_the_caller(solve):
 
 
 def test_state_residual_is_the_el_residual():
-    # the residual the stopping rule read, not one rebuilt after the solve
-    bg = PointCharge(2.0)
+    # the residual the stopping rule read, not one rebuilt after the solve;
+    # at z = 3 half the weighted norm of g_t, the same number rounded
+    # another way, would miss el_residual in the last bit
     cfg = SolverConfig(L=12.0, N=241)
-    scf = scf_solve(bg, cfg)
-    assert scf.residual == el_residual(scf.u, scf.epsilon, bg)
-    gd = gradient_solve(bg, cfg)
-    assert gd.residual == pytest.approx(el_residual(gd.u, gd.epsilon, bg), rel=0, abs=1e-12)
-    assert gd.residual <= cfg.tol_residual
+    for z in (2.0, 3.0):
+        bg = PointCharge(z)
+        scf = scf_solve(bg, cfg)
+        assert scf.residual == el_residual(scf.u, scf.epsilon, bg)
+        gd = gradient_solve(bg, cfg)
+        assert gd.residual == el_residual(gd.u, gd.epsilon, bg)
+        assert gd.residual <= cfg.tol_residual
+
+
+def test_both_solvers_converge_from_a_start_nonzero_at_the_ends():
+    # the gradient step is zero at the Dirichlet ends, so the ends of a
+    # supplied start are zeroed before it is normalized
+    cfg = SolverConfig(L=12.0, N=241)
+    g = Grid(cfg.L, cfg.N)
+    u0 = Samples(g, np.exp(-0.02 * g.x**2))
+    bg = PointCharge(2.0)
+    ref = scf_solve(bg, cfg).energy.total
+    for solve in (scf_solve, gradient_solve):
+        state = solve(bg, cfg, u0=u0)
+        assert state.u.values[0] == state.u.values[-1] == 0.0
+        assert state.energy.total == pytest.approx(ref, abs=1e-6)
 
 
 @pytest.mark.parametrize("solve", [scf_solve, gradient_solve])
