@@ -18,8 +18,8 @@ g-kernel quartic form ``c_functional`` of a point background equals that
 Coulomb term to rounding, which the tests hold as an identity.  The
 discrete Hamiltonian H = -D2 + V (Dirichlet ends) lives only here: one
 stencil for (H - eps) u, one Rayleigh quotient <u, H u> = kinetic +
-int V u^2 and one residual norm serve the eigensolve, both solvers and
-:func:`el_residual`.
+int V u^2, one residual norm and one LAPACK factor of H - sigma serve the
+eigensolve, both solvers and :func:`el_residual`.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.lapack import dpttrf
 
 from .background import BackgroundCharge, PointCharge, background_potential
 from .errors import NotNormalizedError
@@ -115,6 +116,13 @@ def _shifted_hamiltonian(uv: np.ndarray, vv: np.ndarray, h: float, eps: float) -
     out = np.zeros_like(uv)
     out[1:-1] = -(uv[2:] - 2.0 * uv[1:-1] + uv[:-2]) / h**2 + (vv[1:-1] - eps) * uv[1:-1]
     return out
+
+
+def _hamiltonian_factor(vv: np.ndarray, h: float, sigma: float):
+    """LAPACK dpttrf factor (d, e) of H - sigma; None unless sigma < lambda_1."""
+    off = np.full(vv.size - 3, -1.0 / h**2)
+    d, e, info = dpttrf(2.0 / h**2 + vv[1:-1] - sigma, off, overwrite_d=True)
+    return (d, e) if info == 0 else None
 
 
 def _residual_norm(r: np.ndarray, h: float) -> float:

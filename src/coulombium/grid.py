@@ -123,9 +123,12 @@ def reflect(f: Samples) -> Samples:
 
 
 def normalize(u: Samples) -> Samples:
-    """Scale u so that the trapezoid integral of u^2 is exactly 1."""
+    """Scale u so that the trapezoid integral of u^2 is exactly 1.
+
+    Raises ValueError unless that integral is finite and positive.
+    """
     sq = u.values * u.values
     mass = float(np.dot(u.grid.weights, sq))
-    if mass <= 0.0:
-        raise ValueError("cannot normalize a function with zero L2 mass")
+    if not 0.0 < mass < np.inf:  # also false for NaN
+        raise ValueError(f"cannot normalize a function with L2 mass {mass!r}")
     return Samples(u.grid, u.values / np.sqrt(mass))

@@ -3,7 +3,8 @@
 Both drive the fixed point -u'' + Vu = eps u, V = -(1/2)|x-y| * (u^2 + rho),
 through unit-mass iterates whose descent objective (kinetic + coulomb/2) is
 kept from rising; only SCF calls the ground eigenpair, so each checks the other.
-Each method supplies only its accepted iterates.  One driver builds the
+Each method supplies only its accepted iterates, which the one Armijo step
+``_descend`` accepts along the method's own path.  One driver builds the
 grid, V_bg and the start (a supplied start's two end values are zeroed),
 records the trace and applies the single stopping rule: an iterate is the
 ground state when its Euler-Lagrange residual (``el_residual`` at its
@@ -13,21 +14,23 @@ the previous iterate's (the start's, for the first).  Subcritical
 backgrounds (z < 1) have no bound state; ``_solve`` raises
 :class:`DivergingEnergyError` as soon as an iterate carries more than 1e-10
 of its mass beyond 0.9 L, where at z >= 1 a converged state's tail only
-warns of truncation.
+warns of truncation, and refuses any subcritical iterate that meets the
+stopping rule as a box-held state.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from itertools import count, islice
+from itertools import islice
 
 import numpy as np
-from scipy.linalg.lapack import dpttrf, dpttrs
+from scipy.linalg.lapack import dpttrs
 
 from .background import BackgroundCharge, background_potential, recenter_shift, total_charge
-from .energy import (Candidate, EnergyBreakdown, _rayleigh_quotient, _residual_norm,
-                     _shifted_hamiltonian, candidate_energy, el_residual, solver_objective)
+from .energy import (Candidate, EnergyBreakdown, _hamiltonian_factor, _rayleigh_quotient,
+                     _residual_norm, _shifted_hamiltonian, candidate_energy, el_residual,
+                     solver_objective)
 from .errors import (
     DivergingEnergyError,
     LineSearchStalledError,
@@ -38,7 +41,6 @@ from .errors import (
 from .grid import Grid, Samples, normalize, require_same_mesh
 
 _SCF_FIRST_MIX = 0.6  # SCF mixing weight until a step fails to decrease enough
-_ALPHA_FLOOR = 1e-3
 _OBJECTIVE_FLOOR = -1e4
 _BOUNDARY_FRACTION = 0.9
 _TAIL_MASS_LIMIT = 1e-10  # boundary mass share beyond which z < 1 diverges and z >= 1 warns
@@ -88,7 +90,7 @@ def ground_eigenpair(V: Samples, start: Samples | None = None) -> tuple[float, S
     H is symmetric tridiagonal over the interior nodes, with diagonal
     2/h^2 + V_i and off-diagonal -1/h^2.  Starting from y = |start| (the box
     ground state cos(pi x / 2L) by default), each step solves
-    (H - sigma) y <- y with LAPACK dpttrs on a dpttrf factor of H - sigma.
+    (H - sigma) y <- y with LAPACK dpttrs on energy's dpttrf factor of H - sigma.
     dpttrf succeeds exactly when sigma < lambda_1, and then (H - sigma)^-1
     is entrywise positive, so every iterate stays nonnegative and tends to
     the positive ground state, never to a sign-changing excited one
@@ -122,8 +124,6 @@ def ground_eigenpair(V: Samples, start: Samples | None = None) -> tuple[float, S
         if not np.all(np.isfinite(y)) or not np.any(y[1:-1]):
             raise ValueError("start must be finite and nonzero on the interior")
     y[0] = y[-1] = 0.0
-    diag = 2.0 / g.h**2 + v
-    off = np.full(g.N - 3, -1.0 / g.h**2)
     tol = 64.0 * np.finfo(float).eps * (4.0 / g.h**2 + float(np.max(np.abs(v))))
     vmin = float(np.min(v))  # Gershgorin: lambda_1 > min V
     floor = vmin - 1.0  # H - floor is strictly diagonally dominant, so dpttrf accepts it
@@ -136,8 +136,7 @@ def ground_eigenpair(V: Samples, start: Samples | None = None) -> tuple[float, S
         return rho, float(np.linalg.norm(hy))
 
     def factor(sigma):
-        d, e, info = dpttrf(diag - sigma, off, overwrite_d=True)
-        return (d, e) if info == 0 else None
+        return _hamiltonian_factor(V.values, g.h, sigma)
 
     rho, res = rayleigh(y)
     sigma, above = max(rho - 2.0 * res, vmin), np.inf  # lambda_1 lies in (sigma, above]
@@ -207,6 +206,23 @@ def _check_tail(u: Samples):
         )
 
 
+def _descend(cur: Candidate, v_bg: Samples, path, step: float, slope: float):
+    """The first s of step, step/2, ... (down to 1e-20) whose candidate descends.
+
+    ``normalize(path(s))`` must have objective at most obj + 1e-4 s slope +
+    4e-16 max(1, |obj|), slope < 0 being the predicted rate along the path.
+    The last term allows a flat step within rounding: near the optimum the
+    predicted decrease falls below it, and every step would be rejected.
+    """
+    obj = cur.objective
+    while step >= 1e-20:
+        trial = solver_objective(normalize(Samples(cur.u.grid, path(step))), v_bg)
+        if trial.objective <= obj + 1e-4 * step * slope + 4e-16 * max(1.0, abs(obj)):
+            return trial, step
+        step *= 0.5
+    raise LineSearchStalledError(f"no descent step from objective {obj!r} down to step 1e-20")
+
+
 def _solve(name: str, iterates, bg: BackgroundCharge, cfg, u0) -> GroundState:
     """Trace, check and stop the ``(candidate, eps, residual)`` that ``iterates`` yields.
 
@@ -230,6 +246,9 @@ def _solve(name: str, iterates, bg: BackgroundCharge, cfg, u0) -> GroundState:
             history.append((cur.objective, res))
             _check_divergence(cur.u, z, cur.objective)
             if res <= cfg.tol_residual and abs(cur.objective - prev) <= cfg.tol_energy:
+                if z < _SUBCRITICAL:
+                    raise DivergingEnergyError(f"box-held state at z = {z:.10g} < 1: "
+                                               "there is no bound state")
                 _check_tail(cur.u)
                 return GroundState(cur, eps, res, candidate_energy(cur, bg), it, True, history)
             prev = cur.objective
@@ -253,34 +272,25 @@ def scf_solve(
     The eigensolve starts from the previous pass's eigenvector (the first
     from the box ground state), which is already near the new one, so it
     takes a few inverse-iteration steps.
-    The mixing weight a starts at 0.6 and is halved (never below 1e-3)
-    whenever the descent objective would not fall by 1e-4 of the decrease
-    its slope predicts, which keeps the accepted trace non-increasing.
+    The mixing weight a is ``_descend``'s step along that mixing path: it
+    starts at 0.6 and the weight accepted in one pass is tried in the next.
     The slope eps - <u, H u> rounds unlike eps - kinetic - int V u^2, so
     bit-identity with that form is measured on ROADMAP's inputs, not proven.
     Each iterate's residual is the Euler-Lagrange residual in its own V.
     """
 
     def iterates(cur: Candidate, v_bg: Samples):
-        grid = cur.u.grid
         alpha = _SCF_FIRST_MIX
         u_lin = None
         while True:
             eps, u_lin = ground_eigenpair(cur.V, u_lin)
-            obj = cur.objective
+            u2, lin2 = cur.u.values**2, u_lin.values**2
             # The objective is convex in the density, so its slope along the
             # mixing direction is at most eps - <u, H u> <= 0.  Asking for a
             # share of that decrease keeps the damping from settling into a
             # two-cycle whose objective barely falls while its residual stays.
-            slope = eps - _rayleigh_quotient(cur)
-            while True:
-                dens = (1.0 - alpha) * cur.u.values**2 + alpha * u_lin.values**2
-                new = solver_objective(normalize(Samples(grid, np.sqrt(dens))), v_bg)
-                bound = obj + 1e-4 * alpha * slope + 1e-12 * max(1.0, abs(obj))
-                if new.objective <= bound or alpha <= _ALPHA_FLOOR:
-                    break
-                alpha *= 0.5
-            cur = new
+            cur, alpha = _descend(cur, v_bg, lambda a: np.sqrt((1.0 - a) * u2 + a * lin2),
+                                  alpha, eps - _rayleigh_quotient(cur))
             yield cur, eps, el_residual(cur.u, eps, bg, potential=cur.V)
 
     return _solve("scf", iterates, bg, cfg, u0)
@@ -303,14 +313,11 @@ def gradient_solve(
 
     which removes the Laplacian's 1/h^2 conditioning, so the iteration count
     does not grow with the mesh.  P holds no V, so the method stays
-    independent of SCF's eigen-step; it is factored once per solve (LAPACK
-    dpttrf) and applied by one two-column dpttrs per iterate.  Steps are
-    proposed by the Barzilai-Borwein quotient <du, dg_t> / <dg_t, dd> in the
-    P-metric (0.5 at first, clamped to [1e-6, 1e3]) and safeguarded by Armijo
-    backtracking against the slope <g_t, d>, then the iterate is renormalized.
-    Near the optimum the predicted decrease falls below the objective's
-    rounding, so the test allows a flat step of 4e-16 |obj|; without it the
-    search rejects every step there and stalls.  The start is the first
+    independent of SCF's eigen-step; P = H[V=0] + s is factored once per solve
+    (energy's dpttrf factor) and applied by one two-column dpttrs per iterate.
+    Steps are proposed by the Barzilai-Borwein quotient <du, dg_t> / <dg_t, dd>
+    in the P-metric (0.5 at first, clamped to [1e-6, 1e3]) and safeguarded by
+    ``_descend`` along s -> u - s d with slope -<g_t, d>.  The start is the first
     iterate.  Each iterate's multiplier is its Rayleigh quotient and its
     residual is ``el_residual`` there, read from the same (H - ray) u = g_t / 2.
     """
@@ -319,10 +326,8 @@ def gradient_solve(
         grid = cur.u.grid
         w = grid.weights
         h = grid.h
-        # P is diagonally dominant with eigenvalues above s, so dpttrf cannot fail
-        pd, pe, _ = dpttrf(
-            np.full(grid.N - 2, 2.0 / h**2 + _SOBOLEV_SHIFT), np.full(grid.N - 3, -1.0 / h**2)
-        )
+        # P is diagonally dominant with eigenvalues above s, so its factor exists
+        pd, pe = _hamiltonian_factor(np.zeros(grid.N), h, -_SOBOLEV_SHIFT)
 
         def inner(a, b):
             return float(np.dot(w * a, b))
@@ -339,19 +344,9 @@ def gradient_solve(
 
         ray, res, gt, d = tangent_gradient(cur)
         step = 0.5  # before the first Barzilai-Borwein quotient
-        for it in count(1):
+        while True:
             yield cur, ray, res
-            slope = inner(gt, d)
-            floor = 4e-16 * max(1.0, abs(cur.objective))
-            st = step
-            while True:
-                cand = cur.u.values - st * d
-                trial = solver_objective(normalize(Samples(grid, cand)), v_bg)
-                if trial.objective <= cur.objective - 1e-4 * st * slope + floor:
-                    break
-                st *= 0.5
-                if st < 1e-20:
-                    raise LineSearchStalledError(f"no descent step found at iteration {it}")
+            trial, st = _descend(cur, v_bg, lambda s: cur.u.values - s * d, step, -inner(gt, d))
             ray, res, gt_new, d_new = tangent_gradient(trial)
             dg = gt_new - gt
             curv, den = inner(trial.u.values - cur.u.values, dg), inner(dg, d_new - d)

@@ -69,6 +69,15 @@ def test_subcritical_scf_solve_exits_as_divergence(tmp_path):
     assert code == 3
 
 
+def test_box_held_gradient_solve_just_below_one_exits_as_divergence(tmp_path):
+    # no tail mass shows at this L, but a converged state below z = 1 is box-held
+    code = run_cli(
+        ["solve", "--z", "0.999999", "--allow-subcritical", "--method", "gd", "--L", "30",
+         "--N", "1201", "--output", str(tmp_path / "x")]
+    )
+    assert code == 3
+
+
 def test_subcritical_gradient_solve_exits_as_divergence(tmp_path):
     # the gradient solve converges on a box-held state, which is no ground state
     code = run_cli(

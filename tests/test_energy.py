@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import eigh_tridiagonal
 
 from coulombium import (
     Grid,
@@ -24,7 +25,8 @@ from coulombium import (
     solver_objective,
     total_energy,
 )
-from coulombium.energy import Candidate, _rayleigh_quotient, _shifted_hamiltonian
+from coulombium.energy import (Candidate, _hamiltonian_factor, _rayleigh_quotient,
+                               _shifted_hamiltonian)
 from coulombium.kernel import dense_coulomb_pair_energy, dense_potential_from_density
 from coulombium.verify import random_smooth
 
@@ -195,3 +197,23 @@ def test_rayleigh_quotient_is_the_stencils_quadratic_form(half, L, seed):
     # V changes sign, so the error is measured against kinetic + int |V| u^2
     scale = kin + float(np.dot(g.weights, np.abs(V.values) * u.values**2))
     assert abs(rq - float(np.dot(g.weights * u.values, hu))) <= 1e-12 * scale
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(half=st.integers(2, 400), L=st.floats(0.5, 40.0), depth=st.floats(0.0, 50.0),
+       seed=st.integers(0, 2**32 - 1))
+def test_hamiltonian_factor_exists_exactly_below_the_ground_eigenvalue(half, L, depth, seed):
+    # dpttrf factors H - sigma exactly when it is positive definite, so a
+    # shift just below lambda_1 is factored and one just above is refused
+    g = Grid(L, 2 * half + 1)
+    rng = np.random.default_rng(seed)
+    v = depth * rng.standard_normal(g.N)
+    diag, off = 2.0 / g.h**2 + v[1:-1], np.full(g.N - 3, -1.0 / g.h**2)
+    lam1 = eigh_tridiagonal(diag, off, eigvals_only=True, select="i", select_range=(0, 0))[0]
+    margin = 1e-10 * (4.0 / g.h**2 + np.max(np.abs(v)))
+    d, e = _hamiltonian_factor(v, g.h, lam1 - margin)
+    assert np.all(d > 0.0)
+    # L D L^T with unit lower bidiagonal L (subdiagonal e) rebuilds H - sigma
+    assert np.allclose(d[1:] + e**2 * d[:-1], diag[1:] - (lam1 - margin), rtol=1e-12)
+    assert np.allclose(e * d[:-1], off, rtol=1e-12)
+    assert _hamiltonian_factor(v, g.h, lam1 + margin) is None

@@ -110,3 +110,8 @@ def test_normalize():
     assert integrate(Samples(g, u.values**2)) == pytest.approx(1.0, abs=1e-14)
     with pytest.raises(ValueError):
         normalize(Samples(g, np.zeros(g.N)))
+    for bad in (np.nan, np.inf):
+        vals = np.exp(-g.x**2)
+        vals[g.N // 3] = bad
+        with pytest.raises(ValueError, match="cannot normalize"):
+            normalize(Samples(g, vals))
