@@ -12,8 +12,8 @@ a bad value fails the same way from a flag or a file.  A flag overrides
 the file whenever it is given.  Identical settings produce byte-identical
 output.
 
-Exit codes: 0 success, 1 usage or configuration error, 2 non-convergence,
-3 subcritical divergence detected.
+Exit codes, all mapped in ``main``: 0 success, 1 usage or configuration
+error, 2 non-convergence, 3 subcritical divergence detected.
 """
 
 from __future__ import annotations
@@ -175,15 +175,15 @@ def _config_lines(cfg: argparse.Namespace):
     return [f"# schema_version={SCHEMA_VERSION}", f"# config {pairs}"]
 
 
-def _write_csv(path, cfg, header, rows, extra_comments=()):
+def _write_csv(path, cfg, table, comments=()):
+    """Write ``table``, a dict of equal-length columns, below the config lines; return path."""
     with open(path, "w", newline="") as fh:
-        for line in _config_lines(cfg):
+        for line in (*_config_lines(cfg), *comments):
             fh.write(line + "\n")
-        for line in extra_comments:
-            fh.write(line + "\n")
-        writer = csv.writer(fh, quoting=csv.QUOTE_MINIMAL)
-        writer.writerow(header)
-        writer.writerows(rows)
+        writer = csv.writer(fh)
+        writer.writerow(table)
+        writer.writerows(zip(*(map(_fmt, column) for column in table.values())))
+    return path
 
 
 def _write_json(path, cfg, payload):
@@ -195,6 +195,7 @@ def _write_json(path, cfg, payload):
     with open(path, "w") as fh:
         json.dump(doc, fh, sort_keys=True, indent=1)
         fh.write("\n")
+    return path
 
 
 def cmd_solve(args) -> int:
@@ -213,19 +214,8 @@ def cmd_solve(args) -> int:
         return _EXIT_USAGE
 
     methods = ("scf", "gd") if cfg.method == "both" else (cfg.method,)
-    states = {}
-    try:
-        for method in methods:
-            states[method] = _SOLVERS[method](bg, solver_cfg)
-    except DivergingEnergyError as exc:
-        print(f"subcritical divergence detected: {exc}", file=sys.stderr)
-        return _EXIT_SUBCRITICAL
-    except SolverError as exc:
-        print(f"solver did not converge: {exc}", file=sys.stderr)
-        return _EXIT_NO_CONVERGENCE
-
+    states = {method: _SOLVERS[method](bg, solver_cfg) for method in methods}
     primary = states[methods[0]]
-    V = primary.candidate.V
     breakdown = primary.energy
     if cfg.include_background_self:
         breakdown = candidate_energy(primary.candidate, bg, include_background_self=True)
@@ -246,49 +236,22 @@ def cmd_solve(args) -> int:
             states["scf"].energy.total - states["gd"].energy.total
         )
 
+    u = primary.u.values
+    table = {"x": primary.u.grid.x.tolist(), "u": u.tolist(), "u2": (u**2).tolist(),
+             "V": primary.candidate.V.values.tolist()}
+    trace = {"iteration": list(range(1, len(primary.history) + 1)),
+             "objective": [e for e, _ in primary.history],
+             "residual": [r for _, r in primary.history]}
     if cfg.format == "json":
-        payload = {
-            "summary": summary,
-            "table": {
-                "x": primary.u.grid.x.tolist(),
-                "u": primary.u.values.tolist(),
-                "u2": (primary.u.values**2).tolist(),
-                "V": V.values.tolist(),
-            },
-            "trace": [
-                {"iteration": i + 1, "objective": e, "residual": r}
-                for i, (e, r) in enumerate(primary.history)
-            ],
-        }
-        _write_json(cfg.output + ".json", cfg, payload)
-        written = [cfg.output + ".json"]
+        rows = [dict(zip(trace, row)) for row in zip(*trace.values())]
+        payload = {"summary": summary, "table": table, "trace": rows}
+        written = [_write_json(cfg.output + ".json", cfg, payload)]
     else:
-        rows = [
-            (_fmt(x), _fmt(u), _fmt(u * u), _fmt(v))
-            for x, u, v in zip(
-                primary.u.grid.x.tolist(),
-                primary.u.values.tolist(),
-                V.values.tolist(),
-            )
-        ]
         summary_line = "# summary " + " ".join(
             f"{k}={_fmt(v)}" for k, v in sorted(summary.items())
         )
-        _write_csv(
-            cfg.output + ".csv", cfg, ["x", "u", "u2", "V"], rows,
-            extra_comments=[summary_line],
-        )
-        trace_rows = [
-            (str(i + 1), _fmt(e), _fmt(r))
-            for i, (e, r) in enumerate(primary.history)
-        ]
-        _write_csv(
-            cfg.output + "_trace.csv",
-            cfg,
-            ["iteration", "objective", "residual"],
-            trace_rows,
-        )
-        written = [cfg.output + ".csv", cfg.output + "_trace.csv"]
+        written = [_write_csv(cfg.output + ".csv", cfg, table, [summary_line]),
+                   _write_csv(cfg.output + "_trace.csv", cfg, trace)]
 
     for key, value in summary.items():
         print(f"{key} = {_fmt(value)}")
@@ -340,15 +303,10 @@ def cmd_scan(args) -> int:
     rows = [_scan_row(_SOLVERS[cfg.method], solver_cfg, z) for z in z_values]
 
     if cfg.format == "json":
-        _write_json(cfg.output + ".json", cfg, {"rows": rows})
-        path = cfg.output + ".json"
+        path = _write_json(cfg.output + ".json", cfg, {"rows": rows})
     else:
-        csv_rows = [
-            [_fmt(row[col]) if col in row else "" for col in _SCAN_COLUMNS]
-            for row in rows
-        ]
-        _write_csv(cfg.output + ".csv", cfg, _SCAN_COLUMNS, csv_rows)
-        path = cfg.output + ".csv"
+        table = {col: [row.get(col, "") for row in rows] for col in _SCAN_COLUMNS}
+        path = _write_csv(cfg.output + ".csv", cfg, table)
 
     ok = all(row["status"] == "ok" for row in rows)
     for row in rows:
@@ -380,6 +338,12 @@ def main(argv=None) -> int:
         if args.command == "scan":
             return cmd_scan(args)
         return cmd_verify(args)
+    except DivergingEnergyError as exc:
+        print(f"subcritical divergence detected: {exc}", file=sys.stderr)
+        return _EXIT_SUBCRITICAL
+    except SolverError as exc:
+        print(f"solver did not converge: {exc}", file=sys.stderr)
+        return _EXIT_NO_CONVERGENCE
     except (CoulombiumError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_USAGE
