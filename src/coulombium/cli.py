@@ -157,10 +157,10 @@ def _solver_config(cfg: argparse.Namespace) -> SolverConfig:
 
 
 def _build_background(cfg, grid):
-    if cfg.background_file:
-        return load_background(cfg.background_file, grid)
+    if (cfg.z is None) == (cfg.background_file is None):
+        raise CoulombiumError("need exactly one of --z and --background-file")
     if cfg.z is None:
-        raise CoulombiumError("need --z or --background-file")
+        return load_background(cfg.background_file, grid)
     return PointCharge(cfg.z)
 
 
@@ -181,7 +181,7 @@ def _write_csv(path, cfg, table, comments=()):
         for line in (*_config_lines(cfg), *comments):
             fh.write(line + "\n")
         writer = csv.writer(fh)
-        writer.writerow(table)
+        writer.writerow(table.keys())
         writer.writerows(zip(*(map(_fmt, column) for column in table.values())))
     return path
 
@@ -204,10 +204,9 @@ def cmd_solve(args) -> int:
     grid = Grid(cfg.L, cfg.N)
     bg = _build_background(cfg, grid)
     z = -total_charge(bg)
-    # quadrature-scale tolerance so nominally neutral file backgrounds pass
-    if z < 1.0 - 1e-6 and not cfg.allow_subcritical:
+    if z < _SUBCRITICAL and not cfg.allow_subcritical:
         print(
-            f"refusing subcritical charge ratio z = {z:.6g} < 1 "
+            f"refusing subcritical charge ratio z = {z:.10g} < 1 "
             "(no bound state); pass --allow-subcritical to try anyway",
             file=sys.stderr,
         )

@@ -120,6 +120,8 @@ def _shifted_hamiltonian(uv: np.ndarray, vv: np.ndarray, h: float, eps: float) -
 
 def _hamiltonian_factor(vv: np.ndarray, h: float, sigma: float):
     """LAPACK dpttrf factor (d, e) of H - sigma; None unless sigma < lambda_1."""
+    if vv.size < 5:
+        raise ValueError(f"the discrete Hamiltonian needs at least 5 nodes, got N = {vv.size}")
     off = np.full(vv.size - 3, -1.0 / h**2)
     d, e, info = dpttrf(2.0 / h**2 + vv[1:-1] - sigma, off, overwrite_d=True)
     return (d, e) if info == 0 else None

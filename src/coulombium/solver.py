@@ -276,12 +276,15 @@ def scf_solve(
     starts at 0.6 and the weight accepted in one pass is tried in the next.
     The slope eps - <u, H u> rounds unlike eps - kinetic - int V u^2, so
     bit-identity with that form is measured on ROADMAP's inputs, not proven.
-    Each iterate's residual is the Euler-Lagrange residual in its own V.
+    Each iterate's multiplier is its own Rayleigh quotient <u, H u> (the
+    eigenvalue belongs to the previous iterate's V) and its residual is
+    ``el_residual`` there; the next pass's slope reuses that quotient.
     """
 
     def iterates(cur: Candidate, v_bg: Samples):
         alpha = _SCF_FIRST_MIX
         u_lin = None
+        ray = _rayleigh_quotient(cur)
         while True:
             eps, u_lin = ground_eigenpair(cur.V, u_lin)
             u2, lin2 = cur.u.values**2, u_lin.values**2
@@ -290,8 +293,9 @@ def scf_solve(
             # share of that decrease keeps the damping from settling into a
             # two-cycle whose objective barely falls while its residual stays.
             cur, alpha = _descend(cur, v_bg, lambda a: np.sqrt((1.0 - a) * u2 + a * lin2),
-                                  alpha, eps - _rayleigh_quotient(cur))
-            yield cur, eps, el_residual(cur.u, eps, bg, potential=cur.V)
+                                  alpha, eps - ray)
+            ray = _rayleigh_quotient(cur)
+            yield cur, ray, el_residual(cur.u, ray, bg, potential=cur.V)
 
     return _solve("scf", iterates, bg, cfg, u0)
 

@@ -1,3 +1,4 @@
+import csv
 import json
 import sys
 
@@ -5,8 +6,9 @@ import numpy as np
 import pytest
 
 import coulombium.background
+from coulombium import cli
 from coulombium.cli import _solver_config, build_parser, main, resolve_config
-from coulombium.solver import SolverConfig
+from coulombium.solver import SolverConfig, scf_solve
 from coulombium.verify import SUITES
 
 
@@ -103,6 +105,90 @@ def test_solve_with_background_file(tmp_path):
          "--output", str(out)]
     )
     assert code == 0
+
+
+@pytest.mark.parametrize("in_file", [False, True])
+def test_z_and_background_file_together_are_refused(tmp_path, capsys, in_file):
+    # the solve would use the file's charge while the output recorded the z
+    (tmp_path / "rho.dat").write_text("-1 0\n0 -2\n1 0\n")  # charge -2
+    if in_file:
+        (tmp_path / "run.ini").write_text(f"[background]\nz = 5\nfile = {tmp_path / 'rho.dat'}\n")
+        argv = ["solve", "--config", str(tmp_path / "run.ini")]
+    else:
+        argv = ["solve", "--z", "5", "--background-file", str(tmp_path / "rho.dat")]
+    before = sorted(p.name for p in tmp_path.iterdir())
+    assert run_cli(argv + ["--L", "12", "--N", "241", "--output", str(tmp_path / "s")]) == 1
+    assert "need exactly one of --z and --background-file" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == before
+
+
+def test_file_background_short_of_neutral_is_refused_before_a_solve(tmp_path, capsys,
+                                                                     monkeypatch):
+    # a unit Gaussian normalized on its table and written with six significant
+    # digits integrates to z = 0.99999955 on this grid, below 1 - 1e-9
+    xs = np.linspace(-5.3, 5.3, 31)
+    rho = -np.exp(-0.5 * xs**2)
+    rho /= -np.trapezoid(rho, xs)
+    np.savetxt(tmp_path / "rho.dat", np.column_stack([xs, rho]), fmt="%.6g")
+    solves = []
+    monkeypatch.setitem(cli._SOLVERS, "scf", lambda *a: solves.append(a) or scf_solve(*a))
+    argv = ["solve", "--background-file", str(tmp_path / "rho.dat"), "--L", "12",
+            "--N", "1201", "--output", str(tmp_path / "s")]
+    assert run_cli(argv) == 1
+    assert "z = 0.9999995459 < 1" in capsys.readouterr().err
+    assert not solves
+    assert run_cli(argv + ["--allow-subcritical"]) == 3
+    assert len(solves) == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["rho.dat"]
+
+
+def test_three_node_grid_is_usage_error(tmp_path, capsys):
+    argv = ["solve", "--z", "2", "--L", "1", "--N", "3", "--output", str(tmp_path / "s")]
+    assert run_cli(argv) == 1
+    assert "at least 5 nodes, got N = 3" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+def _csv_record(path):
+    """The ``# summary`` fields and the rows, as cell strings by column, of a CLI CSV file."""
+    lines = path.read_text().splitlines()
+    summary = dict(kv.split("=", 1) for line in lines if line.startswith("# summary ")
+                   for kv in line.split()[2:])
+    header, *rows = csv.reader(line for line in lines if not line.startswith("#"))
+    return summary, header, [dict(zip(header, row)) for row in rows]
+
+
+def _cells(rows, header):
+    """JSON row objects as CSV cells: a value's text, or empty where the row lacks it."""
+    return [{col: str(row[col]) if col in row else "" for col in header} for row in rows]
+
+
+@pytest.mark.parametrize("argv,code", [
+    (["solve", "--z", "2", "--method", "scf"], 0),
+    (["solve", "--z", "2", "--method", "both"], 0),
+    (["scan", "--z-list", "1.5,2"], 0),
+    (["scan", "--z-list", "1.5,2", "--max-iter", "5"], 2),  # no_convergence rows
+])
+def test_csv_and_json_carry_the_same_record(tmp_path, argv, code):
+    argv = [*argv, "--L", "12", "--N", "241"]
+    assert run_cli(argv + ["--output", str(tmp_path / "c")]) == code
+    assert run_cli(argv + ["--format", "json", "--output", str(tmp_path / "j")]) == code
+    doc = json.loads((tmp_path / "j.json").read_text())
+    summary, header, rows = _csv_record(tmp_path / "c.csv")
+    if argv[0] == "scan":
+        assert not summary
+        assert set().union(*doc["rows"]) <= set(header)
+        assert rows == _cells(doc["rows"], header)
+        if code == 2:  # the other cells of a failed row are empty in the CSV
+            assert all(set(row) == {"z", "status"} for row in doc["rows"])
+        return
+    assert summary == {k: str(v) for k, v in doc["summary"].items()}
+    table = doc["table"]
+    assert header == ["x", "u", "u2", "V"] and sorted(table) == sorted(header)
+    assert rows == _cells([dict(zip(table, row)) for row in zip(*table.values())], header)
+    _, trace_header, trace = _csv_record(tmp_path / "c_trace.csv")
+    assert trace_header == ["iteration", "objective", "residual"]
+    assert trace == _cells(doc["trace"], trace_header)
 
 
 def test_solve_both_methods(tmp_path):

@@ -24,6 +24,7 @@ from coulombium import (
     scf_solve,
     solver_objective,
 )
+from coulombium.energy import _rayleigh_quotient
 from coulombium.rearrange import symmetric_decreasing_rearrangement
 from coulombium.solver import _descend
 
@@ -91,6 +92,18 @@ def _lowest_two(v: Samples) -> np.ndarray:
     diag = 2.0 / g.h**2 + v.values[1:-1]
     off = np.full(g.N - 3, -1.0 / g.h**2)
     return eigh_tridiagonal(diag, off, select="i", select_range=(0, 1))[0]
+
+
+def test_a_three_node_grid_is_refused_with_its_node_count():
+    # one interior node leaves H no off-diagonal, which LAPACK's wrapper rejects
+    with pytest.raises(ValueError, match="at least 5 nodes, got N = 3"):
+        ground_eigenpair(Samples(Grid(1.0, 3), np.zeros(3)))
+    for solve in (scf_solve, gradient_solve):
+        with pytest.raises(ValueError, match="at least 5 nodes, got N = 3"):
+            solve(PointCharge(2.0), SolverConfig(L=1.0, N=3))
+    g = Grid(1.0, 5)
+    eps, _ = ground_eigenpair(Samples(g, np.zeros(g.N)))
+    assert eps == pytest.approx((2.0 / g.h**2) * (1.0 - np.cos(np.pi * g.h / (2.0 * g.L))))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -254,15 +267,19 @@ def test_descent_step_stalls_on_a_path_that_only_rises():
 
 
 def test_epsilon_matches_rayleigh_quotient(z2_states):
-    scf, _, cfg, bg = z2_states
-    u = scf.u
-    v = effective_potential(u, bg)
-    h = u.grid.h
-    uv = u.values
-    hu = np.zeros_like(uv)
-    hu[1:-1] = -(uv[2:] - 2 * uv[1:-1] + uv[:-2]) / h**2 + v.values[1:-1] * uv[1:-1]
-    rayleigh = float(np.dot(u.grid.weights * uv, hu))
-    assert abs(rayleigh - scf.epsilon) <= 10.0 * cfg.tol_residual
+    # both solvers report the multiplier of the state they return, SCF too,
+    # not the eigenvalue of the previous iterate's potential
+    scf, gd, _, bg = z2_states
+    for state in (scf, gd):
+        assert state.epsilon == _rayleigh_quotient(state.candidate)
+        u = state.u
+        v = effective_potential(u, bg)
+        h = u.grid.h
+        uv = u.values
+        hu = np.zeros_like(uv)
+        hu[1:-1] = -(uv[2:] - 2 * uv[1:-1] + uv[:-2]) / h**2 + v.values[1:-1] * uv[1:-1]
+        rayleigh = float(np.dot(u.grid.weights * uv, hu))
+        assert rayleigh == pytest.approx(state.epsilon, rel=1e-12, abs=0.0)
 
 
 def test_gradient_starts_at_scf_solution_terminates(z2_states):
