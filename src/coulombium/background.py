@@ -26,8 +26,8 @@ class PointCharge:
     z: float
 
     def __post_init__(self):
-        if self.z <= 0:
-            raise ValueError(f"point charge ratio must be positive, got {self.z}")
+        if not (np.isfinite(self.z) and self.z > 0):
+            raise ValueError(f"point charge ratio z must be finite and positive, got {self.z}")
 
 
 @dataclass

@@ -35,7 +35,7 @@ from .grid import Grid
 from .solver import _SUBCRITICAL, SolverConfig, gradient_solve, scf_solve
 from .verify import SUITES
 
-SCHEMA_VERSION = 4
+SCHEMA_VERSION = 5
 
 _EXIT_OK = 0
 _EXIT_USAGE = 1
@@ -233,6 +233,9 @@ def cmd_solve(args) -> int:
     if len(states) == 2:
         summary["cross_method_energy_gap"] = abs(
             states["scf"].energy.total - states["gd"].energy.total
+        )
+        summary["cross_method_objective_gap"] = abs(
+            states["scf"].candidate.objective - states["gd"].candidate.objective
         )
 
     u = primary.u.values

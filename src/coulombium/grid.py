@@ -45,9 +45,11 @@ class Grid:
     weights: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
+        if not np.isfinite(self.L):
+            raise ValueError(f"half-width L must be finite, got {self.L}")
         if self.L <= 0:
             raise ValueError(f"half-width must be positive, got {self.L}")
-        if int(self.N) != self.N:
+        if not np.isfinite(self.N) or int(self.N) != self.N:
             raise ValueError(f"node count must be an integer, got {self.N}")
         self.N = int(self.N)
         if self.N < 3:

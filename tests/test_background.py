@@ -32,6 +32,12 @@ def test_point_charge_validation():
         PointCharge(-1.0)
 
 
+@pytest.mark.parametrize("z", [np.nan, np.inf])
+def test_point_charge_rejects_non_finite_z(z):
+    with pytest.raises(ValueError, match="charge ratio z must be finite"):
+        PointCharge(z)
+
+
 def test_sampled_charge_rejects_positive_values():
     g = Grid(2.0, 41)
     with pytest.raises(ValueError):

@@ -23,7 +23,7 @@ def test_solve_point_charge(tmp_path):
     )
     assert code == 0
     table = (tmp_path / "sol.csv").read_text().splitlines()
-    assert table[0] == "# schema_version=4"
+    assert table[0] == "# schema_version=5"
     assert table[1].startswith("# config ")
     assert table[2].startswith("# summary ")
     assert "total_energy=" in table[2]
@@ -40,7 +40,7 @@ def test_solve_json_format(tmp_path):
     )
     assert code == 0
     doc = json.loads((tmp_path / "sol.json").read_text())
-    assert doc["schema_version"] == 4
+    assert doc["schema_version"] == 5
     assert doc["config"]["z"] == 2.0
     assert doc["summary"]["converged"] is True
     assert len(doc["table"]["x"]) == 1601
@@ -200,6 +200,7 @@ def test_solve_both_methods(tmp_path):
     assert code == 0
     doc = json.loads((tmp_path / "both.json").read_text())
     assert doc["summary"]["cross_method_energy_gap"] < 1e-4
+    assert doc["summary"]["cross_method_objective_gap"] <= 1e-12
 
 
 def test_scan_basic(tmp_path):
@@ -270,6 +271,22 @@ def test_zero_half_width_is_usage_error(tmp_path, capsys):
     assert run_cli(["solve", "--z", "2", "--L", "0", "--output", out]) == 1
     assert run_cli(["scan", "--z-list", "2", "--L", "0", "--output", out]) == 1
     assert "half-width must be positive" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("flag,value,message", [
+    ("--z", "nan", "charge ratio z must be finite"),
+    ("--z", "inf", "charge ratio z must be finite"),
+    ("--L", "nan", "L must be finite"),
+    ("--L", "inf", "L must be finite"),
+    ("--tol-energy", "nan", "tol_energy must be finite"),
+    ("--tol-residual", "inf", "tol_residual must be finite"),
+])
+def test_non_finite_value_is_usage_error_before_a_solve(tmp_path, capsys, flag, value, message):
+    args = {"--z": "2", "--L": "12", "--N": "241", flag: value}
+    argv = ["solve", *[t for kv in args.items() for t in kv], "--output", str(tmp_path / "x")]
+    assert run_cli(argv) == 1
+    assert message in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
 
 

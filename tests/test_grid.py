@@ -31,6 +31,13 @@ def test_make_grid_rejects(L, N):
         Grid(L, N)
 
 
+@pytest.mark.parametrize("L,N,field", [(np.nan, 241, "half-width L"), (np.inf, 241, "half-width L"),
+                                       (1.0, np.inf, "node count"), (1.0, np.nan, "node count")])
+def test_make_grid_rejects_non_finite_values(L, N, field):
+    with pytest.raises(ValueError, match=f"^{field} must be"):
+        Grid(L, N)
+
+
 def test_grid_symmetry_exact():
     g = Grid(7.3, 501)
     assert np.array_equal(g.x, -g.x[::-1])
