@@ -37,6 +37,9 @@ class SampledCharge:
     rho: Samples
 
     def __post_init__(self):
+        # a NaN compares false with everything, so test finiteness first
+        if not np.all(np.isfinite(self.rho.values)):
+            raise ValueError("background density rho must be finite everywhere")
         if np.any(self.rho.values > 1e-12):
             raise ValueError("background density must be nonpositive everywhere")
 
@@ -67,7 +70,7 @@ def background_potential(bg: BackgroundCharge, grid: Grid) -> Samples:
     """
     if isinstance(bg, PointCharge):
         return Samples(grid, 0.5 * bg.z * np.abs(grid.x))
-    require_same_mesh(bg.rho, Samples(grid, np.zeros(grid.N)))
+    require_same_mesh(bg.rho.grid, grid)
     return potential_from_density(bg.rho)
 
 

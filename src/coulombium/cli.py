@@ -4,16 +4,17 @@
 flag-only setting), type, default (``SolverConfig``'s for the grid and
 solver settings) and allowed values.  ``COMMANDS`` lists the settings each
 subcommand reads: ``solve`` all but ``seed``, ``scan`` the grid, solver
-and output settings, ``verify`` only ``seed`` and ``z`` (and no config
-file).  A subcommand's flags, the INI keys its ``--config`` file may hold,
-the one check of every value and the configuration its output records all
-come from its list, so a flag or key it does not read is a usage error and
-a bad value fails the same way from a flag or a file.  A flag overrides
-the file whenever it is given.  Identical settings produce byte-identical
+and output settings, ``verify`` only ``seed`` (and no config file).  A
+subcommand's flags, the INI keys its ``--config`` file may hold, the one
+check of every value and the configuration its output records all come
+from its list, so a flag or key it does not read is a usage error and a
+bad value fails the same way from a flag or a file.  A flag overrides the
+file whenever it is given.  Identical settings produce byte-identical
 output.
 
 Exit codes, all mapped in ``main``: 0 success, 1 usage or configuration
-error, 2 non-convergence, 3 subcritical divergence detected.
+error (a charge ratio below 1 among them, refused before any solve), 2 a
+solver failure.
 """
 
 from __future__ import annotations
@@ -29,18 +30,16 @@ from typing import Any, Callable, NamedTuple
 
 from .background import PointCharge, load_background, total_charge
 from .diagnostics import moment
-from .energy import candidate_energy
-from .errors import CoulombiumError, DivergingEnergyError, SolverError
+from .errors import CoulombiumError, SolverError
 from .grid import Grid
 from .solver import _SUBCRITICAL, SolverConfig, gradient_solve, scf_solve
 from .verify import SUITES
 
-SCHEMA_VERSION = 5
+SCHEMA_VERSION = 6
 
 _EXIT_OK = 0
 _EXIT_USAGE = 1
 _EXIT_NO_CONVERGENCE = 2
-_EXIT_SUBCRITICAL = 3
 
 
 class Setting(NamedTuple):
@@ -63,17 +62,14 @@ SETTINGS = {
     "max_iter": Setting("solver", "max_iter", int, SolverConfig.max_iter),
     "output": Setting("output", "path", str, "ground_state", help="output path prefix"),
     "format": Setting("output", "format", str, "csv", ("csv", "json")),
-    "allow_subcritical": Setting(None, None, bool, False, help="try z < 1 anyway"),
-    "include_background_self": Setting(None, None, bool, False, help="add the rho*rho energy"),
     "seed": Setting(None, None, int, None, help="seed of the suite's random data"),
 }
 _GRID_SOLVER_OUTPUT = ("L", "N", "method", "tol_energy", "tol_residual", "max_iter",
                        "output", "format")
 COMMANDS = {
-    "solve": ("z", "background_file", *_GRID_SOLVER_OUTPUT,
-              "allow_subcritical", "include_background_self"),
+    "solve": ("z", "background_file", *_GRID_SOLVER_OUTPUT),
     "scan": _GRID_SOLVER_OUTPUT,
-    "verify": ("seed", "z"),
+    "verify": ("seed",),
 }
 _SOLVERS = {"scf": scf_solve, "gd": gradient_solve}
 
@@ -110,12 +106,8 @@ def _subparser(sub, command: str, help: str) -> argparse.ArgumentParser:
     p = sub.add_parser(command, help=help, allow_abbrev=False)
     for name in COMMANDS[command]:
         s = SETTINGS[name]
-        flag = "--" + name.replace("_", "-")
-        if s.type is bool:
-            p.add_argument(flag, action="store_true", default=None, help=s.help)
-        else:
-            metavar = "{" + ",".join(s.choices) + "}" if s.choices else None
-            p.add_argument(flag, metavar=metavar, help=s.help)
+        metavar = "{" + ",".join(s.choices) + "}" if s.choices else None
+        p.add_argument("--" + name.replace("_", "-"), metavar=metavar, help=s.help)
     return p
 
 
@@ -204,31 +196,24 @@ def cmd_solve(args) -> int:
     grid = Grid(cfg.L, cfg.N)
     bg = _build_background(cfg, grid)
     z = -total_charge(bg)
-    if z < _SUBCRITICAL and not cfg.allow_subcritical:
-        print(
-            f"refusing subcritical charge ratio z = {z:.10g} < 1 "
-            "(no bound state); pass --allow-subcritical to try anyway",
-            file=sys.stderr,
-        )
+    if z < _SUBCRITICAL:
+        print(f"refusing subcritical charge ratio z = {z:.10g} < 1 (no bound state)",
+              file=sys.stderr)
         return _EXIT_USAGE
 
     methods = ("scf", "gd") if cfg.method == "both" else (cfg.method,)
     states = {method: _SOLVERS[method](bg, solver_cfg) for method in methods}
     primary = states[methods[0]]
-    breakdown = primary.energy
-    if cfg.include_background_self:
-        breakdown = candidate_energy(primary.candidate, bg, include_background_self=True)
     summary = {
         "method": methods[0],
         "epsilon": primary.epsilon,
-        "kinetic": breakdown.kinetic,
-        "coulomb": breakdown.coulomb,
-        "background_const": breakdown.background_const,
-        "total_energy": breakdown.total,
+        "kinetic": primary.energy.kinetic,
+        "coulomb": primary.energy.coulomb,
+        "background_const": primary.energy.background_const,
+        "total_energy": primary.energy.total,
         "objective": primary.candidate.objective,
         "residual": primary.residual,
         "iterations": primary.iterations,
-        "converged": primary.converged,
     }
     if len(states) == 2:
         summary["cross_method_energy_gap"] = abs(
@@ -264,16 +249,14 @@ def cmd_solve(args) -> int:
 _SCAN_COLUMNS = ["z", "E", "epsilon", "kinetic", "coulomb", "moment1", "iterations", "status"]
 
 
-def _scan_row(solve, solver_cfg: SolverConfig, z: float):
+def _scan_row(solve, solver_cfg: SolverConfig, bg: PointCharge):
     try:
-        state = solve(PointCharge(z), solver_cfg)
-    except DivergingEnergyError:
-        return {"z": z, "status": "diverged"}
+        state = solve(bg, solver_cfg)
     except SolverError:
-        return {"z": z, "status": "no_convergence"}
+        return {"z": bg.z, "status": "no_convergence"}
     sq = state.u.with_values(state.u.values**2)
     return {
-        "z": z,
+        "z": bg.z,
         "E": state.energy.total,
         "epsilon": state.epsilon,
         "kinetic": state.energy.kinetic,
@@ -301,8 +284,9 @@ def cmd_scan(args) -> int:
     if any(z < _SUBCRITICAL for z in z_values):
         print("scan requires all z >= 1", file=sys.stderr)
         return _EXIT_USAGE
+    backgrounds = [PointCharge(z) for z in z_values]  # a non-finite z fails before any solve
 
-    rows = [_scan_row(_SOLVERS[cfg.method], solver_cfg, z) for z in z_values]
+    rows = [_scan_row(_SOLVERS[cfg.method], solver_cfg, bg) for bg in backgrounds]
 
     if cfg.format == "json":
         path = _write_json(cfg.output + ".json", cfg, {"rows": rows})
@@ -319,7 +303,7 @@ def cmd_scan(args) -> int:
 
 def cmd_verify(args) -> int:
     suite = SUITES[args.suite]
-    # each suite takes the settings among its parameters: seed, z or neither
+    # each suite takes the settings among its parameters: seed or nothing
     params = inspect.signature(suite).parameters
     report = suite(**{k: v for k, v in read_settings(args).items() if k in params})
     for line in report.lines():
@@ -340,9 +324,6 @@ def main(argv=None) -> int:
         if args.command == "scan":
             return cmd_scan(args)
         return cmd_verify(args)
-    except DivergingEnergyError as exc:
-        print(f"subcritical divergence detected: {exc}", file=sys.stderr)
-        return _EXIT_SUBCRITICAL
     except SolverError as exc:
         print(f"solver did not converge: {exc}", file=sys.stderr)
         return _EXIT_NO_CONVERGENCE

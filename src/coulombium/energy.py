@@ -32,12 +32,12 @@ from scipy.linalg.lapack import dpttrf
 from .background import BackgroundCharge, PointCharge, background_potential
 from .errors import NotNormalizedError
 from .grid import Samples, integrate, kinetic_energy
-from .kernel import coulomb_pair_energy, potential_from_density
+from .kernel import _point_masses, potential_from_density
 
 
 @dataclass
 class EnergyBreakdown:
-    """Energy split: total = kinetic + coulomb (+ background_const if included)."""
+    """Energy split: total = kinetic + coulomb; background_const is reported, never added."""
 
     kinetic: float
     coulomb: float
@@ -71,35 +71,34 @@ def solver_objective(u: Samples, v_bg: Samples) -> Candidate:
     return Candidate(u, u.with_values(v_el + v_bg.values), kin, coul, kin + 0.5 * coul)
 
 
-def candidate_energy(
-    c: Candidate,
-    bg: BackgroundCharge,
-    include_background_self: bool = False,
-) -> EnergyBreakdown:
+def _background_const(bg: BackgroundCharge, v_bg: Samples) -> float:
+    """(1/2) int int -|x-y| rho(x) rho(y) = int rho V_bg, read from the built v_bg.
+
+    It is 0 for the point charge, whose self-energy the convention drops.
+    """
+    if isinstance(bg, PointCharge):
+        return 0.0
+    return float(np.dot(_point_masses(bg.rho), v_bg.values))
+
+
+def candidate_energy(c: Candidate, background_const: float) -> EnergyBreakdown:
     """Reported energy of an evaluated, normalized candidate.
 
     coulomb is the candidate's 2 int V_bg u^2 + (1/2) * pair energy of u^2
-    with itself, for every background.  The finite rho*rho constant of a
-    sampled background is added only on request since it does not affect
-    minimizers (it vanishes for the point case).
+    with itself, for every background.  The background's own rho*rho
+    constant (``_background_const``) is reported beside the total and never
+    added, since it does not affect minimizers.
     """
     mass = integrate(c.u.with_values(c.u.values * c.u.values))
     if abs(mass - 1.0) > 1e-8:
         raise NotNormalizedError(f"integral of u^2 is {mass!r}, expected 1 within 1e-8")
-    bconst = 0.0
-    if include_background_self and not isinstance(bg, PointCharge):
-        bconst = 0.5 * coulomb_pair_energy(bg.rho, bg.rho)
-    return EnergyBreakdown(c.kinetic, c.coulomb, bconst, c.kinetic + c.coulomb + bconst)
+    return EnergyBreakdown(c.kinetic, c.coulomb, background_const, c.kinetic + c.coulomb)
 
 
-def total_energy(
-    u: Samples,
-    bg: BackgroundCharge,
-    include_background_self: bool = False,
-) -> EnergyBreakdown:
+def total_energy(u: Samples, bg: BackgroundCharge) -> EnergyBreakdown:
     """Evaluate the energy of a normalized wave function (see candidate_energy)."""
-    c = solver_objective(u, background_potential(bg, u.grid))
-    return candidate_energy(c, bg, include_background_self)
+    v_bg = background_potential(bg, u.grid)
+    return candidate_energy(solver_objective(u, v_bg), _background_const(bg, v_bg))
 
 
 def effective_potential(u: Samples, bg: BackgroundCharge) -> Samples:

@@ -94,13 +94,9 @@ def from_function(grid: Grid, fn: Callable[[np.ndarray], np.ndarray]) -> Samples
     return Samples(grid, np.asarray(fn(grid.x), dtype=float))
 
 
-def require_same_mesh(*samples: Samples) -> None:
-    g0 = samples[0].grid
-    for s in samples[1:]:
-        if not g0.same_mesh(s.grid):
-            raise GridMismatchError(
-                f"mesh mismatch: (L={g0.L}, N={g0.N}) vs (L={s.grid.L}, N={s.grid.N})"
-            )
+def require_same_mesh(a: Grid, b: Grid) -> None:
+    if not a.same_mesh(b):
+        raise GridMismatchError(f"mesh mismatch: (L={a.L}, N={a.N}) vs (L={b.L}, N={b.N})")
 
 
 def integrate(f: Samples) -> float:

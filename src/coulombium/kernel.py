@@ -80,14 +80,14 @@ def dense_potential_from_density(f: Samples) -> Samples:
 
 def coulomb_pair_energy(f: Samples, g: Samples) -> float:
     """Double integral of -|x-y| f(x) g(y), via the O(N) potential."""
-    require_same_mesh(f, g)
+    require_same_mesh(f.grid, g.grid)
     v = potential_from_density(g)
     return float(np.dot(_point_masses(f), 2.0 * v.values))
 
 
 def dense_coulomb_pair_energy(f: Samples, g: Samples) -> float:
     """O(N^2) twin of :func:`coulomb_pair_energy` (verification only)."""
-    require_same_mesh(f, g)
+    require_same_mesh(f.grid, g.grid)
     x = f.grid.x
     kern = -np.abs(x[:, None] - x[None, :])
     return float(_point_masses(f) @ kern @ _point_masses(g))
@@ -233,7 +233,7 @@ def dense_c_functional(f: Samples, z: float) -> float:
 
 def b_form(f: Samples, g: Samples) -> float:
     """Bilinear min-kernel form b[f, g] = int int G(x,y) f(x) g(y) dx dy."""
-    require_same_mesh(f, g)
+    require_same_mesh(f.grid, g.grid)
     return float(_b_rows(f.values, g.values, f.grid))
 
 

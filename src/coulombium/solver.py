@@ -28,9 +28,9 @@ import numpy as np
 from scipy.linalg.lapack import dpttrs
 
 from .background import BackgroundCharge, background_potential, recenter_shift, total_charge
-from .energy import (Candidate, EnergyBreakdown, _hamiltonian_factor, _rayleigh_quotient,
-                     _residual_norm, _shifted_hamiltonian, candidate_energy, el_residual,
-                     solver_objective)
+from .energy import (Candidate, EnergyBreakdown, _background_const, _hamiltonian_factor,
+                     _rayleigh_quotient, _residual_norm, _shifted_hamiltonian, candidate_energy,
+                     el_residual, solver_objective)
 from .errors import (
     DivergingEnergyError,
     LineSearchStalledError,
@@ -126,7 +126,7 @@ def ground_eigenpair(V: Samples, start: Samples | None = None) -> tuple[float, S
     if start is None:
         y = np.cos((0.5 * np.pi / g.L) * g.x)
     else:
-        require_same_mesh(V, start)
+        require_same_mesh(V.grid, start.grid)
         y = np.abs(start.values)
         if not np.all(np.isfinite(y)) or not np.any(y[1:-1]):
             raise ValueError("start must be finite and nonzero on the interior")
@@ -257,7 +257,8 @@ def _solve(name: str, iterates, bg: BackgroundCharge, cfg, u0) -> GroundState:
                     raise DivergingEnergyError(f"box-held state at z = {z:.10g} < 1: "
                                                "there is no bound state")
                 _check_tail(cur.u)
-                return GroundState(cur, eps, res, candidate_energy(cur, bg), it, True, history)
+                energy = candidate_energy(cur, _background_const(bg, v_bg))
+                return GroundState(cur, eps, res, energy, it, True, history)
             prev = cur.objective
     except SolverError as exc:
         exc.history = history

@@ -3,6 +3,7 @@ import pytest
 
 from coulombium import (
     Grid,
+    GridMismatchError,
     PointCharge,
     SampledCharge,
     Samples,
@@ -42,6 +43,22 @@ def test_sampled_charge_rejects_positive_values():
     g = Grid(2.0, 41)
     with pytest.raises(ValueError):
         SampledCharge(Samples(g, np.full(g.N, 0.1)))
+
+
+@pytest.mark.parametrize("value", [np.nan, -np.inf])
+def test_sampled_charge_rejects_non_finite_values(value):
+    g = Grid(2.0, 41)
+    vals = np.zeros(g.N)
+    vals[20] = value
+    with pytest.raises(ValueError, match="background density rho must be finite"):
+        SampledCharge(Samples(g, vals))
+
+
+def test_background_potential_rejects_another_mesh():
+    bg = SampledCharge(Samples(Grid(2.0, 41), np.zeros(41)))
+    message = r"mesh mismatch: \(L=2.0, N=41\) vs \(L=3.0, N=41\)"
+    with pytest.raises(GridMismatchError, match=message):
+        background_potential(bg, Grid(3.0, 41))
 
 
 def test_total_charge():

@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 import coulombium.background
+import coulombium.kernel
 from coulombium import cli
 from coulombium.cli import _solver_config, build_parser, main, resolve_config
-from coulombium.solver import SolverConfig, scf_solve
+from coulombium.solver import SolverConfig
 from coulombium.verify import SUITES
 
 
@@ -23,7 +24,7 @@ def test_solve_point_charge(tmp_path):
     )
     assert code == 0
     table = (tmp_path / "sol.csv").read_text().splitlines()
-    assert table[0] == "# schema_version=5"
+    assert table[0] == "# schema_version=6"
     assert table[1].startswith("# config ")
     assert table[2].startswith("# summary ")
     assert "total_energy=" in table[2]
@@ -40,9 +41,9 @@ def test_solve_json_format(tmp_path):
     )
     assert code == 0
     doc = json.loads((tmp_path / "sol.json").read_text())
-    assert doc["schema_version"] == 5
+    assert doc["schema_version"] == 6
     assert doc["config"]["z"] == 2.0
-    assert doc["summary"]["converged"] is True
+    assert "converged" not in doc["summary"]  # a returned state is always converged
     assert len(doc["table"]["x"]) == 1601
     assert doc["trace"][0]["iteration"] == 1
 
@@ -55,38 +56,28 @@ def test_solve_refuses_subcritical(tmp_path):
     assert code == 1
 
 
-def test_solve_subcritical_with_flag_detects_divergence(tmp_path):
-    code = run_cli(
-        ["solve", "--z", "0.5", "--L", "24", "--N", "1201", "--max-iter", "200",
-         "--allow-subcritical", "--output", str(tmp_path / "x")]
-    )
-    assert code == 3
+def _record_solves(monkeypatch):
+    """Calls of each CLI solver, recorded before the real solve runs."""
+    calls = []
+    for method, solve in list(cli._SOLVERS.items()):
+        monkeypatch.setitem(cli._SOLVERS, method,
+                            lambda *a, solve=solve: calls.append(a) or solve(*a))
+    return calls
 
 
-def test_subcritical_scf_solve_exits_as_divergence(tmp_path):
-    code = run_cli(
-        ["solve", "--z", "0.9", "--allow-subcritical", "--method", "scf", "--L", "30",
-         "--N", "1201", "--output", str(tmp_path / "x")]
-    )
-    assert code == 3
-
-
-def test_box_held_gradient_solve_just_below_one_exits_as_divergence(tmp_path):
-    # no tail mass shows at this L, but a converged state below z = 1 is box-held
-    code = run_cli(
-        ["solve", "--z", "0.999999", "--allow-subcritical", "--method", "gd", "--L", "30",
-         "--N", "1201", "--output", str(tmp_path / "x")]
-    )
-    assert code == 3
-
-
-def test_subcritical_gradient_solve_exits_as_divergence(tmp_path):
-    # the gradient solve converges on a box-held state, which is no ground state
-    code = run_cli(
-        ["solve", "--z", "0.9", "--allow-subcritical", "--method", "gd", "--L", "30",
-         "--N", "1201", "--output", str(tmp_path / "x")]
-    )
-    assert code == 3
+@pytest.mark.parametrize("argv", [
+    ["--z", "0.5", "--L", "24", "--N", "1201", "--max-iter", "200"],
+    ["--z", "0.9", "--method", "scf", "--L", "30", "--N", "1201"],
+    ["--z", "0.999999", "--method", "gd", "--L", "30", "--N", "1201"],
+    ["--z", "0.9", "--method", "gd", "--L", "30", "--N", "1201"],
+], ids=["z0.5", "z0.9-scf", "z0.999999-gd", "z0.9-gd"])
+def test_subcritical_solve_is_refused_before_any_solve(tmp_path, capsys, monkeypatch, argv):
+    # the solvers' own subcritical checks are tested in test_solver.py
+    solves = _record_solves(monkeypatch)
+    assert run_cli(["solve", *argv, "--output", str(tmp_path / "x")]) == 1
+    assert "refusing subcritical charge ratio" in capsys.readouterr().err
+    assert not solves
+    assert not list(tmp_path.iterdir())
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -130,16 +121,44 @@ def test_file_background_short_of_neutral_is_refused_before_a_solve(tmp_path, ca
     rho = -np.exp(-0.5 * xs**2)
     rho /= -np.trapezoid(rho, xs)
     np.savetxt(tmp_path / "rho.dat", np.column_stack([xs, rho]), fmt="%.6g")
-    solves = []
-    monkeypatch.setitem(cli._SOLVERS, "scf", lambda *a: solves.append(a) or scf_solve(*a))
+    solves = _record_solves(monkeypatch)
     argv = ["solve", "--background-file", str(tmp_path / "rho.dat"), "--L", "12",
             "--N", "1201", "--output", str(tmp_path / "s")]
     assert run_cli(argv) == 1
-    assert "z = 0.9999995459 < 1" in capsys.readouterr().err
+    assert "z = 0.9999995459 < 1 (no bound state)" in capsys.readouterr().err
     assert not solves
-    assert run_cli(argv + ["--allow-subcritical"]) == 3
-    assert len(solves) == 1
     assert sorted(p.name for p in tmp_path.iterdir()) == ["rho.dat"]
+
+
+@pytest.mark.filterwarnings("error")  # refused before any NumPy warning
+@pytest.mark.parametrize("value", ["nan", "-inf"])
+def test_non_finite_background_file_is_usage_error(tmp_path, capsys, value):
+    (tmp_path / "rho.dat").write_text(f"-1 0\n0 {value}\n1 0\n")
+    argv = ["solve", "--background-file", str(tmp_path / "rho.dat"), "--L", "12", "--N", "241",
+            "--output", str(tmp_path / "s")]
+    assert run_cli(argv) == 1
+    assert "error: background density rho must be finite" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["rho.dat"]
+
+
+@pytest.mark.parametrize("argv,code,message", [
+    (["solve", "--z", "2", "--max-iter", "2"], 2,
+     "solver did not converge: scf did not converge in 2 iterations"),
+    (["scan", "--z-list", "2,abc"], 1, "cannot parse z list '2,abc'"),
+    (["solve", "--z", "2", "--config", "missing.ini"], 1,
+     "error: cannot read config file missing.ini"),
+    (["solve", "--z", "2", "--tol-energy", "abc"], 1,
+     "error: tol_energy: cannot read 'abc' as float"),
+    (["solve", "--background-file", "one_column.dat"], 1,
+     "error: expected two columns (x, rho) in one_column.dat"),
+], ids=["solver-error", "z-list", "config-file", "non-number", "one-column-file"])
+def test_failing_command_exits_with_its_code_and_writes_nothing(tmp_path, capsys, monkeypatch,
+                                                                 argv, code, message):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "one_column.dat").write_text("-1\n0\n1\n")
+    assert run_cli([*argv, "--L", "12", "--N", "241", "--output", "s"]) == code
+    assert message in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["one_column.dat"]
 
 
 def test_three_node_grid_is_usage_error(tmp_path, capsys):
@@ -221,6 +240,16 @@ def test_scan_basic(tmp_path):
 def test_scan_rejects_empty_and_subcritical(tmp_path):
     assert run_cli(["scan", "--z-list", ",", "--output", str(tmp_path / "s")]) == 1
     assert run_cli(["scan", "--z-list", "0.5", "--output", str(tmp_path / "s")]) == 1
+
+
+def test_scan_refuses_a_non_finite_z_before_any_solve(tmp_path, capsys, monkeypatch):
+    solves = _record_solves(monkeypatch)
+    argv = ["scan", "--z-list", "2,nan", "--L", "12", "--N", "241",
+            "--output", str(tmp_path / "s")]
+    assert run_cli(argv) == 1
+    assert "point charge ratio z must be finite and positive, got nan" in capsys.readouterr().err
+    assert not solves
+    assert not list(tmp_path.iterdir())
 
 
 def test_scan_deterministic(tmp_path):
@@ -331,9 +360,14 @@ def test_bad_choice_from_config_file_is_usage_error(tmp_path, capsys, section, k
     ["scan", "--z-list", "2", "--seed", "3"],
     ["scan", "--z-list", "2", "--z", "9"],  # no prefix match of --z-list
     ["solve", "--z", "2", "--max", "5"],  # no prefix match of --max-iter
+    ["solve", "--z", "0.5", "--allow-subcritical"],
+    ["solve", "--z", "2", "--include-background-self"],
+    ["verify", "counterexample", "--z", "0.5"],
 ])
 def test_unread_or_abbreviated_flag_is_usage_error(tmp_path, capsys, argv):
-    assert run_cli(argv + ["--output", str(tmp_path / "x")]) == 1
+    # verify reads no --output, which would be the unrecognized flag
+    output = [] if argv[0] == "verify" else ["--output", str(tmp_path / "x")]
+    assert run_cli(argv + output) == 1
     assert "unrecognized arguments" in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
 
@@ -445,7 +479,7 @@ def test_verify_bnorm_seed0_output_is_pinned(capsys):
 def test_verify_counterexample_reports_slope(capsys):
     # honest report: the measured slope at n <= 80 sits outside the +-0.03
     # asymptotic window, so the suite flags it while printing the value
-    code = run_cli(["verify", "counterexample", "--z", "0.5"])
+    code = run_cli(["verify", "counterexample"])
     out = capsys.readouterr().out
     assert "slope" in out
     assert code == 1
@@ -463,35 +497,38 @@ def test_suite_registry_complete():
     }
 
 
-def _count_background_builds(monkeypatch):
-    name = "background_potential"
-    original = getattr(coulombium.background, name)
+def _count_calls(monkeypatch, module, name):
+    """Calls of ``module.name`` from any coulombium module that imported it."""
+    original = getattr(module, name)
     calls = []
 
     def counted(*args, **kwargs):
         calls.append(args)
         return original(*args, **kwargs)
 
-    for module_name, module in list(sys.modules.items()):
-        if module_name.startswith("coulombium") and getattr(module, name, None) is original:
-            monkeypatch.setattr(module, name, counted)
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name.startswith("coulombium") and getattr(mod, name, None) is original:
+            monkeypatch.setattr(mod, name, counted)
     return calls
 
 
 @pytest.mark.parametrize("source,flags,builds", [
     ("z", ["--method", "scf"], 1),
     ("z", ["--method", "both"], 2),
-    ("file", ["--include-background-self"], 1),
+    ("file", [], 1),
 ])
 def test_solve_builds_the_background_once_per_solver_run(tmp_path, monkeypatch, source, flags,
                                                          builds):
-    # V, the residual and the energy are read from the solve, not rebuilt
+    # V, the residual and the energy, background_const too, are read from the
+    # solve, not rebuilt
     (tmp_path / "rho.dat").write_text("-1 0\n0 -2\n1 0\n")  # charge -2
     bg = ["--z", "2"] if source == "z" else ["--background-file", str(tmp_path / "rho.dat")]
-    calls = _count_background_builds(monkeypatch)
+    calls = _count_calls(monkeypatch, coulombium.background, "background_potential")
+    pair_calls = _count_calls(monkeypatch, coulombium.kernel, "coulomb_pair_energy")
     argv = ["solve", *bg, "--L", "12", "--N", "241", *flags, "--output", str(tmp_path / "s")]
     assert run_cli(argv) == 0
     assert len(calls) == builds
+    assert not pair_calls
 
 
 @pytest.mark.parametrize("method", ["scf", "gd"])

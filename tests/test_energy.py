@@ -100,12 +100,11 @@ def test_sampled_background_energy_terms():
     raw /= np.dot(g.weights, raw)
     bg = SampledCharge(Samples(g, -raw))
     u = normalize(from_function(g, lambda x: np.exp(-0.4 * x * x)))
-    e0 = total_energy(u, bg)
-    assert e0.background_const == 0.0
-    e1 = total_energy(u, bg, include_background_self=True)
-    expected_const = 0.5 * coulomb_pair_energy(bg.rho, bg.rho)
-    assert e1.background_const == pytest.approx(expected_const, rel=1e-12)
-    assert e1.total == pytest.approx(e0.total + expected_const, rel=1e-12)
+    e = total_energy(u, bg)
+    # int rho V_bg, read from the built V_bg, is the pair form to the bit
+    assert e.background_const == 0.5 * coulomb_pair_energy(bg.rho, bg.rho)
+    assert e.background_const < 0.0
+    assert e.total == e.kinetic + e.coulomb  # reported, never added
 
 
 def test_reflection_invariance():

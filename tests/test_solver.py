@@ -405,10 +405,10 @@ def test_gradient_from_asymmetric_start_symmetrizes():
 def test_subcritical_charge_flagged():
     # below z = 1 mass leaves for the boundary: both solvers stop on the first
     # iterate with tail mass beyond 0.9 L, long before the iteration cap
-    cfg = SolverConfig(L=30.0, N=3001, max_iter=300)
-    for solve in (scf_solve, gradient_solve):
+    for solve, z, n in [(scf_solve, 0.5, 3001), (gradient_solve, 0.5, 3001),
+                        (scf_solve, 0.9, 1201), (gradient_solve, 0.9, 1201)]:
         with pytest.raises(DivergingEnergyError, match="tail mass") as excinfo:
-            solve(PointCharge(0.5), cfg)
+            solve(PointCharge(z), SolverConfig(L=30.0, N=n, max_iter=300))
         assert 0 < len(excinfo.value.history) < 50  # trace attached
 
 
