@@ -133,11 +133,13 @@ def load_background(path, grid: Grid) -> SampledCharge:
     """Read a two-column (x, rho) text file and resample onto the grid.
 
     Whitespace separated, '#' comments; linear interpolation, zero outside
-    the tabulated range.
+    the tabulated range.  Raises ValueError for a non-finite x.
     """
     data = np.loadtxt(path, comments="#", ndmin=2)
     if data.shape[1] < 2:
         raise ValueError(f"expected two columns (x, rho) in {path}")
+    if not np.all(np.isfinite(data[:, 0])):
+        raise ValueError(f"the x column of {path} must be finite everywhere")
     order = np.argsort(data[:, 0])
     xs, rs = data[order, 0], data[order, 1]
     vals = np.interp(grid.x, xs, rs, left=0.0, right=0.0)

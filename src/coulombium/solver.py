@@ -1,17 +1,18 @@
-"""Ground-state solvers: damped SCF eigen-iteration and preconditioned gradient.
+"""Ground-state solvers: Anderson-mixed SCF and preconditioned gradient descent.
 
 Both drive the fixed point -u'' + Vu = eps u, V = -(1/2)|x-y| * (u^2 + rho),
 through unit-mass iterates whose descent objective (kinetic + coulomb/2) is
 kept from rising; only SCF calls the ground eigenpair, so each checks the other.
-Each method supplies only its accepted iterates, which the one Armijo step
-``_descend`` accepts along the method's own path.  One driver builds the
-grid, V_bg and the start (a supplied start's two end values are zeroed),
-records the trace and applies the single stopping rule: an iterate is the
-ground state when its Euler-Lagrange residual (``el_residual`` at its
-multiplier, from the one discrete Hamiltonian in :mod:`coulombium.energy`)
-is at most tol_residual and its objective moved by at most tol_energy from
-the previous iterate's (the start's, for the first).  Subcritical
-backgrounds (z < 1) have no bound state; ``_solve`` raises
+Each method supplies only its accepted iterates, and each passes one Armijo
+test, ``_descends``: SCF's Anderson candidate directly, every other step
+through ``_descend``'s backtracking along the method's own path.  One
+driver builds the grid, V_bg and the start (a supplied start's two end
+values are zeroed), records the trace and applies the single stopping
+rule: an iterate is the ground state when its Euler-Lagrange residual
+(``el_residual`` at its multiplier, from the one discrete Hamiltonian in
+:mod:`coulombium.energy`) is at most tol_residual and its objective moved
+by at most tol_energy from the previous iterate's (the start's, for the
+first).  Subcritical backgrounds (z < 1) have no bound state; ``_solve`` raises
 :class:`DivergingEnergyError` as soon as an iterate carries more than 1e-10
 of its mass beyond 0.9 L, where at z >= 1 a converged state's tail only
 warns of truncation, and refuses any subcritical iterate that meets the
@@ -41,6 +42,7 @@ from .errors import (
 from .grid import Grid, Samples, normalize, require_same_mesh
 
 _SCF_FIRST_MIX = 0.6  # SCF mixing weight until a step fails to decrease enough
+_SCF_DEPTH = 5  # density and residual differences Anderson mixing keeps
 _OBJECTIVE_FLOOR = -1e4
 _BOUNDARY_FRACTION = 0.9
 _TAIL_MASS_LIMIT = 1e-10  # boundary mass share beyond which z < 1 diverges and z >= 1 warns
@@ -213,18 +215,23 @@ def _check_tail(u: Samples):
         )
 
 
-def _descend(cur: Candidate, v_bg: Samples, path, step: float, slope: float):
-    """The first s of step, step/2, ... (down to 1e-20) whose candidate descends.
+def _descends(obj: float, trial: Candidate, step: float, slope: float) -> bool:
+    """Armijo: trial's objective is at most obj + 1e-4 step slope + 4e-16 max(1, |obj|).
 
-    ``normalize(path(s))`` must have objective at most obj + 1e-4 s slope +
-    4e-16 max(1, |obj|), slope < 0 being the predicted rate along the path.
-    The last term allows a flat step within rounding: near the optimum the
-    predicted decrease falls below it, and every step would be rejected.
+    slope < 0 is the predicted rate along the step.  The last term allows a
+    flat step within rounding: near the optimum the predicted decrease falls
+    below it, and every step would be rejected.
     """
+    return trial.objective <= obj + 1e-4 * step * slope + 4e-16 * max(1.0, abs(obj))
+
+
+def _descend(cur: Candidate, v_bg: Samples, path, step: float, slope: float):
+    """The first s of step, step/2, ... (down to 1e-20) whose candidate
+    ``normalize(path(s))`` descends by ``_descends``."""
     obj = cur.objective
     while step >= 1e-20:
         trial = solver_objective(normalize(Samples(cur.u.grid, path(step))), v_bg)
-        if trial.objective <= obj + 1e-4 * step * slope + 4e-16 * max(1.0, abs(obj)):
+        if _descends(obj, trial, step, slope):
             return trial, step
         step *= 0.5
     raise LineSearchStalledError(f"no descent step from objective {obj!r} down to step 1e-20")
@@ -273,35 +280,73 @@ def scf_solve(
     cfg: SolverConfig | None = None,
     u0: Samples | None = None,
 ) -> GroundState:
-    """Damped self-consistent field iteration.
+    """Self-consistent field iteration with Anderson density mixing.
 
     Each pass takes the ground eigenpair of -D2 + V, with V the accepted
-    iterate's potential, and mixes densities, u^2 <- (1-a) u^2 + a u_new^2.
-    The eigensolve starts from the previous pass's eigenvector (the first
-    from the box ground state), which is already near the new one, so it
-    takes a few inverse-iteration steps.
-    The mixing weight a is ``_descend``'s step along that mixing path: it
-    starts at 0.6 and the weight accepted in one pass is tried in the next.
-    The slope eps - <u, H u> rounds unlike eps - kinetic - int V u^2, so
-    bit-identity with that form is measured on ROADMAP's inputs, not proven.
+    iterate's potential, and mixes densities.  The eigensolve starts from
+    the previous pass's eigenvector (the first from the box ground state),
+    which is already near the new one, so it takes a few inverse-iteration
+    steps.
+    The map accelerated is rho = u^2 -> u_lin^2, u_lin the ground
+    eigenvector of V[rho], with residual f = u_lin^2 - u^2.  Anderson
+    mixing of depth m = 5 (Anderson 1965; Walker & Ni 2011) keeps the last
+    m differences d_rho_j, d_f_j of successive passes and the Gram matrix of
+    the d_f_j in the trapezoid inner product, picks gamma by least squares,
+    min |f - sum_j gamma_j d_f_j|, and proposes
+
+        rho_AA = u^2 + b f - sum_j gamma_j (d_rho_j + b d_f_j),  b = 0.6,
+
+    clipped at 0, as the candidate normalize(sqrt(rho_AA)).  It is accepted
+    when it passes ``_descends`` at step b.  Otherwise the differences are
+    dropped and the pass takes a damped step, u^2 <- u^2 + a f, with the
+    weight a from ``_descend`` along that path: it starts at 0.6 and the
+    weight accepted in one damped pass is tried in the next.  The first pass
+    has no difference and is always damped.  So every accepted iterate
+    passes the one Armijo test, and the trace does not rise.
     Each iterate's multiplier is its own Rayleigh quotient <u, H u> (the
     eigenvalue belongs to the previous iterate's V) and its residual is
     ``el_residual`` there; the next pass's slope reuses that quotient.
     """
 
     def iterates(cur: Candidate, v_bg: Samples):
+        grid = cur.u.grid
+        w = grid.weights
+        # ring buffers of the last _SCF_DEPTH density and residual differences,
+        # and the Gram matrix of the residual differences in the trapezoid product
+        d_rho, d_f = np.empty((_SCF_DEPTH, grid.N)), np.empty((_SCF_DEPTH, grid.N))
+        gram = np.empty((_SCF_DEPTH, _SCF_DEPTH))
+        pairs = 0  # differences taken since the last reset
+        prev = None  # (u^2, f) of the previous pass
         alpha = _SCF_FIRST_MIX
         u_lin = None
         ray = _rayleigh_quotient(cur)
         while True:
             eps, u_lin = ground_eigenpair(cur.V, u_lin)
-            u2, lin2 = cur.u.values**2, u_lin.values**2
+            u2 = cur.u.values**2
+            f = u_lin.values**2 - u2
             # The objective is convex in the density, so its slope along the
             # mixing direction is at most eps - <u, H u> <= 0.  Asking for a
             # share of that decrease keeps the damping from settling into a
             # two-cycle whose objective barely falls while its residual stays.
-            cur, alpha = _descend(cur, v_bg, lambda a: np.sqrt((1.0 - a) * u2 + a * lin2),
-                                  alpha, eps - ray)
+            slope = eps - ray
+            trial = None
+            if prev is not None:
+                slot, held = pairs % _SCF_DEPTH, min(pairs + 1, _SCF_DEPTH)
+                np.subtract(u2, prev[0], out=d_rho[slot])
+                np.subtract(f, prev[1], out=d_f[slot])
+                gram[slot, :held] = gram[:held, slot] = d_f[:held] @ (w * d_f[slot])
+                pairs += 1
+                gamma = np.linalg.lstsq(gram[:held, :held], d_f[:held] @ (w * f), rcond=None)[0]
+                rho = u2 + _SCF_FIRST_MIX * f
+                rho -= gamma @ d_rho[:held] + _SCF_FIRST_MIX * (gamma @ d_f[:held])
+                trial = solver_objective(normalize(Samples(grid, np.sqrt(np.maximum(rho, 0.0)))),
+                                         v_bg)
+                if not _descends(cur.objective, trial, _SCF_FIRST_MIX, slope):
+                    trial, pairs = None, 0
+            prev = (u2, f)
+            if trial is None:
+                trial, alpha = _descend(cur, v_bg, lambda a: np.sqrt(u2 + a * f), alpha, slope)
+            cur = trial
             ray = _rayleigh_quotient(cur)
             yield cur, ray, el_residual(cur.u, ray, bg, potential=cur.V)
 

@@ -131,13 +131,19 @@ def test_file_background_short_of_neutral_is_refused_before_a_solve(tmp_path, ca
 
 
 @pytest.mark.filterwarnings("error")  # refused before any NumPy warning
-@pytest.mark.parametrize("value", ["nan", "-inf"])
-def test_non_finite_background_file_is_usage_error(tmp_path, capsys, value):
-    (tmp_path / "rho.dat").write_text(f"-1 0\n0 {value}\n1 0\n")
+@pytest.mark.parametrize("row,message", [
+    pytest.param("0 nan", "error: background density rho must be finite", id="nan"),
+    pytest.param("0 -inf", "error: background density rho must be finite", id="-inf"),
+    # np.interp would turn a non-finite x into non-finite densities and blame rho
+    pytest.param("nan -5", "error: the x column of", id="x-nan"),
+    pytest.param("inf -5", "error: the x column of", id="x-inf"),
+])
+def test_non_finite_background_file_is_usage_error(tmp_path, capsys, row, message):
+    (tmp_path / "rho.dat").write_text(f"-1 0\n{row}\n1 0\n")
     argv = ["solve", "--background-file", str(tmp_path / "rho.dat"), "--L", "12", "--N", "241",
             "--output", str(tmp_path / "s")]
     assert run_cli(argv) == 1
-    assert "error: background density rho must be finite" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["rho.dat"]
 
 

@@ -249,10 +249,30 @@ def descent_problems(draw):
 def test_gradient_solve_is_fast_and_agrees_with_scf_on_random_wells(bg):
     # The start's potential in the metric keeps the count flat in the charge,
     # down to the critical one, and both methods stop at one fixed point.
+    # Anderson mixing keeps SCF's count as flat, and its accepted trace as monotone.
     cfg = SolverConfig(L=30.0, N=1201)
     gd = gradient_solve(bg, cfg)
+    scf = scf_solve(bg, cfg)
     assert gd.iterations <= 30
-    assert abs(gd.candidate.objective - scf_solve(bg, cfg).candidate.objective) <= 1e-12
+    assert scf.iterations <= 40
+    assert _rises_within_rounding([e for e, _ in scf.history])
+    assert abs(gd.candidate.objective - scf.candidate.objective) <= 1e-12
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # tail mass near charge 1
+@pytest.mark.parametrize("charge,wells", [
+    (1.1, [(4.9102, 0.4813, 0.9467), (-5.9379, 1.2036, 0.8484)]),
+    (1.05, [(5.9443, 1.3664, 0.9331), (-3.0411, 0.7729, 0.3817)]),
+])
+def test_scf_solves_separated_near_critical_wells(charge, wells):
+    # Damped mixing alone ran 20000 iterations on each of these without converging.
+    g = Grid(30.0, 1201)
+    rho = sum(a * np.exp(-0.5 * ((g.x - c) / w) ** 2) for c, w, a in wells)
+    bg = SampledCharge(Samples(g, rho * (-charge / np.dot(g.weights, rho))))
+    cfg = SolverConfig(L=30.0, N=1201)
+    scf = scf_solve(bg, cfg)
+    assert scf.iterations <= 40
+    assert abs(scf.candidate.objective - gradient_solve(bg, cfg).candidate.objective) <= 1e-12
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -435,6 +455,13 @@ def test_subcritical_gradient_solve_refuses_a_box_held_state(z):
     with pytest.raises(DivergingEnergyError, match="tail mass") as excinfo:
         gradient_solve(PointCharge(z), SolverConfig(L=30.0, N=3001))
     assert excinfo.value.history
+
+
+@pytest.mark.parametrize("z", [1.0, 2.0, 6.0])
+def test_scf_iterations_at_point_charges(z):
+    # Anderson mixing takes 5-12 passes here, damped mixing alone 16-21
+    state = scf_solve(PointCharge(z), SolverConfig(L=30.0, N=6001))
+    assert state.iterations <= 14
 
 
 def test_gradient_iterations_at_the_neutral_charge():
