@@ -4,9 +4,10 @@ A mobile charge density u^2 of unit mass binds to a fixed background
 charge (point -z delta_0 or a sampled nonpositive density) through the
 one-dimensional Coulomb kernel -|x-y|.  The package evaluates the energy
 functional and its kernel identities by exact prefix-sum quadrature,
-computes ground states by damped SCF eigen-iteration or projected
-gradient descent, and verifies the rearrangement, positivity and
-concentration inequalities the theory predicts.
+computes ground states by Anderson-mixed SCF eigen-iteration or
+preconditioned projected gradient descent, and verifies the
+rearrangement, positivity and concentration inequalities the theory
+predicts.
 """
 
 from .background import (

@@ -18,8 +18,13 @@ g-kernel quartic form ``c_functional`` of a point background equals that
 Coulomb term to rounding, which the tests hold as an identity.  The
 discrete Hamiltonian H = -D2 + V (Dirichlet ends) lives only here: one
 stencil for (H - eps) u, one Rayleigh quotient <u, H u> = kinetic +
-int V u^2, one residual norm and one LAPACK factor of H - sigma serve the
-eigensolve, both solvers and :func:`el_residual`.
+int V u^2, one residual norm and one LAPACK factor of H - sigma serve
+both solvers and :func:`el_residual`.  The eigensolve factors its shifts
+here and applies the stencil only to its start: each inverse-iteration
+step reads its quotient and residual from the system it solved.  The
+stencil, the factor's diagonal, ``solver_objective`` and the kernel's
+``potential_from_density`` run in place, operation for operation as
+their expression forms, so they return the same bits.
 """
 
 from __future__ import annotations
@@ -64,11 +69,13 @@ def solver_objective(u: Samples, v_bg: Samples) -> Candidate:
     solutions of the coupled system -u'' + Vu = eps u, -V'' = u^2 + rho.
     """
     sq = u.values * u.values
-    v_el = potential_from_density(u.with_values(sq)).values
+    v = potential_from_density(u.with_values(sq)).values  # V_el, then V in place
     w = u.grid.weights
     kin = kinetic_energy(u)
-    coul = 2.0 * float(np.dot(w, v_bg.values * sq)) + float(np.dot(w * sq, v_el))
-    return Candidate(u, u.with_values(v_el + v_bg.values), kin, coul, kin + 0.5 * coul)
+    pair = float(np.dot(w * sq, v))
+    coul = 2.0 * float(np.dot(w, np.multiply(v_bg.values, sq, out=sq))) + pair
+    v += v_bg.values
+    return Candidate(u, u.with_values(v), kin, coul, kin + 0.5 * coul)
 
 
 def _background_const(bg: BackgroundCharge, v_bg: Samples) -> float:
@@ -112,8 +119,18 @@ def effective_potential(u: Samples, bg: BackgroundCharge) -> Samples:
 
 def _shifted_hamiltonian(uv: np.ndarray, vv: np.ndarray, h: float, eps: float) -> np.ndarray:
     """(-D2 + V - eps) u on the interior nodes, embedded with zero ends."""
-    out = np.zeros_like(uv)
-    out[1:-1] = -(uv[2:] - 2.0 * uv[1:-1] + uv[:-2]) / h**2 + (vv[1:-1] - eps) * uv[1:-1]
+    # -(uv[2:] - 2 uv[1:-1] + uv[:-2]) / h^2 + (vv[1:-1] - eps) uv[1:-1],
+    # operation by operation in two buffers; -(a) / b = a / -b bit for bit
+    out = np.empty_like(uv)
+    o = out[1:-1]
+    np.multiply(uv[1:-1], 2.0, out=o)
+    np.subtract(uv[2:], o, out=o)
+    o += uv[:-2]
+    o /= -(h**2)
+    pot = np.subtract(vv[1:-1], eps)
+    pot *= uv[1:-1]
+    o += pot
+    out[0] = out[-1] = 0.0
     return out
 
 
@@ -121,8 +138,9 @@ def _hamiltonian_factor(vv: np.ndarray, h: float, sigma: float):
     """LAPACK dpttrf factor (d, e) of H - sigma; None unless sigma < lambda_1."""
     if vv.size < 5:
         raise ValueError(f"the discrete Hamiltonian needs at least 5 nodes, got N = {vv.size}")
-    off = np.full(vv.size - 3, -1.0 / h**2)
-    d, e, info = dpttrf(2.0 / h**2 + vv[1:-1] - sigma, off, overwrite_d=True)
+    d = np.add(vv[1:-1], 2.0 / h**2)
+    d -= sigma
+    d, e, info = dpttrf(d, np.full(vv.size - 3, -1.0 / h**2), overwrite_d=True, overwrite_e=True)
     return (d, e) if info == 0 else None
 
 

@@ -66,9 +66,18 @@ def potential_from_density(f: Samples) -> Samples:
     x = f.grid.x
     m = _point_masses(f)
     c0 = np.cumsum(m)
-    c1 = np.cumsum(m * x)
-    conv = x * (2.0 * c0 - c0[-1]) + (c1[-1] - 2.0 * c1)
-    return f.with_values(-0.5 * conv)
+    c1 = np.cumsum(np.multiply(m, x, out=m), out=m)
+    # -0.5 (x (2 c0 - c0[-1]) + (c1[-1] - 2 c1)) in the two cumsum buffers,
+    # operation by operation; c1[-1] - 2 c1 = -2 c1 + c1[-1] bit for bit
+    t0, t1 = c0[-1], c1[-1]
+    c0 *= 2.0
+    c0 -= t0
+    c0 *= x
+    c1 *= -2.0
+    c1 += t1
+    c0 += c1
+    c0 *= -0.5
+    return f.with_values(c0)
 
 
 def dense_potential_from_density(f: Samples) -> Samples:

@@ -99,13 +99,17 @@ def ground_eigenpair(V: Samples, start: Samples | None = None) -> tuple[float, S
     H is symmetric tridiagonal over the interior nodes, with diagonal
     2/h^2 + V_i and off-diagonal -1/h^2.  Starting from y = |start| (the box
     ground state cos(pi x / 2L) by default), each step solves
-    (H - sigma) y <- y with LAPACK dpttrs on energy's dpttrf factor of H - sigma.
+    (H - sigma) x = y with LAPACK dpttrs on energy's dpttrf factor of H - sigma
+    and takes y <- x / |x|.
     dpttrf succeeds exactly when sigma < lambda_1, and then (H - sigma)^-1
     is entrywise positive, so every iterate stays nonnegative and tends to
     the positive ground state, never to a sign-changing excited one
     (Parlett, The Symmetric Eigenvalue Problem, ch. 4).
 
     With rho the Rayleigh quotient and r = |H y - rho y| at |y| = 1, the
+    start's rho and r come from energy's stencil, and each step reads them
+    from its own solve: H x = y + sigma x, so rho = sigma + <x, y>/<x, x>
+    and r = |y - (rho - sigma) x| / |x|, with no pass of the stencil.  The
     shift starts at rho - 2r, clamped below by the Gershgorin bound min V,
     and falls halfway toward min V - 1 while dpttrf refuses it.  After each
     step it rises to rho - 2 max(r, tol) when dpttrf accepts that.  A
@@ -122,9 +126,11 @@ def ground_eigenpair(V: Samples, start: Samples | None = None) -> tuple[float, S
     or the result is not one-signed.
     """
     g = V.grid
-    if not np.all(np.isfinite(V.values)):
+    vv = V.values
+    # a NaN propagates through min and max, an infinity reaches one of them
+    vmin, vmax = float(np.min(vv[1:-1])), float(np.max(vv[1:-1]))
+    if not np.all(np.isfinite((vmin, vmax, vv[0], vv[-1]))):
         raise ValueError("potential must be finite")
-    v = V.values[1:-1]
     if start is None:
         y = np.cos((0.5 * np.pi / g.L) * g.x)
     else:
@@ -133,27 +139,33 @@ def ground_eigenpair(V: Samples, start: Samples | None = None) -> tuple[float, S
         if not np.all(np.isfinite(y)) or not np.any(y[1:-1]):
             raise ValueError("start must be finite and nonzero on the interior")
     y[0] = y[-1] = 0.0
-    tol = 64.0 * np.finfo(float).eps * (4.0 / g.h**2 + float(np.max(np.abs(v))))
-    vmin = float(np.min(v))  # Gershgorin: lambda_1 > min V
-    floor = vmin - 1.0  # H - floor is strictly diagonally dominant, so dpttrf accepts it
-
-    def rayleigh(y):
-        y /= np.linalg.norm(y)
-        hy = _shifted_hamiltonian(y, V.values, g.h, 0.0)
-        rho = float(np.dot(y, hy))
-        hy -= rho * y
-        return rho, float(np.linalg.norm(hy))
+    tol = 64.0 * np.finfo(float).eps * (4.0 / g.h**2 + max(vmax, -vmin))
+    # Gershgorin: lambda_1 > min V, and H - floor is strictly diagonally
+    # dominant, so dpttrf accepts it
+    floor = vmin - 1.0
 
     def factor(sigma):
-        return _hamiltonian_factor(V.values, g.h, sigma)
+        return _hamiltonian_factor(vv, g.h, sigma)
 
-    rho, res = rayleigh(y)
+    # the start's quotient and residual come from the stencil
+    y /= np.linalg.norm(y)
+    hy = _shifted_hamiltonian(y, vv, g.h, 0.0)
+    rho = float(np.dot(y, hy))
+    hy -= rho * y
+    res = float(np.linalg.norm(hy))
     sigma, above = max(rho - 2.0 * res, vmin), np.inf  # lambda_1 lies in (sigma, above]
     while (fac := factor(sigma)) is None:
         sigma, above = 0.5 * (sigma + floor), sigma
+    yi = y[1:-1]  # a view: y keeps its zero ends
     for _ in range(_EIGEN_MAX_STEPS):
-        y[1:-1] = dpttrs(*fac, y[1:-1], overwrite_b=True)[0]
-        rho, res = rayleigh(y)
+        x = dpttrs(*fac, yi)[0]  # H x = y + sigma x
+        xx = float(np.dot(x, x))
+        offset = float(np.dot(x, yi)) / xx  # rho - sigma
+        rho = sigma + offset
+        yi -= offset * x  # (H - rho) x = y - (rho - sigma) x
+        xnorm = np.sqrt(xx)
+        res = float(np.linalg.norm(yi)) / xnorm
+        np.divide(x, xnorm, out=yi)
         target = rho - 2.0 * max(res, tol)
         if target > sigma:
             if target < above and (raised := factor(target)) is not None:
@@ -299,10 +311,10 @@ def scf_solve(
     clipped at 0, as the candidate normalize(sqrt(rho_AA)).  It is accepted
     when it passes ``_descends`` at step b.  Otherwise the differences are
     dropped and the pass takes a damped step, u^2 <- u^2 + a f, with the
-    weight a from ``_descend`` along that path: it starts at 0.6 and the
-    weight accepted in one damped pass is tried in the next.  The first pass
-    has no difference and is always damped.  So every accepted iterate
-    passes the one Armijo test, and the trace does not rise.
+    weight a from ``_descend`` along that path: it starts at 0.6, and twice
+    the weight accepted in one damped pass, at most 0.6, is tried in the
+    next.  The first pass has no difference and is always damped.  So every
+    accepted iterate passes the one Armijo test, and the trace does not rise.
     Each iterate's multiplier is its own Rayleigh quotient <u, H u> (the
     eigenvalue belongs to the previous iterate's V) and its residual is
     ``el_residual`` there; the next pass's slope reuses that quotient.
@@ -346,6 +358,10 @@ def scf_solve(
             prev = (u2, f)
             if trial is None:
                 trial, alpha = _descend(cur, v_bg, lambda a: np.sqrt(u2 + a * f), alpha, slope)
+                # the weight grows back: near the minimizer the objective's
+                # rounding noise can refuse a good weight, and halving alone
+                # would then shrink it pass after pass
+                alpha = min(2.0 * alpha, _SCF_FIRST_MIX)
             cur = trial
             ray = _rayleigh_quotient(cur)
             yield cur, ray, el_residual(cur.u, ray, bg, potential=cur.V)

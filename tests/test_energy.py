@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import eigh_tridiagonal
+from scipy.linalg.lapack import dpttrf
 
 from coulombium import (
     Grid,
@@ -196,6 +197,36 @@ def test_rayleigh_quotient_is_the_stencils_quadratic_form(half, L, seed):
     # V changes sign, so the error is measured against kinetic + int |V| u^2
     scale = kin + float(np.dot(g.weights, np.abs(V.values) * u.values**2))
     assert abs(rq - float(np.dot(g.weights * u.values, hu))) <= 1e-12 * scale
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(half=st.integers(2, 400), L=st.floats(0.5, 40.0), seed=st.integers(0, 2**32 - 1))
+def test_in_place_kernels_keep_the_bits_of_their_expression_forms(half, L, seed):
+    # the stencil, the factor's diagonal and the objective run their
+    # expressions' operations in order, so any reordering changes a bit
+    g = Grid(L, 2 * half + 1)
+    h, w = g.h, g.weights
+    rng = np.random.default_rng(seed)
+    uv = rng.standard_normal(g.N)
+    uv[0] = uv[-1] = 0.0
+    vv = 10.0 * rng.standard_normal(g.N)
+    eps = float(rng.standard_normal())
+    stencil = np.zeros_like(uv)
+    stencil[1:-1] = -(uv[2:] - 2.0 * uv[1:-1] + uv[:-2]) / h**2 + (vv[1:-1] - eps) * uv[1:-1]
+    assert np.array_equal(_shifted_hamiltonian(uv, vv, h, eps), stencil)
+    sigma = float(np.min(vv)) - 1.0  # below lambda_1 by Gershgorin
+    d, e = _hamiltonian_factor(vv, h, sigma)
+    d_ref, e_ref, _ = dpttrf(2.0 / h**2 + vv[1:-1] - sigma, np.full(g.N - 3, -1.0 / h**2))
+    assert np.array_equal(d, d_ref) and np.array_equal(e, e_ref)
+    u = normalize(Samples(g, uv))
+    v_bg = Samples(g, vv)
+    sq = u.values * u.values
+    v_el = potential_from_density(u.with_values(sq)).values
+    c = solver_objective(u, v_bg)
+    coul = 2.0 * float(np.dot(w, v_bg.values * sq)) + float(np.dot(w * sq, v_el))
+    assert np.array_equal(c.V.values, v_el + v_bg.values)
+    assert (c.kinetic, c.coulomb) == (kinetic_energy(u), coul)
+    assert c.objective == c.kinetic + 0.5 * coul
 
 
 @settings(max_examples=100, deadline=None, database=None)

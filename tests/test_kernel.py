@@ -69,6 +69,20 @@ def test_potential_matches_dense():
     assert np.max(np.abs(fast - dense)) / np.max(np.abs(dense)) < 1e-12
 
 
+@settings(max_examples=60, deadline=None, database=None)
+@given(**_ODD_GRIDS)
+def test_potential_keeps_the_bits_of_its_expression_form(half, L, seed):
+    # the in-place evaluation runs the expression's operations in its order,
+    # so any reordering shows as a changed bit on random samples
+    rng = np.random.default_rng(seed)
+    g = Grid(L, 2 * half + 1)
+    f = Samples(g, rng.standard_normal(g.N) * 10.0 ** rng.uniform(-3, 3, g.N))
+    x, m = g.x, g.weights * f.values
+    c0, c1 = np.cumsum(m), np.cumsum(m * x)
+    expected = -0.5 * (x * (2.0 * c0 - c0[-1]) + (c1[-1] - 2.0 * c1))
+    assert np.array_equal(potential_from_density(f).values, expected)
+
+
 # --- pair energy -----------------------------------------------------------
 
 def test_pair_energy_zero_argument():
