@@ -190,6 +190,12 @@ def _write_json(path, cfg, payload):
     return path
 
 
+def _refuse_subcritical(z: float) -> int:
+    print(f"refusing subcritical charge ratio z = {z:.10g} < 1 (no bound state)",
+          file=sys.stderr)
+    return _EXIT_USAGE
+
+
 def cmd_solve(args) -> int:
     cfg = resolve_config(args)
     solver_cfg = _solver_config(cfg)
@@ -197,9 +203,7 @@ def cmd_solve(args) -> int:
     bg = _build_background(cfg, grid)
     z = -total_charge(bg)
     if z < _SUBCRITICAL:
-        print(f"refusing subcritical charge ratio z = {z:.10g} < 1 (no bound state)",
-              file=sys.stderr)
-        return _EXIT_USAGE
+        return _refuse_subcritical(z)
 
     methods = ("scf", "gd") if cfg.method == "both" else (cfg.method,)
     states = {method: _SOLVERS[method](bg, solver_cfg) for method in methods}
@@ -281,9 +285,8 @@ def cmd_scan(args) -> int:
     if not z_values:
         print("empty z list", file=sys.stderr)
         return _EXIT_USAGE
-    if any(z < _SUBCRITICAL for z in z_values):
-        print("scan requires all z >= 1", file=sys.stderr)
-        return _EXIT_USAGE
+    if (low := next((z for z in z_values if z < _SUBCRITICAL), None)) is not None:
+        return _refuse_subcritical(low)
     backgrounds = [PointCharge(z) for z in z_values]  # a non-finite z fails before any solve
 
     rows = [_scan_row(_SOLVERS[cfg.method], solver_cfg, bg) for bg in backgrounds]

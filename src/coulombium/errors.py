@@ -46,7 +46,7 @@ class MaxIterExceededError(SolverError):
 
 
 class DivergingEnergyError(SolverError):
-    """No bound state: mass escapes or the objective heads to -infinity."""
+    """No bound state: the background's charge ratio z is below 1."""
 
 
 class LineSearchStalledError(SolverError):

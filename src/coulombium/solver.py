@@ -12,11 +12,12 @@ rule: an iterate is the ground state when its Euler-Lagrange residual
 (``el_residual`` at its multiplier, from the one discrete Hamiltonian in
 :mod:`coulombium.energy`) is at most tol_residual and its objective moved
 by at most tol_energy from the previous iterate's (the start's, for the
-first).  Subcritical backgrounds (z < 1) have no bound state; ``_solve`` raises
-:class:`DivergingEnergyError` as soon as an iterate carries more than 1e-10
-of its mass beyond 0.9 L, where at z >= 1 a converged state's tail only
-warns of truncation, and refuses any subcritical iterate that meets the
-stopping rule as a box-held state.
+first).  A ground state exists when the background's charge ratio
+z = -total charge is at least 1, and below 1 the energy is unbounded (the
+subcritical family in :mod:`coulombium.diagnostics`), so ``_solve`` reads
+z first and raises :class:`DivergingEnergyError` for z < 1 - 1e-9 before
+it builds the grid or evaluates any objective.  At z >= 1 mass near the
+domain's edge on the returned state only warns of truncation.
 """
 
 from __future__ import annotations
@@ -43,9 +44,8 @@ from .grid import Grid, Samples, normalize, require_same_mesh
 
 _SCF_FIRST_MIX = 0.6  # SCF mixing weight until a step fails to decrease enough
 _SCF_DEPTH = 5  # density and residual differences Anderson mixing keeps
-_OBJECTIVE_FLOOR = -1e4
 _BOUNDARY_FRACTION = 0.9
-_TAIL_MASS_LIMIT = 1e-10  # boundary mass share beyond which z < 1 diverges and z >= 1 warns
+_TAIL_MASS_LIMIT = 1e-10  # mass share beyond 0.9 L above which a returned state warns
 _SUBCRITICAL = 1.0 - 1e-9  # charge ratios z below this have no bound state
 # s in the gradient metric P = -D2 + V0 - min V0 + s; a smaller s brings P's
 # shift nearer the ground eigenvalue, s = 1 took up to 36 iterations on
@@ -198,27 +198,12 @@ def default_initial_guess(bg: BackgroundCharge, grid: Grid) -> Samples:
     return normalize(Samples(grid, vals))
 
 
-def _boundary_mass_fraction(u: Samples) -> float:
+def _check_tail(u: Samples):
+    """Warn when a converged state carries mass near the domain's edge."""
     g = u.grid
     sq = u.values * u.values
     mask = np.abs(g.x) > _BOUNDARY_FRACTION * g.L
-    total = float(np.dot(g.weights, sq))
-    return float(np.dot(g.weights[mask], sq[mask])) / total
-
-
-def _check_divergence(u: Samples, z: float, objective: float):
-    if objective < _OBJECTIVE_FLOOR:
-        raise DivergingEnergyError(f"objective fell below {_OBJECTIVE_FLOOR}; no bound state")
-    if z < _SUBCRITICAL and (tail := _boundary_mass_fraction(u)) > _TAIL_MASS_LIMIT:
-        raise DivergingEnergyError(
-            f"tail mass {tail:.2e} beyond 0.9 L at z = {z:.10g} < 1: "
-            "mass is leaving for the domain boundary, and there is no bound state"
-        )
-
-
-def _check_tail(u: Samples):
-    """Warn when a converged state carries mass near the domain's edge."""
-    tail = _boundary_mass_fraction(u)
+    tail = float(np.dot(g.weights[mask], sq[mask])) / float(np.dot(g.weights, sq))
     if tail > _TAIL_MASS_LIMIT:
         warnings.warn(
             f"tail mass {tail:.2e} beyond 0.9 L; consider a larger half-width",
@@ -250,10 +235,15 @@ def _descend(cur: Candidate, v_bg: Samples, path, step: float, slope: float):
 
 
 def _solve(name: str, iterates, bg: BackgroundCharge, cfg, u0) -> GroundState:
-    """Trace, check and stop the ``(candidate, eps, residual)`` that ``iterates`` yields.
+    """Trace and stop the ``(candidate, eps, residual)`` that ``iterates`` yields.
 
-    Every :class:`SolverError` raised on the way carries the trace.
+    A subcritical background raises :class:`DivergingEnergyError`, with an
+    empty trace, before any iterate.  Every :class:`SolverError` raised on
+    the way carries the trace.
     """
+    z = -total_charge(bg)
+    if z < _SUBCRITICAL:
+        raise DivergingEnergyError(f"subcritical charge ratio z = {z:.10g} < 1 (no bound state)")
     cfg = cfg if cfg is not None else SolverConfig()
     grid = Grid(cfg.L, cfg.N)
     if u0 is not None and not u0.grid.same_mesh(grid):
@@ -264,17 +254,12 @@ def _solve(name: str, iterates, bg: BackgroundCharge, cfg, u0) -> GroundState:
     v_bg = background_potential(bg, grid)
     start = solver_objective(u, v_bg)
     prev = start.objective
-    z = -total_charge(bg)
     history: list = []
     try:
         for it, (cur, eps, res) in enumerate(islice(iterates(start, v_bg), cfg.max_iter), 1):
             res = float(res)
             history.append((cur.objective, res))
-            _check_divergence(cur.u, z, cur.objective)
             if res <= cfg.tol_residual and abs(cur.objective - prev) <= cfg.tol_energy:
-                if z < _SUBCRITICAL:
-                    raise DivergingEnergyError(f"box-held state at z = {z:.10g} < 1: "
-                                               "there is no bound state")
                 _check_tail(cur.u)
                 energy = candidate_energy(cur, _background_const(bg, v_bg))
                 return GroundState(cur, eps, res, energy, it, True, history)

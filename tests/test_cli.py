@@ -243,9 +243,19 @@ def test_scan_basic(tmp_path):
     assert rows[1] == rows[2]  # duplicate z rows identical
 
 
-def test_scan_rejects_empty_and_subcritical(tmp_path):
+def test_scan_rejects_empty_and_subcritical(tmp_path, capsys, monkeypatch):
+    solves = _record_solves(monkeypatch)
     assert run_cli(["scan", "--z-list", ",", "--output", str(tmp_path / "s")]) == 1
     assert run_cli(["scan", "--z-list", "0.5", "--output", str(tmp_path / "s")]) == 1
+    capsys.readouterr()
+    argv = ["scan", "--z-list", "2,0.5", "--L", "12", "--N", "241",
+            "--output", str(tmp_path / "s")]
+    assert run_cli(argv) == 1
+    # the words solve uses, naming the first subcritical z
+    assert ("refusing subcritical charge ratio z = 0.5 < 1 (no bound state)"
+            in capsys.readouterr().err)
+    assert not solves
+    assert not list(tmp_path.iterdir())
 
 
 def test_scan_refuses_a_non_finite_z_before_any_solve(tmp_path, capsys, monkeypatch):

@@ -24,6 +24,7 @@ from coulombium import (
     scf_solve,
     solver_objective,
 )
+from coulombium import solver
 from coulombium.energy import _rayleigh_quotient, _shifted_hamiltonian
 from coulombium.rearrange import symmetric_decreasing_rearrangement
 from coulombium.solver import _descend
@@ -479,22 +480,29 @@ def test_gradient_from_asymmetric_start_symmetrizes():
     assert np.max(np.abs(np.sqrt(star.values) - state.u.values)) < 1e-5
 
 
-def test_subcritical_charge_flagged():
-    # below z = 1 mass leaves for the boundary: both solvers stop on the first
-    # iterate with tail mass beyond 0.9 L, long before the iteration cap
-    for solve, z, n in [(scf_solve, 0.5, 3001), (gradient_solve, 0.5, 3001),
-                        (scf_solve, 0.9, 1201), (gradient_solve, 0.9, 1201)]:
-        with pytest.raises(DivergingEnergyError, match="tail mass") as excinfo:
-            solve(PointCharge(z), SolverConfig(L=30.0, N=n, max_iter=300))
-        assert 0 < len(excinfo.value.history) < 50  # trace attached
+def _charge_just_below_the_critical_ratio() -> SampledCharge:
+    # trapezoid charge a hair below 1 - 1e-9, the largest ratio the solvers refuse
+    g = Grid(30.0, 1201)
+    wells = np.exp(-0.5 * (g.x / 0.8) ** 2)
+    rho = Samples(g, wells * (-(1.0 - 1.001e-9) / integrate(Samples(g, wells))))
+    assert 1.0 - 1.01e-9 < -integrate(rho) < 1.0 - 1e-9
+    return SampledCharge(rho)
 
 
-def test_subcritical_solve_refuses_a_box_held_state_without_tail_mass():
-    # At z just below 1 the net charge is too small for the tail-mass test
-    # to see at this L; no bound state exists, so the stopping rule refuses it.
-    with pytest.raises(DivergingEnergyError, match="box-held state") as excinfo:
-        gradient_solve(PointCharge(0.999999), SolverConfig(L=30.0, N=1201))
-    assert excinfo.value.history
+@pytest.mark.parametrize("solve", [scf_solve, gradient_solve])
+@pytest.mark.parametrize("bg", [PointCharge(0.5), PointCharge(0.9), PointCharge(0.999999),
+                                _charge_just_below_the_critical_ratio()],
+                         ids=["z0.5", "z0.9", "z0.999999", "sampled"])
+def test_subcritical_background_is_refused_before_any_iterate(solve, bg, monkeypatch):
+    # Below z = 1 there is no bound state, whatever the iterates would show:
+    # the solve raises before it evaluates a single objective.
+    calls = []
+    monkeypatch.setattr(solver, "solver_objective",
+                        lambda *a: calls.append(a) or solver_objective(*a))
+    with pytest.raises(DivergingEnergyError, match="subcritical charge ratio") as excinfo:
+        solve(bg, SolverConfig(L=30.0, N=1201, max_iter=50))
+    assert excinfo.value.history == []
+    assert calls == []
 
 
 @pytest.mark.parametrize("solve", [scf_solve, gradient_solve])
@@ -503,15 +511,6 @@ def test_a_non_finite_start_is_rejected(solve):
     u0 = Samples(Grid(cfg.L, cfg.N), np.full(cfg.N, np.nan))
     with pytest.raises(ValueError, match="cannot normalize"):
         solve(PointCharge(2.0), cfg, u0=u0)
-
-
-@pytest.mark.parametrize("z", [0.8, 0.9])
-def test_subcritical_gradient_solve_refuses_a_box_held_state(z):
-    # Below z = 1 there is no ground state: the solve settles on a state the
-    # domain's edge holds, and the driver refuses it instead of returning it.
-    with pytest.raises(DivergingEnergyError, match="tail mass") as excinfo:
-        gradient_solve(PointCharge(z), SolverConfig(L=30.0, N=3001))
-    assert excinfo.value.history
 
 
 @pytest.mark.parametrize("z", [1.0, 2.0, 6.0])
