@@ -99,10 +99,8 @@ def jensen_lower_bound_check(bg: SampledCharge, grid: Grid) -> float:
     """
     if isinstance(bg, PointCharge):
         raise TypeError("jensen_lower_bound_check takes a sampled background")
+    p = recenter_shift(bg)  # raises ValueError unless the total charge is negative
     z = -total_charge(bg)
-    if z <= 0:
-        raise ValueError("check needs strictly negative total charge")
-    p = recenter_shift(bg)
     v = background_potential(bg, grid)
     return float(np.max(0.5 * z * np.abs(grid.x - p) - v.values))
 

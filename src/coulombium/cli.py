@@ -13,7 +13,8 @@ file whenever it is given.  Identical settings produce byte-identical
 output.
 
 Exit codes, all mapped in ``main``: 0 success, 1 usage or configuration
-error (a charge ratio below 1 among them, refused before any solve), 2 a
+error, or a charge ratio below 1 (``solver.require_bound_state``'s
+:class:`DivergingEnergyError`, raised before any solve), 2 any other
 solver failure.
 """
 
@@ -28,11 +29,11 @@ import sys
 from dataclasses import fields
 from typing import Any, Callable, NamedTuple
 
-from .background import PointCharge, load_background, total_charge
+from .background import PointCharge, load_background
 from .diagnostics import moment
-from .errors import CoulombiumError, SolverError
+from .errors import CoulombiumError, DivergingEnergyError, SolverError
 from .grid import Grid
-from .solver import _SUBCRITICAL, SolverConfig, gradient_solve, scf_solve
+from .solver import SolverConfig, gradient_solve, require_bound_state, scf_solve
 from .verify import SUITES
 
 SCHEMA_VERSION = 6
@@ -190,20 +191,12 @@ def _write_json(path, cfg, payload):
     return path
 
 
-def _refuse_subcritical(z: float) -> int:
-    print(f"refusing subcritical charge ratio z = {z:.10g} < 1 (no bound state)",
-          file=sys.stderr)
-    return _EXIT_USAGE
-
-
 def cmd_solve(args) -> int:
     cfg = resolve_config(args)
     solver_cfg = _solver_config(cfg)
     grid = Grid(cfg.L, cfg.N)
     bg = _build_background(cfg, grid)
-    z = -total_charge(bg)
-    if z < _SUBCRITICAL:
-        return _refuse_subcritical(z)
+    require_bound_state(bg)
 
     methods = ("scf", "gd") if cfg.method == "both" else (cfg.method,)
     states = {method: _SOLVERS[method](bg, solver_cfg) for method in methods}
@@ -285,9 +278,9 @@ def cmd_scan(args) -> int:
     if not z_values:
         print("empty z list", file=sys.stderr)
         return _EXIT_USAGE
-    if (low := next((z for z in z_values if z < _SUBCRITICAL), None)) is not None:
-        return _refuse_subcritical(low)
     backgrounds = [PointCharge(z) for z in z_values]  # a non-finite z fails before any solve
+    for bg in backgrounds:
+        require_bound_state(bg)
 
     rows = [_scan_row(_SOLVERS[cfg.method], solver_cfg, bg) for bg in backgrounds]
 
@@ -327,6 +320,9 @@ def main(argv=None) -> int:
         if args.command == "scan":
             return cmd_scan(args)
         return cmd_verify(args)
+    except DivergingEnergyError as exc:
+        print(f"refusing {exc}", file=sys.stderr)
+        return _EXIT_USAGE
     except SolverError as exc:
         print(f"solver did not converge: {exc}", file=sys.stderr)
         return _EXIT_NO_CONVERGENCE

@@ -153,18 +153,14 @@ def _rayleigh_quotient(c: Candidate) -> float:
     return c.kinetic + float(np.dot(c.u.grid.weights, c.V.values * c.u.values**2))
 
 
-def el_residual(
-    u: Samples,
-    epsilon: float,
-    bg: BackgroundCharge,
-    potential: Samples | None = None,
-) -> float:
+def el_residual(u: Samples, epsilon: float, bg: BackgroundCharge) -> float:
     """Discrete L2 norm of -D2 u + V u - eps u over the interior nodes.
 
-    D2 is the standard second difference with Dirichlet ends; V is rebuilt
-    from (u, bg) unless an explicit potential is supplied.
+    D2 is the standard second difference with Dirichlet ends and V is built
+    from (u, bg).  The solvers read the same norm of the same stencil from
+    the V their accepted candidate already holds.
     """
-    v = potential if potential is not None else effective_potential(u, bg)
+    v = effective_potential(u, bg)
     return _residual_norm(_shifted_hamiltonian(u.values, v.values, u.grid.h, epsilon), u.grid.h)
 
 

@@ -46,7 +46,7 @@ class MaxIterExceededError(SolverError):
 
 
 class DivergingEnergyError(SolverError):
-    """No bound state: the background's charge ratio z is below 1."""
+    """No bound state (charge ratio z < 1): ``solver.require_bound_state``, CLI exit 1."""
 
 
 class LineSearchStalledError(SolverError):

@@ -9,15 +9,16 @@ through ``_descend``'s backtracking along the method's own path.  One
 driver builds the grid, V_bg and the start (a supplied start's two end
 values are zeroed), records the trace and applies the single stopping
 rule: an iterate is the ground state when its Euler-Lagrange residual
-(``el_residual`` at its multiplier, from the one discrete Hamiltonian in
-:mod:`coulombium.energy`) is at most tol_residual and its objective moved
-by at most tol_energy from the previous iterate's (the start's, for the
-first).  A ground state exists when the background's charge ratio
-z = -total charge is at least 1, and below 1 the energy is unbounded (the
-subcritical family in :mod:`coulombium.diagnostics`), so ``_solve`` reads
-z first and raises :class:`DivergingEnergyError` for z < 1 - 1e-9 before
-it builds the grid or evaluates any objective.  At z >= 1 mass near the
-domain's edge on the returned state only warns of truncation.
+(|(H - eps) u| at its multiplier, from :mod:`coulombium.energy`'s one
+stencil on the V the iterate holds) is at most tol_residual and its
+objective moved by at most tol_energy from the previous iterate's (the
+start's, for the first).  A ground state exists when the background's
+charge ratio z = -total charge is at least 1, and below 1 the energy is
+unbounded (the subcritical family in :mod:`coulombium.diagnostics`).
+``require_bound_state`` alone decides it, raising :class:`DivergingEnergyError`
+for z < 1 - 1e-9; ``_solve`` calls it before it builds the grid, as the
+command line does before any solve.  At z >= 1 mass near the domain's edge
+on the returned state only warns of truncation.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from scipy.linalg.lapack import dpttrs
 from .background import BackgroundCharge, background_potential, recenter_shift, total_charge
 from .energy import (Candidate, EnergyBreakdown, _background_const, _hamiltonian_factor,
                      _rayleigh_quotient, _residual_norm, _shifted_hamiltonian, candidate_energy,
-                     el_residual, solver_objective)
+                     solver_objective)
 from .errors import (
     DivergingEnergyError,
     LineSearchStalledError,
@@ -42,7 +43,7 @@ from .errors import (
 )
 from .grid import Grid, Samples, normalize, require_same_mesh
 
-_SCF_FIRST_MIX = 0.6  # SCF mixing weight until a step fails to decrease enough
+_SCF_FIRST_MIX = 0.6  # SCF mixing weight, and where every damped fallback starts
 _SCF_DEPTH = 5  # density and residual differences Anderson mixing keeps
 _BOUNDARY_FRACTION = 0.9
 _TAIL_MASS_LIMIT = 1e-10  # mass share beyond 0.9 L above which a returned state warns
@@ -234,16 +235,21 @@ def _descend(cur: Candidate, v_bg: Samples, path, step: float, slope: float):
     raise LineSearchStalledError(f"no descent step from objective {obj!r} down to step 1e-20")
 
 
-def _solve(name: str, iterates, bg: BackgroundCharge, cfg, u0) -> GroundState:
-    """Trace and stop the ``(candidate, eps, residual)`` that ``iterates`` yields.
-
-    A subcritical background raises :class:`DivergingEnergyError`, with an
-    empty trace, before any iterate.  Every :class:`SolverError` raised on
-    the way carries the trace.
-    """
+def require_bound_state(bg: BackgroundCharge) -> None:
+    """Raise :class:`DivergingEnergyError` when z = -total_charge(bg) < 1 - 1e-9."""
     z = -total_charge(bg)
     if z < _SUBCRITICAL:
         raise DivergingEnergyError(f"subcritical charge ratio z = {z:.10g} < 1 (no bound state)")
+
+
+def _solve(name: str, iterates, bg: BackgroundCharge, cfg, u0) -> GroundState:
+    """Trace and stop the ``(candidate, eps, residual)`` that ``iterates`` yields.
+
+    A subcritical background raises :class:`DivergingEnergyError`
+    (``require_bound_state``), with an empty trace, before any iterate.
+    Every :class:`SolverError` raised on the way carries the trace.
+    """
+    require_bound_state(bg)
     cfg = cfg if cfg is not None else SolverConfig()
     grid = Grid(cfg.L, cfg.N)
     if u0 is not None and not u0.grid.same_mesh(grid):
@@ -296,13 +302,13 @@ def scf_solve(
     clipped at 0, as the candidate normalize(sqrt(rho_AA)).  It is accepted
     when it passes ``_descends`` at step b.  Otherwise the differences are
     dropped and the pass takes a damped step, u^2 <- u^2 + a f, with the
-    weight a from ``_descend`` along that path: it starts at 0.6, and twice
-    the weight accepted in one damped pass, at most 0.6, is tried in the
-    next.  The first pass has no difference and is always damped.  So every
-    accepted iterate passes the one Armijo test, and the trace does not rise.
-    Each iterate's multiplier is its own Rayleigh quotient <u, H u> (the
-    eigenvalue belongs to the previous iterate's V) and its residual is
-    ``el_residual`` there; the next pass's slope reuses that quotient.
+    weight a from ``_descend`` along that path, always from b (a carried
+    weight only shrinks while rounding noise refuses good ones).  The first
+    pass has no difference and is always damped.  So every accepted iterate
+    passes the one Armijo test.  Each iterate's multiplier is its own
+    Rayleigh quotient <u, H u> (the eigenvalue belongs to the previous
+    iterate's V) and its residual is |(H - <u, H u>) u| on the V it holds,
+    as in the gradient solver; the next pass's slope reuses that quotient.
     """
 
     def iterates(cur: Candidate, v_bg: Samples):
@@ -314,7 +320,6 @@ def scf_solve(
         gram = np.empty((_SCF_DEPTH, _SCF_DEPTH))
         pairs = 0  # differences taken since the last reset
         prev = None  # (u^2, f) of the previous pass
-        alpha = _SCF_FIRST_MIX
         u_lin = None
         ray = _rayleigh_quotient(cur)
         while True:
@@ -342,14 +347,12 @@ def scf_solve(
                     trial, pairs = None, 0
             prev = (u2, f)
             if trial is None:
-                trial, alpha = _descend(cur, v_bg, lambda a: np.sqrt(u2 + a * f), alpha, slope)
-                # the weight grows back: near the minimizer the objective's
-                # rounding noise can refuse a good weight, and halving alone
-                # would then shrink it pass after pass
-                alpha = min(2.0 * alpha, _SCF_FIRST_MIX)
+                trial = _descend(cur, v_bg, lambda a: np.sqrt(u2 + a * f), _SCF_FIRST_MIX,
+                                 slope)[0]
             cur = trial
             ray = _rayleigh_quotient(cur)
-            yield cur, ray, el_residual(cur.u, ray, bg, potential=cur.V)
+            r = _shifted_hamiltonian(cur.u.values, cur.V.values, grid.h, ray)
+            yield cur, ray, _residual_norm(r, grid.h)
 
     return _solve("scf", iterates, bg, cfg, u0)
 
@@ -382,7 +385,7 @@ def gradient_solve(
     in the P-metric (0.5 at first, clamped to [1e-6, 1e3]) and safeguarded by
     ``_descend`` along s -> u - s d with slope -<g_t, d>.  The start is the first
     iterate.  Each iterate's multiplier is its Rayleigh quotient and its
-    residual is ``el_residual`` there, read from the same (H - ray) u = g_t / 2.
+    residual is the norm of the same (H - ray) u = g_t / 2.
     """
 
     def iterates(cur: Candidate, v_bg: Samples):

@@ -180,6 +180,12 @@ def test_jensen_two_masses_strict_slack():
     assert v.values[g.center_index] - 0.0 > 0.7 * a
 
 
+def test_jensen_rejects_a_zero_background():
+    g = Grid(2.0, 41)
+    with pytest.raises(ValueError, match="strictly negative total charge"):
+        jensen_lower_bound_check(SampledCharge(Samples(g, np.zeros(g.N))), g)
+
+
 def test_jensen_rejects_point():
     g = Grid(2.0, 41)
     with pytest.raises(TypeError):

@@ -268,6 +268,20 @@ def test_scan_refuses_a_non_finite_z_before_any_solve(tmp_path, capsys, monkeypa
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("z_list,got", [("2,-1", "-1.0"), ("0", "0.0")])
+def test_scan_refuses_a_non_positive_z_before_any_solve(tmp_path, capsys, monkeypatch, z_list,
+                                                        got):
+    # the message solve gives for the same z
+    solves = _record_solves(monkeypatch)
+    argv = ["scan", "--z-list", z_list, "--L", "12", "--N", "241",
+            "--output", str(tmp_path / "s")]
+    assert run_cli(argv) == 1
+    assert (f"error: point charge ratio z must be finite and positive, got {got}"
+            in capsys.readouterr().err)
+    assert not solves
+    assert not list(tmp_path.iterdir())
+
+
 def test_scan_deterministic(tmp_path):
     args = ["scan", "--z-list", "1.5,2", "--L", "16", "--N", "1601"]
     assert run_cli(args + ["--output", str(tmp_path / "a")]) == 0

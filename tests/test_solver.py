@@ -253,7 +253,8 @@ def test_unit_mass_preserved(z2_states):
 
 
 def _rises_within_rounding(objs):
-    # the one Armijo step accepts a flat step of 4e-16 max(1, |obj|), no more
+    # the one Armijo test lets a flat rise of 4e-16 max(1, |obj|) through; a
+    # slope that rounds above 0 lets more through only on finer grids than these
     return all(b <= a + 4e-16 * max(1.0, abs(a)) for a, b in zip(objs, objs[1:]))
 
 
@@ -322,8 +323,9 @@ def test_scf_from_a_warm_start_near_the_minimizer_converges(charge, centre, widt
     # exceeds the Armijo allowance (about 4e-16), so a good damped weight is
     # sometimes refused.  A weight that only halved stalled at a residual
     # above 1e-7 for 1000 passes and more from these starts (which input
-    # stalls depends on the last bits of the eigensolve); one that grows back
-    # takes 11 and 21.
+    # stalls depends on the last bits of the eigensolve).  With every
+    # fallback starting again from 0.6 they take 31 and 21 passes with one
+    # BLAS thread, 15 and 27 with two.
     cfg = SolverConfig(L=30.0, N=60001, max_iter=60)
     fine, coarse = Grid(cfg.L, cfg.N), Grid(cfg.L, 6001)
     g = np.exp(-0.5 * ((fine.x - centre) / width) ** 2)
@@ -331,6 +333,37 @@ def test_scf_from_a_warm_start_near_the_minimizer_converges(charge, centre, widt
     state = scf_solve(SampledCharge(Samples(coarse, rho[::10])), SolverConfig(L=cfg.L, N=6001))
     u0 = Samples(fine, np.interp(fine.x, coarse.x, state.u.values))
     assert scf_solve(SampledCharge(Samples(fine, rho)), cfg, u0=u0).iterations <= 60
+
+
+def test_every_scf_fallback_starts_at_the_full_weight(monkeypatch):
+    # A fallback can accept a small weight (one on the scf-sampled-fine input
+    # of seed 101 and charge 2.3397 accepts 0.075).  Here the first pass is
+    # made to accept 0.075 and the second pass's Anderson candidate is
+    # refused, both by force: the second fallback must start again from 0.6,
+    # not from a weight carried over.
+    starts, accepted, refused = [], [], []
+
+    def descend(cur, v_bg, path, step, slope):
+        starts.append(step)
+        trial, taken = _descend(cur, v_bg, path, step, slope)
+        accepted.append(taken)
+        return trial, taken
+
+    def descends(obj, trial, step, slope):
+        if not accepted:  # the first pass's search refuses weights above 0.1
+            return step < 0.1 and real_descends(obj, trial, step, slope)
+        if len(starts) == len(accepted):  # outside a search: an Anderson candidate
+            refused.append(step)
+            return False
+        return real_descends(obj, trial, step, slope)
+
+    real_descends = solver._descends
+    monkeypatch.setattr(solver, "_descend", descend)
+    monkeypatch.setattr(solver, "_descends", descends)
+    with pytest.raises(MaxIterExceededError):
+        scf_solve(PointCharge(2.0), SolverConfig(L=12.0, N=241, max_iter=2))
+    assert accepted[0] == 0.075 and refused == [0.6]
+    assert starts == [0.6, 0.6]
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
