@@ -18,11 +18,15 @@ rounding error by construction.  Dense O(N^2) twins of each fast path
 are kept in this module, outside the package's public names, so tests
 can prove the prefix-sum algebra.
 
-The min-kernel form b[f, g] and the quartic norm have one array-level
-evaluation each, ``_b_rows`` and ``_b_norm_rows``, which reduce over the
-last axis: ``b_form``, ``c_functional`` and ``b_norm`` pass them one row,
-``verify.bnorm_suite`` a block of rows, and each row gets the same bits
-either way.
+Each quantity the ``verify`` suites use has one array-level evaluation
+along the last axis: ``_potential_rows`` (the potential),
+``_c_plus_rows`` (the four C+ forms), ``_b_rows`` (the min-kernel form
+b[f, g]), ``_g_form`` (the g-kernel form) and ``_b_norm_rows`` (the
+quartic norm).  ``potential_from_density``, ``c_plus``, ``b_form``,
+``c_functional`` and ``b_norm`` pass them one row, the suites a block of
+rows, and each row gets the same bits either way: every reduction is an
+``np.vecdot`` over contiguous rows, and every prefix sum runs along the
+row.
 """
 
 from __future__ import annotations
@@ -55,6 +59,29 @@ def _point_masses(f: Samples) -> np.ndarray:
     return f.grid.weights * f.values
 
 
+def _potential_rows(m: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """V = -(1/2) sum_k |x - x_k| m_k along the last axis of point masses m.
+
+    One cumulative-sum pass per row; ``m`` is overwritten (it holds the
+    first moments' prefix sums).  The totals are copied out of the last
+    column before the in-place steps, which run the operations of
+    -0.5 (x (2 c0 - c0[-1]) + (c1[-1] - 2 c1)) in its order, so a row has
+    the same bits alone and inside a block.
+    """
+    c0 = np.cumsum(m, axis=-1)
+    c1 = np.cumsum(np.multiply(m, x, out=m), axis=-1, out=m)
+    # c1[-1] - 2 c1 = -2 c1 + c1[-1] bit for bit
+    t0, t1 = c0[..., -1:].copy(), c1[..., -1:].copy()
+    c0 *= 2.0
+    c0 -= t0
+    c0 *= x
+    c1 *= -2.0
+    c1 += t1
+    c0 += c1
+    c0 *= -0.5
+    return c0
+
+
 def potential_from_density(f: Samples) -> Samples:
     """Potential V(x) = -(1/2) * int |x-y| f(y) dy at every node, in O(N).
 
@@ -63,21 +90,7 @@ def potential_from_density(f: Samples) -> Samples:
     product.  V is the exact discrete Green inverse: its second difference
     at an interior node equals -h^2 f_i.
     """
-    x = f.grid.x
-    m = _point_masses(f)
-    c0 = np.cumsum(m)
-    c1 = np.cumsum(np.multiply(m, x, out=m), out=m)
-    # -0.5 (x (2 c0 - c0[-1]) + (c1[-1] - 2 c1)) in the two cumsum buffers,
-    # operation by operation; c1[-1] - 2 c1 = -2 c1 + c1[-1] bit for bit
-    t0, t1 = c0[-1], c1[-1]
-    c0 *= 2.0
-    c0 -= t0
-    c0 *= x
-    c1 *= -2.0
-    c1 += t1
-    c0 += c1
-    c0 *= -0.5
-    return f.with_values(c0)
+    return f.with_values(_potential_rows(_point_masses(f), f.grid.x))
 
 
 def dense_potential_from_density(f: Samples) -> Samples:
@@ -132,20 +145,26 @@ def _half_axis(values: np.ndarray, grid: Grid, side: int):
     return t, v * vals
 
 
-def _c_plus_masses(t: np.ndarray, m: np.ndarray, h: float, form: CPlusForm) -> float:
+def _c_plus_rows(t: np.ndarray, m: np.ndarray, h: float, form: CPlusForm):
+    """C+ along the last axis of half-axis point masses m at nodes t, in one form.
+
+    Every reduction is an ``np.vecdot`` of contiguous rows, so each row has
+    the bits of a one-row ``np.dot`` (see :func:`_b_rows`); the reversed
+    suffix sums are therefore copied into node order.  Returns one value
+    per row.
+    """
     tm = t * m
     if form is CPlusForm.A:
-        prefix = np.cumsum(tm) - tm  # sum_{k<j} t_k m_k
-        return float(2.0 * np.dot(m, prefix) + np.dot(tm, m))
+        prefix = np.cumsum(tm, axis=-1) - tm  # sum_{k<j} t_k m_k
+        return 2.0 * np.vecdot(m, prefix) + np.vecdot(tm, m)
+    S = np.ascontiguousarray(np.cumsum(m[..., ::-1], axis=-1)[..., ::-1])  # S_i = sum_{k>=i} m_k
     if form is CPlusForm.B:
-        suffix = np.cumsum(m[::-1])[::-1] - m  # sum_{k>j} m_k
-        return float(2.0 * np.dot(tm, suffix) + np.dot(tm, m))
-    S = np.cumsum(m[::-1])[::-1]  # S_i = sum_{k>=i} m_k
+        return 2.0 * np.vecdot(tm, S - m) + np.vecdot(tm, m)  # S - m = sum_{k>j} m_k
     if form is CPlusForm.C:
-        return float(h * np.dot(S[1:], S[1:]))
+        return h * np.vecdot(S[..., 1:], S[..., 1:])
     # form D: W_j = h * sum_{1<=i<=j} S_i, then sum m_j W_j
-    W = h * (np.cumsum(S) - S[0])
-    return float(np.dot(m, W))
+    W = h * (np.cumsum(S, axis=-1) - S[..., :1])
+    return np.vecdot(m, W)
 
 
 def c_plus(f: Samples, form: CPlusForm | str = CPlusForm.C) -> float:
@@ -156,9 +175,8 @@ def c_plus(f: Samples, form: CPlusForm | str = CPlusForm.C) -> float:
     rounding error; form C (squared suffix sums) exhibits positivity and is
     the default fast path.
     """
-    form = CPlusForm(form)
     t, m = _half_axis(f.values, f.grid, +1)
-    return _c_plus_masses(t, m, f.grid.h, form)
+    return float(_c_plus_rows(t, m, f.grid.h, CPlusForm(form)))
 
 
 def dense_c_plus(f: Samples) -> float:
@@ -256,6 +274,22 @@ def b_norm(u: Samples) -> float:
     return float(_b_norm_rows(u.values, u.grid))
 
 
+def _require_zero_mean(values: np.ndarray, grid: Grid, name: str) -> None:
+    """Refuse samples that are not zero-mean, along the last axis.
+
+    Raises :class:`NonZeroMeanError` naming the first row whose trapezoid
+    integral exceeds 1e-8 in magnitude.
+    """
+    mean = np.vecdot(grid.weights, values)
+    bad = np.argwhere(np.abs(mean) > 1e-8)
+    if len(bad):
+        row = tuple(bad[0])
+        where = name + "".join(f"[{i}]" for i in row)
+        raise NonZeroMeanError(
+            f"integral of {where} is {mean[row]:.3e}, beyond the 1e-8 zero-mean tolerance"
+        )
+
+
 def neg_kernel_inner_product(f: Samples, g: Samples) -> float:
     """Inner product <f, g> = int int -|x-y| f(x) g(y) on zero-mean functions.
 
@@ -265,11 +299,7 @@ def neg_kernel_inner_product(f: Samples, g: Samples) -> float:
     1e-8 in magnitude.
     """
     for s, name in ((f, "f"), (g, "g")):
-        mean = integrate(s)
-        if abs(mean) > 1e-8:
-            raise NonZeroMeanError(
-                f"integral of {name} is {mean:.3e}, beyond the 1e-8 zero-mean tolerance"
-            )
+        _require_zero_mean(s.values, s.grid, name)
     return coulomb_pair_energy(f, g)
 
 

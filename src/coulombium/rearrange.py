@@ -6,6 +6,8 @@ nonnegative node), so the multiset of values is preserved exactly and
 the result is even up to one node and nonincreasing along each half
 axis.  The energy comparisons act on the density u^2; the rearranged
 wave function is the square root of the rearranged density.
+``_rearrange_rows`` rearranges each row of a block along the last axis;
+:func:`symmetric_decreasing_rearrangement` passes it one row.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import NegativeInputError
-from .grid import Samples, integrate, kinetic_energy
+from .grid import Grid, Samples, integrate, kinetic_energy
 from .kernel import c_functional
 
 
@@ -33,26 +35,29 @@ class RearrangementReport:
     was_symmetric: bool
 
 
-def _check_nonnegative(f: Samples):
-    low = float(np.min(f.values))
+def _check_nonnegative(values: np.ndarray):
+    low = float(np.min(values))
     if low < -1e-14:
         raise NegativeInputError(f"density has negative sample {low!r}")
 
 
-def symmetric_decreasing_rearrangement(f: Samples) -> Samples:
-    """Equimeasurable even nonincreasing rearrangement of a density."""
-    _check_nonnegative(f)
-    g = f.grid
-    c = g.center_index
-    order = np.empty(g.N, dtype=int)
+def _rearrange_rows(values: np.ndarray, grid: Grid) -> np.ndarray:
+    """Symmetric-decreasing rearrangement of every row of ``values`` (last axis)."""
+    _check_nonnegative(values)
+    c = grid.center_index
+    order = np.empty(grid.N, dtype=int)
     order[0] = c
     ks = np.arange(1, c + 1)
     order[2 * ks - 1] = c + ks  # nonnegative node first within each pair
     order[2 * ks] = c - ks
-    ranked = np.sort(f.values)[::-1]
-    out = np.empty(g.N)
-    out[order] = ranked
-    return Samples(g, out)
+    out = np.empty(values.shape)
+    out[..., order] = np.sort(values, axis=-1)[..., ::-1]
+    return out
+
+
+def symmetric_decreasing_rearrangement(f: Samples) -> Samples:
+    """Equimeasurable even nonincreasing rearrangement of a density."""
+    return f.with_values(_rearrange_rows(f.values, f.grid))
 
 
 def hardy_littlewood_check(
@@ -78,7 +83,6 @@ def double_rearrangement_check(f: Samples, z: float) -> RearrangementReport:
     integral before and after; at z = 1 the interaction never increases and
     the total drops strictly for asymmetric densities.
     """
-    _check_nonnegative(f)
     fstar = symmetric_decreasing_rearrangement(f)
     u = f.with_values(np.sqrt(np.maximum(f.values, 0.0)))
     ustar = f.with_values(np.sqrt(np.maximum(fstar.values, 0.0)))

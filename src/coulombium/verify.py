@@ -4,6 +4,16 @@ Each suite draws seeded random data, measures the margins of the
 inequalities it exercises and reports pass/fail against the declared
 tolerances; trial counts and grids are fixed in the suite's body.  The
 same generators are reused by the test suite.
+
+The seeded suites evaluate their trials as blocks of rows through the
+kernels' array-level forms (``_potential_rows``, ``_c_plus_rows``,
+``_b_rows``, ``_g_form`` and ``rearrange._rearrange_rows``), which give
+every row the bits of the one-row public call.  ``forms``, ``rearrange``
+and ``innerprod`` draw all their trials as one block: a ``(k, N)`` draw
+from a NumPy generator is the same stream as k draws of N, so a seed
+gives the same data, and the same report, as a trial-by-trial loop.
+``bnorm`` interleaves u, v and the scale per pair, so it fills its
+blocks pair by pair.
 """
 
 from __future__ import annotations
@@ -14,18 +24,19 @@ import numpy as np
 
 from .background import delta_approximant
 from .diagnostics import unboundedness_scan
-from .grid import Grid, Samples, integrate, kinetic_energy
+from .grid import Grid, Samples
 from .kernel import (
     CPlusForm,
     _b_norm_rows,
     _b_rows,
-    c_functional,
-    c_plus,
+    _c_plus_rows,
+    _g_form,
+    _half_axis,
+    _potential_rows,
+    _require_zero_mean,
     coulomb_pair_energy,
-    neg_kernel_inner_product,
-    potential_from_density,
 )
-from .rearrange import hardy_littlewood_check, symmetric_decreasing_rearrangement
+from .rearrange import _rearrange_rows
 
 
 @dataclass
@@ -46,14 +57,16 @@ class SuiteReport:
         return out
 
 
-def random_density(grid, rng, normalized=False) -> Samples:
-    """Rough nonnegative nodewise-random density."""
-    s = Samples(grid, rng.random(grid.N))
-    return normalize_density(s) if normalized else s
+def random_density(grid, rng, normalized=False, rows=None):
+    """Rough nonnegative nodewise-random density, or a ``(rows, N)`` block of them.
 
-
-def normalize_density(f: Samples) -> Samples:
-    return f.with_values(f.values / integrate(f))
+    One density comes back as :class:`Samples`, a block as an array whose
+    rows are what ``rows`` successive one-density draws would give.
+    """
+    vals = rng.random(grid.N if rows is None else (rows, grid.N))
+    if normalized:
+        vals = vals / np.vecdot(grid.weights, vals)[..., None]
+    return Samples(grid, vals) if rows is None else vals
 
 
 def random_smooth(grid, rng, bumps=3) -> Samples:
@@ -67,27 +80,35 @@ def random_smooth(grid, rng, bumps=3) -> Samples:
     return Samples(grid, vals)
 
 
-def random_zero_mean_compact(grid, rng) -> Samples:
-    """Random rough samples, zero outside a core and exactly zero-mean."""
+def random_zero_mean_compact(grid, rng, rows=None):
+    """Random rough samples, zero outside a core and exactly zero-mean.
+
+    As :func:`random_density`: :class:`Samples`, or a ``(rows, N)`` block
+    of successive draws.
+    """
     margin = max(2, grid.N // 8)
-    vals = np.zeros(grid.N)
     core = slice(margin, grid.N - margin)
-    vals[core] = rng.standard_normal(grid.N - 2 * margin)
-    s = Samples(grid, vals)
-    vals[core] -= integrate(s) / float(np.sum(grid.weights[core]))
-    return Samples(grid, vals)
+    shape = () if rows is None else (rows,)
+    vals = np.zeros(shape + (grid.N,))
+    vals[..., core] = rng.standard_normal(shape + (grid.N - 2 * margin,))
+    mean = np.vecdot(grid.weights, vals)
+    vals[..., core] -= (mean / float(np.sum(grid.weights[core])))[..., None]
+    return Samples(grid, vals) if rows is None else vals
 
 
 def forms_suite(seed=0) -> SuiteReport:
-    """Agreement of the four half-axis forms on 100 random nonnegative densities."""
+    """Agreement of the four half-axis forms on 100 random nonnegative densities.
+
+    The densities are drawn as one block and each form is evaluated on it
+    in one kernel call, whose value for each row is that of :func:`c_plus`
+    on the row alone.
+    """
     rng = np.random.default_rng(seed)
     grid = Grid(10.0, 401)
-    worst = 0.0
-    for _ in range(100):
-        f = random_density(grid, rng)
-        vals = [c_plus(f, form) for form in CPlusForm]
-        scale = max(abs(v) for v in vals)
-        worst = max(worst, (max(vals) - min(vals)) / scale)
+    t, m = _half_axis(random_density(grid, rng, rows=100), grid, +1)
+    vals = np.array([_c_plus_rows(t, m, grid.h, form) for form in CPlusForm])
+    scale = np.max(np.abs(vals), axis=0)
+    worst = float(np.max((np.max(vals, axis=0) - np.min(vals, axis=0)) / scale))
     fails = [] if worst <= 1e-9 else [f"four-form deviation {worst:.3e} > 1e-9"]
     return SuiteReport("forms", {"max_rel_deviation": worst}, fails)
 
@@ -148,22 +169,22 @@ def bnorm_suite(seed=0) -> SuiteReport:
 
 
 def rearrange_suite(seed=0) -> SuiteReport:
-    """Equimeasurability, Hardy-Littlewood and interaction monotonicity (z=1), 200 trials."""
+    """Equimeasurability, Hardy-Littlewood and interaction monotonicity (z=1), 200 trials.
+
+    The densities are drawn as one block and rearranged once; the
+    Hardy-Littlewood sides (profile |x|, as :func:`hardy_littlewood_check`)
+    and the interactions before and after are read from that block, each
+    row with the bits of the one-density calls.
+    """
     rng = np.random.default_rng(seed)
     grid = Grid(6.0, 241)
-    worst_hl = worst_c = -np.inf
-    equi_fail = 0
-    for _ in range(200):
-        f = random_density(grid, rng)
-        fstar = symmetric_decreasing_rearrangement(f)
-        if not np.array_equal(np.sort(f.values), np.sort(fstar.values)):
-            equi_fail += 1
-        lhs, rhs = hardy_littlewood_check(f, lambda a: a)
-        worst_hl = max(worst_hl, rhs - lhs)
-        dc = c_functional(fstar, 1.0, warn_unnormalized=False) - c_functional(
-            f, 1.0, warn_unnormalized=False
-        )
-        worst_c = max(worst_c, dc)
+    f = random_density(grid, rng, rows=200)
+    fstar = _rearrange_rows(f, grid)
+    equi_fail = np.count_nonzero(np.any(np.sort(f, axis=-1) != np.sort(fstar, axis=-1), axis=-1))
+    gv = np.abs(grid.x)
+    hl = np.vecdot(grid.weights, fstar * gv) - np.vecdot(grid.weights, f * gv)
+    dc = _g_form(fstar, grid, 1.0) - _g_form(f, grid, 1.0)
+    worst_hl, worst_c = float(np.max(hl)), float(np.max(dc))
     ok = equi_fail == 0 and worst_hl <= 1e-10 and worst_c <= 1e-10
     return SuiteReport(
         "rearrange",
@@ -220,18 +241,26 @@ def delta_suite() -> SuiteReport:
 
 
 def innerprod_suite(seed=0) -> SuiteReport:
-    """Positivity and the Dirichlet-form identity of the -|x-y| inner product, 500 trials."""
+    """Positivity and the Dirichlet-form identity of the -|x-y| inner product, 500 trials.
+
+    The zero-mean samples f are drawn as one block and their potentials V
+    built once; <f, f> = int 2 V f and the Dirichlet form 2 int V'^2 are
+    both read from V, each row with the bits of
+    :func:`neg_kernel_inner_product` and of ``2 * kinetic_energy`` on the
+    row alone.  A row that is not zero-mean raises
+    :class:`NonZeroMeanError`, as the one-row inner product does.
+    """
     rng = np.random.default_rng(seed)
     grid = Grid(10.0, 401)
-    min_ip = np.inf
-    worst_rel = 0.0
-    for _ in range(500):
-        f = random_zero_mean_compact(grid, rng)
-        ip = neg_kernel_inner_product(f, f)
-        min_ip = min(min_ip, ip)
-        u = potential_from_density(f)
-        ident = 2.0 * kinetic_energy(u)
-        worst_rel = max(worst_rel, abs(ip - ident) / max(abs(ip), 1e-300))
+    f = random_zero_mean_compact(grid, rng, rows=500)
+    _require_zero_mean(f, grid, "f")
+    m = grid.weights * f
+    v = _potential_rows(m.copy(), grid.x)
+    ip = np.vecdot(m, 2.0 * v)
+    dv = np.diff(v, axis=-1)
+    ident = 2.0 * (np.vecdot(dv, dv) / grid.h)
+    rel = np.abs(ip - ident) / np.maximum(np.abs(ip), 1e-300)
+    min_ip, worst_rel = float(np.min(ip)), float(np.max(rel))
     ok = min_ip > 0.0 and worst_rel <= 1e-6
     return SuiteReport(
         "innerprod",

@@ -506,6 +506,24 @@ def test_verify_bnorm_seed0_output_is_pinned(capsys):
     ]
 
 
+@pytest.mark.parametrize("suite,lines", [
+    ("forms", ["  max_rel_deviation = 1.64489e-15"]),
+    ("rearrange", [
+        "  equimeasurability_failures = 0",
+        "  worst_hardy_littlewood_excess = -4.82433",
+        "  worst_interaction_increase = -10.9822",
+    ]),
+    ("innerprod", [
+        "  min_inner_product = 0.446809",
+        "  worst_identity_rel_err = 2.04345e-15",
+    ]),
+])
+def test_verify_seed0_output_is_pinned(suite, lines, capsys):
+    # recorded from the trial-by-trial suites; the block suites must print the same
+    assert run_cli(["verify", suite, "--seed", "0"]) == 0
+    assert capsys.readouterr().out.splitlines() == [f"suite {suite}: PASS", *lines]
+
+
 def test_verify_counterexample_reports_slope(capsys):
     # honest report: the measured slope at n <= 80 sits outside the +-0.03
     # asymptotic window, so the suite flags it while printing the value

@@ -83,6 +83,19 @@ def test_potential_keeps_the_bits_of_its_expression_form(half, L, seed):
     assert np.array_equal(potential_from_density(f).values, expected)
 
 
+@settings(max_examples=60, deadline=None, database=None)
+@given(**_ODD_GRIDS, rows=st.integers(1, 9))
+def test_potential_rows_match_one_row_results(half, L, seed, rows):
+    # a block of rows gives each row the bits of the one-row call
+    grid = Grid(L, 2 * half + 1)
+    f = np.random.default_rng(seed).standard_normal((rows, grid.N))
+    block = kernel._potential_rows(grid.weights * f, grid.x)
+    for i in range(rows):
+        assert np.array_equal(block[i], potential_from_density(Samples(grid, f[i])).values)
+    dense = dense_potential_from_density(Samples(grid, f[0])).values
+    assert np.max(np.abs(block[0] - dense)) <= 1e-12 * np.max(np.abs(dense))
+
+
 # --- pair energy -----------------------------------------------------------
 
 def test_pair_energy_zero_argument():
@@ -202,6 +215,38 @@ def test_c_plus_matches_dense(half, L, seed):
     dense = dense_c_plus(f)
     for form in CPlusForm:
         assert _rel(c_plus(f, form), dense) < 1e-12
+
+
+def _c_plus_by_dots(f, grid, form):
+    """C+ of one row by np.dot of suffix-sum views: the loop reference."""
+    t, m = kernel._half_axis(f, grid, +1)
+    tm = t * m
+    if form is CPlusForm.A:
+        prefix = np.cumsum(tm) - tm
+        return float(2.0 * np.dot(m, prefix) + np.dot(tm, m))
+    if form is CPlusForm.B:
+        suffix = np.cumsum(m[::-1])[::-1] - m
+        return float(2.0 * np.dot(tm, suffix) + np.dot(tm, m))
+    S = np.cumsum(m[::-1])[::-1]
+    if form is CPlusForm.C:
+        return float(grid.h * np.dot(S[1:], S[1:]))
+    return float(np.dot(m, grid.h * (np.cumsum(S) - S[0])))
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(**_ODD_GRIDS, rows=st.integers(1, 9))
+def test_c_plus_rows_match_one_row_results(half, L, seed, rows):
+    # every form gives each row of a block the bits of the one-row call, and
+    # those the bits of the reference
+    grid = Grid(L, 2 * half + 1)
+    f = random_density(grid, np.random.default_rng(seed), rows=rows)
+    t, m = kernel._half_axis(f, grid, +1)
+    dense = dense_c_plus(Samples(grid, f[0]))
+    for form in CPlusForm:
+        block = kernel._c_plus_rows(t, m, grid.h, form)
+        for i in range(rows):
+            assert block[i] == c_plus(Samples(grid, f[i]), form) == _c_plus_by_dots(f[i], grid, form)
+        assert _rel(block[0], dense) < 1e-12
 
 
 # --- c_functional ----------------------------------------------------------

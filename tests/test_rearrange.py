@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coulombium import (
     Grid,
@@ -15,7 +17,8 @@ from coulombium import (
     normalize,
     symmetric_decreasing_rearrangement,
 )
-from coulombium.verify import normalize_density, random_density, random_smooth
+from coulombium.rearrange import _rearrange_rows
+from coulombium.verify import random_density, random_smooth
 
 
 def test_fixed_point_exact():
@@ -66,6 +69,25 @@ def test_rejects_negative_input():
     vals[3] = -1e-3
     with pytest.raises(NegativeInputError):
         symmetric_decreasing_rearrangement(Samples(g, vals))
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(half=st.integers(1, 400), L=st.floats(0.5, 40.0), seed=st.integers(0, 2**32 - 1),
+       rows=st.integers(1, 9))
+def test_rearrange_rows_match_one_row_results(half, L, seed, rows):
+    g = Grid(L, 2 * half + 1)
+    f = random_density(g, np.random.default_rng(seed), rows=rows)
+    block = _rearrange_rows(f, g)
+    for i in range(rows):
+        assert np.array_equal(block[i], symmetric_decreasing_rearrangement(Samples(g, f[i])).values)
+
+
+def test_rearrange_rows_reject_a_negative_row():
+    g = Grid(2.0, 41)
+    f = np.ones((3, g.N))
+    f[2, 7] = -1e-3
+    with pytest.raises(NegativeInputError):
+        _rearrange_rows(f, g)
 
 
 def test_mass_preserved_with_endpoint_correction():
@@ -160,7 +182,8 @@ def test_kinetic_polya_szego_on_smooth_densities():
     rng = np.random.default_rng(7)
     g = Grid(8.0, 641)
     for _ in range(25):
-        f = normalize_density(random_smooth(g, rng))
+        s = random_smooth(g, rng)
+        f = s.with_values(s.values / integrate(s))
         star = symmetric_decreasing_rearrangement(f)
         k_before = kinetic_energy(f.with_values(np.sqrt(f.values)))
         k_after = kinetic_energy(f.with_values(np.sqrt(star.values)))

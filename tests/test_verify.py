@@ -1,0 +1,125 @@
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from coulombium import (
+    CPlusForm,
+    Grid,
+    NonZeroMeanError,
+    c_functional,
+    c_plus,
+    hardy_littlewood_check,
+    kinetic_energy,
+    neg_kernel_inner_product,
+    potential_from_density,
+    symmetric_decreasing_rearrangement,
+    verify,
+)
+from coulombium.verify import random_density, random_zero_mean_compact
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(half=st.integers(2, 400), L=st.floats(0.5, 40.0), seed=st.integers(0, 2**32 - 1),
+       rows=st.integers(1, 9))
+def test_block_draws_are_successive_one_row_draws(half, L, seed, rows):
+    # a suite's block keeps the data its seed gave trial by trial (the
+    # zero-mean core needs N >= 5)
+    grid = Grid(L, 2 * half + 1)
+    draws = [
+        lambda rng, rows=None: random_density(grid, rng, rows=rows),
+        lambda rng, rows=None: random_density(grid, rng, normalized=True, rows=rows),
+        lambda rng, rows=None: random_zero_mean_compact(grid, rng, rows=rows),
+    ]
+    for draw in draws:
+        block = draw(np.random.default_rng(seed), rows=rows)
+        rng = np.random.default_rng(seed)
+        assert block.shape == (rows, grid.N)
+        for i in range(rows):
+            assert np.array_equal(block[i], draw(rng).values)
+
+
+def test_forms_suite_fails_a_perturbed_form(monkeypatch):
+    rows = verify._c_plus_rows
+
+    def perturbed(t, m, h, form):
+        return rows(t, m, h, form) * (1.0 + 1e-6 if form is CPlusForm.D else 1.0)
+
+    monkeypatch.setattr(verify, "_c_plus_rows", perturbed)
+    rep = verify.forms_suite(seed=0)
+    assert not rep.passed
+    assert rep.metrics["max_rel_deviation"] > 1e-9
+
+
+def test_rearrange_suite_fails_an_increasing_rearrangement(monkeypatch):
+    # the values laid out by increasing |x|: equimeasurable, but it moves mass outwards
+    def increasing(f, grid):
+        out = np.empty_like(f)
+        out[..., np.argsort(np.abs(grid.x), kind="stable")] = np.sort(f, axis=-1)
+        return out
+
+    monkeypatch.setattr(verify, "_rearrange_rows", increasing)
+    rep = verify.rearrange_suite(seed=0)
+    assert not rep.passed
+    assert rep.metrics["equimeasurability_failures"] == 0
+    assert rep.metrics["worst_hardy_littlewood_excess"] > 0.0
+    assert rep.metrics["worst_interaction_increase"] > 0.0
+
+
+def test_innerprod_suite_fails_a_scaled_potential(monkeypatch):
+    # <f, f> scales by 1 + 1e-3, the Dirichlet form by its square
+    rows = verify._potential_rows
+    monkeypatch.setattr(verify, "_potential_rows", lambda m, x: rows(m, x) * (1.0 + 1e-3))
+    rep = verify.innerprod_suite(seed=0)
+    assert not rep.passed
+    assert rep.metrics["worst_identity_rel_err"] > 1e-6
+
+
+def test_innerprod_suite_refuses_a_row_that_is_not_zero_mean(monkeypatch):
+    draw = verify.random_zero_mean_compact
+
+    def offset(grid, rng, rows=None):
+        f = draw(grid, rng, rows=rows)
+        f[17] += 1e-3
+        return f
+
+    monkeypatch.setattr(verify, "random_zero_mean_compact", offset)
+    with pytest.raises(NonZeroMeanError, match=r"integral of f\[17\]"):
+        verify.innerprod_suite(seed=0)
+
+
+def _loop_metrics(name, seed):
+    """A suite's metrics trial by trial through the public one-row calls: the loop reference."""
+    rng = np.random.default_rng(seed)
+    if name == "forms":
+        grid, worst = Grid(10.0, 401), 0.0
+        for _ in range(100):
+            f = random_density(grid, rng)
+            vals = [c_plus(f, form) for form in CPlusForm]
+            worst = max(worst, (max(vals) - min(vals)) / max(abs(v) for v in vals))
+        return {"max_rel_deviation": worst}
+    if name == "rearrange":
+        grid, worst_hl, worst_c, equi = Grid(6.0, 241), -np.inf, -np.inf, 0
+        for _ in range(200):
+            f = random_density(grid, rng)
+            fstar = symmetric_decreasing_rearrangement(f)
+            equi += not np.array_equal(np.sort(f.values), np.sort(fstar.values))
+            lhs, rhs = hardy_littlewood_check(f, lambda a: a)
+            worst_hl = max(worst_hl, rhs - lhs)
+            worst_c = max(worst_c, c_functional(fstar, 1.0, warn_unnormalized=False)
+                          - c_functional(f, 1.0, warn_unnormalized=False))
+        return {"equimeasurability_failures": equi, "worst_hardy_littlewood_excess": worst_hl,
+                "worst_interaction_increase": worst_c}
+    grid, min_ip, worst = Grid(10.0, 401), np.inf, 0.0
+    for _ in range(500):
+        f = random_zero_mean_compact(grid, rng)
+        ip = neg_kernel_inner_product(f, f)
+        ident = 2.0 * kinetic_energy(potential_from_density(f))
+        min_ip, worst = min(min_ip, ip), max(worst, abs(ip - ident) / max(abs(ip), 1e-300))
+    return {"min_inner_product": min_ip, "worst_identity_rel_err": worst}
+
+
+@pytest.mark.parametrize("name", ["forms", "rearrange", "innerprod"])
+@pytest.mark.parametrize("seed", [3, 2024])
+def test_block_suites_give_the_loop_metrics_bit_for_bit(name, seed):
+    assert verify.SUITES[name](seed=seed).metrics == _loop_metrics(name, seed)
