@@ -267,17 +267,14 @@ def _scan_row(solve, solver_cfg: SolverConfig, bg: PointCharge):
 def cmd_scan(args) -> int:
     cfg = resolve_config(args)
     if cfg.method not in _SOLVERS:
-        print(f"scan runs one method, scf or gd, not {cfg.method!r}", file=sys.stderr)
-        return _EXIT_USAGE
+        raise CoulombiumError(f"scan runs one method, scf or gd, not {cfg.method!r}")
     solver_cfg = _solver_config(cfg)
     try:
         z_values = [float(tok) for tok in args.z_list.split(",") if tok.strip()]
     except ValueError:
-        print(f"cannot parse z list {args.z_list!r}", file=sys.stderr)
-        return _EXIT_USAGE
+        raise CoulombiumError(f"cannot parse z list {args.z_list!r}") from None
     if not z_values:
-        print("empty z list", file=sys.stderr)
-        return _EXIT_USAGE
+        raise CoulombiumError("empty z list")
     backgrounds = [PointCharge(z) for z in z_values]  # a non-finite z fails before any solve
     for bg in backgrounds:
         require_bound_state(bg)

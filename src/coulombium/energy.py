@@ -9,17 +9,17 @@ while the iterative solvers drive the coupled linear/Poisson fixed point
 kinetic + coulomb/2 (the pair term is quadratic in the density, so its
 variational factor is half of the reported one).
 
-On the solver path every quantity is read from one potential:
-``solver_objective`` builds V = V_el + V_bg for a candidate with a single
-prefix-sum pass and returns the candidate's kinetic term, its Coulomb term
-2 int V_bg u^2 + int V_el u^2 and the objective kinetic + coulomb/2, with
-the background potential V_bg built once per solve by the caller.  The
-g-kernel quartic form ``c_functional`` of a point background equals that
-Coulomb term to rounding, which the tests hold as an identity.  The
-discrete Hamiltonian H = -D2 + V (Dirichlet ends) lives only here: one
-stencil for (H - eps) u, one Rayleigh quotient <u, H u> = kinetic +
-int V u^2, one residual norm and one LAPACK factor of H - sigma serve
-both solvers and :func:`el_residual`.  The eigensolve factors its shifts
+On the solver path each candidate is evaluated once: ``solver_objective``
+builds V = V_el + V_bg with a single prefix-sum pass (V_bg built once per
+solve by the caller) and returns u^2, the kinetic term, the Coulomb term
+2 int V_bg u^2 + int V_el u^2, the objective kinetic + coulomb/2 and the
+Rayleigh quotient <u, H u> = kinetic + (int V_bg u^2 + int V_el u^2),
+read from the Coulomb term's two sums.  The g-kernel quartic form
+``c_functional`` of a point background equals that Coulomb term to
+rounding, which the tests hold as an identity.  The discrete Hamiltonian
+H = -D2 + V (Dirichlet ends) lives only here: one stencil for (H - eps) u,
+one residual norm and one LAPACK factor of H - sigma serve both solvers
+and :func:`el_residual`.  The eigensolve factors its shifts
 here and applies the stencil only to its start: each inverse-iteration
 step reads its quotient and residual from the system it solved.  The
 stencil, the factor's diagonal, ``solver_objective`` and the kernel's
@@ -56,9 +56,11 @@ class Candidate:
 
     u: Samples
     V: Samples  # V_el + V_bg
+    density: np.ndarray  # u^2
     kinetic: float
     coulomb: float  # 2 int V_bg u^2 + int V_el u^2
     objective: float  # kinetic + coulomb / 2
+    ray: float  # Rayleigh quotient <u, H u> = kinetic + int V u^2 (zero-ended u)
 
 
 def solver_objective(u: Samples, v_bg: Samples) -> Candidate:
@@ -72,10 +74,12 @@ def solver_objective(u: Samples, v_bg: Samples) -> Candidate:
     v = potential_from_density(u.with_values(sq)).values  # V_el, then V in place
     w = u.grid.weights
     kin = kinetic_energy(u)
-    pair = float(np.dot(w * sq, v))
-    coul = 2.0 * float(np.dot(w, np.multiply(v_bg.values, sq, out=sq))) + pair
+    wsq = w * sq
+    pair = float(np.dot(wsq, v))
+    bg = float(np.dot(w, np.multiply(v_bg.values, sq, out=wsq)))
     v += v_bg.values
-    return Candidate(u, u.with_values(v), kin, coul, kin + 0.5 * coul)
+    coul = 2.0 * bg + pair
+    return Candidate(u, u.with_values(v), sq, kin, coul, kin + 0.5 * coul, kin + (bg + pair))
 
 
 def _background_const(bg: BackgroundCharge, v_bg: Samples) -> float:
@@ -96,7 +100,7 @@ def candidate_energy(c: Candidate, background_const: float) -> EnergyBreakdown:
     constant (``_background_const``) is reported beside the total and never
     added, since it does not affect minimizers.
     """
-    mass = integrate(c.u.with_values(c.u.values * c.u.values))
+    mass = integrate(c.u.with_values(c.density))
     if abs(mass - 1.0) > 1e-8:
         raise NotNormalizedError(f"integral of u^2 is {mass!r}, expected 1 within 1e-8")
     return EnergyBreakdown(c.kinetic, c.coulomb, background_const, c.kinetic + c.coulomb)
@@ -146,11 +150,6 @@ def _hamiltonian_factor(vv: np.ndarray, h: float, sigma: float):
 
 def _residual_norm(r: np.ndarray, h: float) -> float:
     return float(np.sqrt(h * np.dot(r[1:-1], r[1:-1])))
-
-
-def _rayleigh_quotient(c: Candidate) -> float:
-    """<u, H u> = kinetic + int V u^2 of a candidate whose u has zero ends."""
-    return c.kinetic + float(np.dot(c.u.grid.weights, c.V.values * c.u.values**2))
 
 
 def el_residual(u: Samples, epsilon: float, bg: BackgroundCharge) -> float:

@@ -145,19 +145,27 @@ def _half_axis(values: np.ndarray, grid: Grid, side: int):
     return t, v * vals
 
 
+def _suffix_sums(m: np.ndarray) -> np.ndarray:
+    """S_i = sum_{k>=i} m_k along the last axis, copied into node order.
+
+    ``np.vecdot`` gives a contiguous row the bits of a one-row ``np.dot``
+    but sums a reversed strided view in another order.
+    """
+    return np.ascontiguousarray(np.cumsum(m[..., ::-1], axis=-1)[..., ::-1])
+
+
 def _c_plus_rows(t: np.ndarray, m: np.ndarray, h: float, form: CPlusForm):
     """C+ along the last axis of half-axis point masses m at nodes t, in one form.
 
     Every reduction is an ``np.vecdot`` of contiguous rows, so each row has
-    the bits of a one-row ``np.dot`` (see :func:`_b_rows`); the reversed
-    suffix sums are therefore copied into node order.  Returns one value
-    per row.
+    the bits of a one-row ``np.dot`` (see :func:`_suffix_sums`).  Returns
+    one value per row.
     """
     tm = t * m
     if form is CPlusForm.A:
         prefix = np.cumsum(tm, axis=-1) - tm  # sum_{k<j} t_k m_k
         return 2.0 * np.vecdot(m, prefix) + np.vecdot(tm, m)
-    S = np.ascontiguousarray(np.cumsum(m[..., ::-1], axis=-1)[..., ::-1])  # S_i = sum_{k>=i} m_k
+    S = _suffix_sums(m)
     if form is CPlusForm.B:
         return 2.0 * np.vecdot(tm, S - m) + np.vecdot(tm, m)  # S - m = sum_{k>j} m_k
     if form is CPlusForm.C:
@@ -189,22 +197,14 @@ def _b_rows(f: np.ndarray, g: np.ndarray, grid: Grid):
     """Min-kernel form b[f, g] along the last axis of two sample arrays.
 
     Each closed half-axis adds h * sum_{i>=1} S_i[f] S_i[g], where
-    S_i = sum_{k>=i} m_k are the suffix sums of the half-axis point masses
-    (form C of C+, polarized).  The suffix sums are copied into node order
-    and contiguous rows: there ``np.vecdot`` gives every row the bits of a
-    one-row ``np.dot`` (on reversed strided views it sums in another
-    order), so a row's value does not depend on the block it sits in.
-    Returns one value per row.
+    S_i = sum_{k>=i} m_k are the suffix sums (:func:`_suffix_sums`) of the
+    half-axis point masses (form C of C+, polarized).  Returns one value
+    per row.
     """
-
-    def suffix(a, side):
-        m = _half_axis(a, grid, side)[1]
-        return np.ascontiguousarray(np.cumsum(m[..., ::-1], axis=-1)[..., -2::-1])  # S_1 .. S_n-1
-
     acc = 0.0
     for side in (+1, -1):
-        sf = suffix(f, side)
-        sg = sf if g is f else suffix(g, side)
+        sf = _suffix_sums(_half_axis(f, grid, side)[1])[..., 1:]  # S_1 .. S_n-1
+        sg = sf if g is f else _suffix_sums(_half_axis(g, grid, side)[1])[..., 1:]
         acc = acc + grid.h * np.vecdot(sf, sg)
     return acc
 

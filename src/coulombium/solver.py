@@ -9,10 +9,10 @@ through ``_descend``'s backtracking along the method's own path.  One
 driver builds the grid, V_bg and the start (a supplied start's two end
 values are zeroed), records the trace and applies the single stopping
 rule: an iterate is the ground state when its Euler-Lagrange residual
-(|(H - eps) u| at its multiplier, from :mod:`coulombium.energy`'s one
-stencil on the V the iterate holds) is at most tol_residual and its
-objective moved by at most tol_energy from the previous iterate's (the
-start's, for the first).  A ground state exists when the background's
+(|(H - eps) u| at its multiplier, the Rayleigh quotient ``ray`` of its
+objective, from :mod:`coulombium.energy`'s one stencil on the V the
+iterate holds) is at most tol_residual and its objective moved by at
+most tol_energy from the previous iterate's (the start's, for the first).  A ground state exists when the background's
 charge ratio z = -total charge is at least 1, and below 1 the energy is
 unbounded (the subcritical family in :mod:`coulombium.diagnostics`).
 ``require_bound_state`` alone decides it, raising :class:`DivergingEnergyError`
@@ -32,8 +32,7 @@ from scipy.linalg.lapack import dpttrs
 
 from .background import BackgroundCharge, background_potential, recenter_shift, total_charge
 from .energy import (Candidate, EnergyBreakdown, _background_const, _hamiltonian_factor,
-                     _rayleigh_quotient, _residual_norm, _shifted_hamiltonian, candidate_energy,
-                     solver_objective)
+                     _residual_norm, _shifted_hamiltonian, candidate_energy, solver_objective)
 from .errors import (
     DivergingEnergyError,
     LineSearchStalledError,
@@ -199,10 +198,9 @@ def default_initial_guess(bg: BackgroundCharge, grid: Grid) -> Samples:
     return normalize(Samples(grid, vals))
 
 
-def _check_tail(u: Samples):
+def _check_tail(c: Candidate):
     """Warn when a converged state carries mass near the domain's edge."""
-    g = u.grid
-    sq = u.values * u.values
+    g, sq = c.u.grid, c.density
     mask = np.abs(g.x) > _BOUNDARY_FRACTION * g.L
     tail = float(np.dot(g.weights[mask], sq[mask])) / float(np.dot(g.weights, sq))
     if tail > _TAIL_MASS_LIMIT:
@@ -243,7 +241,7 @@ def require_bound_state(bg: BackgroundCharge) -> None:
 
 
 def _solve(name: str, iterates, bg: BackgroundCharge, cfg, u0) -> GroundState:
-    """Trace and stop the ``(candidate, eps, residual)`` that ``iterates`` yields.
+    """Trace and stop the ``(candidate, residual)`` that ``iterates`` yields.
 
     A subcritical background raises :class:`DivergingEnergyError`
     (``require_bound_state``), with an empty trace, before any iterate.
@@ -262,13 +260,13 @@ def _solve(name: str, iterates, bg: BackgroundCharge, cfg, u0) -> GroundState:
     prev = start.objective
     history: list = []
     try:
-        for it, (cur, eps, res) in enumerate(islice(iterates(start, v_bg), cfg.max_iter), 1):
+        for it, (cur, res) in enumerate(islice(iterates(start, v_bg), cfg.max_iter), 1):
             res = float(res)
             history.append((cur.objective, res))
             if res <= cfg.tol_residual and abs(cur.objective - prev) <= cfg.tol_energy:
-                _check_tail(cur.u)
+                _check_tail(cur)
                 energy = candidate_energy(cur, _background_const(bg, v_bg))
-                return GroundState(cur, eps, res, energy, it, True, history)
+                return GroundState(cur, cur.ray, res, energy, it, True, history)
             prev = cur.objective
     except SolverError as exc:
         exc.history = history
@@ -306,9 +304,9 @@ def scf_solve(
     weight only shrinks while rounding noise refuses good ones).  The first
     pass has no difference and is always damped.  So every accepted iterate
     passes the one Armijo test.  Each iterate's multiplier is its own
-    Rayleigh quotient <u, H u> (the eigenvalue belongs to the previous
-    iterate's V) and its residual is |(H - <u, H u>) u| on the V it holds,
-    as in the gradient solver; the next pass's slope reuses that quotient.
+    Rayleigh quotient <u, H u>, read with its objective (the eigenvalue
+    belongs to the previous iterate's V), and its residual is
+    |(H - <u, H u>) u| on the V it holds, as in the gradient solver.
     """
 
     def iterates(cur: Candidate, v_bg: Samples):
@@ -321,16 +319,15 @@ def scf_solve(
         pairs = 0  # differences taken since the last reset
         prev = None  # (u^2, f) of the previous pass
         u_lin = None
-        ray = _rayleigh_quotient(cur)
         while True:
             eps, u_lin = ground_eigenpair(cur.V, u_lin)
-            u2 = cur.u.values**2
+            u2 = cur.density
             f = u_lin.values**2 - u2
             # The objective is convex in the density, so its slope along the
             # mixing direction is at most eps - <u, H u> <= 0.  Asking for a
             # share of that decrease keeps the damping from settling into a
             # two-cycle whose objective barely falls while its residual stays.
-            slope = eps - ray
+            slope = eps - cur.ray
             trial = None
             if prev is not None:
                 slot, held = pairs % _SCF_DEPTH, min(pairs + 1, _SCF_DEPTH)
@@ -350,9 +347,8 @@ def scf_solve(
                 trial = _descend(cur, v_bg, lambda a: np.sqrt(u2 + a * f), _SCF_FIRST_MIX,
                                  slope)[0]
             cur = trial
-            ray = _rayleigh_quotient(cur)
-            r = _shifted_hamiltonian(cur.u.values, cur.V.values, grid.h, ray)
-            yield cur, ray, _residual_norm(r, grid.h)
+            r = _shifted_hamiltonian(cur.u.values, cur.V.values, grid.h, cur.ray)
+            yield cur, _residual_norm(r, grid.h)
 
     return _solve("scf", iterates, bg, cfg, u0)
 
@@ -401,21 +397,20 @@ def gradient_solve(
             return float(np.dot(w * a, b))
 
         def tangent_gradient(c: Candidate):
-            ray = _rayleigh_quotient(c)
-            r = _shifted_hamiltonian(c.u.values, c.V.values, h, ray)
+            r = _shifted_hamiltonian(c.u.values, c.V.values, h, c.ray)
             gt = 2.0 * r
             sol, _ = dpttrs(pd, pe, np.column_stack((gt[1:-1], c.u.values[1:-1])))
             pg, pu = sol.T
             d = np.zeros_like(gt)
             d[1:-1] = pg - (np.dot(c.u.values[1:-1], pg) / np.dot(c.u.values[1:-1], pu)) * pu
-            return ray, _residual_norm(r, h), gt, d
+            return _residual_norm(r, h), gt, d
 
-        ray, res, gt, d = tangent_gradient(cur)
+        res, gt, d = tangent_gradient(cur)
         step = 0.5  # before the first Barzilai-Borwein quotient
         while True:
-            yield cur, ray, res
+            yield cur, res
             trial, st = _descend(cur, v_bg, lambda s: cur.u.values - s * d, step, -inner(gt, d))
-            ray, res, gt_new, d_new = tangent_gradient(trial)
+            res, gt_new, d_new = tangent_gradient(trial)
             dg = gt_new - gt
             curv, den = inner(trial.u.values - cur.u.values, dg), inner(dg, d_new - d)
             # along negative curvature the quotient means nothing: keep the step taken

@@ -84,8 +84,11 @@ def random_zero_mean_compact(grid, rng, rows=None):
     """Random rough samples, zero outside a core and exactly zero-mean.
 
     As :func:`random_density`: :class:`Samples`, or a ``(rows, N)`` block
-    of successive draws.
+    of successive draws.  Raises ValueError for N < 7, where the two-node
+    margins leave at most one core node, which a zero mean sets to 0.
     """
+    if grid.N < 7:
+        raise ValueError(f"a zero-mean compact draw needs at least 7 nodes, got N = {grid.N}")
     margin = max(2, grid.N // 8)
     core = slice(margin, grid.N - margin)
     shape = () if rows is None else (rows,)

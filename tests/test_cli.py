@@ -150,14 +150,16 @@ def test_non_finite_background_file_is_usage_error(tmp_path, capsys, row, messag
 @pytest.mark.parametrize("argv,code,message", [
     (["solve", "--z", "2", "--max-iter", "2"], 2,
      "solver did not converge: scf did not converge in 2 iterations"),
-    (["scan", "--z-list", "2,abc"], 1, "cannot parse z list '2,abc'"),
+    (["scan", "--z-list", "2,abc"], 1, "error: cannot parse z list '2,abc'"),
+    (["scan", "--z-list", ","], 1, "error: empty z list"),
     (["solve", "--z", "2", "--config", "missing.ini"], 1,
      "error: cannot read config file missing.ini"),
     (["solve", "--z", "2", "--tol-energy", "abc"], 1,
      "error: tol_energy: cannot read 'abc' as float"),
     (["solve", "--background-file", "one_column.dat"], 1,
      "error: expected two columns (x, rho) in one_column.dat"),
-], ids=["solver-error", "z-list", "config-file", "non-number", "one-column-file"])
+], ids=["solver-error", "z-list", "empty-z-list", "config-file", "non-number",
+        "one-column-file"])
 def test_failing_command_exits_with_its_code_and_writes_nothing(tmp_path, capsys, monkeypatch,
                                                                  argv, code, message):
     monkeypatch.chdir(tmp_path)
@@ -364,7 +366,7 @@ def test_scan_rejects_method_both(tmp_path, capsys):
     out = tmp_path / "s"
     code = run_cli(["scan", "--z-list", "2", "--method", "both", "--output", str(out)])
     assert code == 1
-    assert "one method" in capsys.readouterr().err
+    assert "error: scan runs one method, scf or gd, not 'both'" in capsys.readouterr().err
     assert not (tmp_path / "s.csv").exists()
 
 
@@ -492,20 +494,6 @@ def test_verify_suites_pass(suite, capsys):
     assert f"suite {suite}: PASS" in out
 
 
-def test_verify_bnorm_seed0_output_is_pinned(capsys):
-    # recorded from the pair-by-pair suite; the blocked suite must print the same
-    assert run_cli(["verify", "bnorm", "--seed", "0"]) == 0
-    assert capsys.readouterr().out.splitlines() == [
-        "suite bnorm: PASS",
-        "  cauchy_schwarz_violations = 0",
-        "  homogeneity_violations = 0",
-        "  triangle_violations = 0",
-        "  uniform_convexity_violations = 0",
-        "  worst_convexity_excess = -1656.77",
-        "  worst_triangle_excess = -1.59863",
-    ]
-
-
 @pytest.mark.parametrize("suite,lines", [
     ("forms", ["  max_rel_deviation = 1.64489e-15"]),
     ("rearrange", [
@@ -517,9 +505,18 @@ def test_verify_bnorm_seed0_output_is_pinned(capsys):
         "  min_inner_product = 0.446809",
         "  worst_identity_rel_err = 2.04345e-15",
     ]),
+    ("bnorm", [
+        "  cauchy_schwarz_violations = 0",
+        "  homogeneity_violations = 0",
+        "  triangle_violations = 0",
+        "  uniform_convexity_violations = 0",
+        "  worst_convexity_excess = -1656.77",
+        "  worst_triangle_excess = -1.59863",
+    ]),
 ])
 def test_verify_seed0_output_is_pinned(suite, lines, capsys):
-    # recorded from the trial-by-trial suites; the block suites must print the same
+    # recorded from the trial-by-trial (bnorm: pair-by-pair) suites; the
+    # block suites must print the same
     assert run_cli(["verify", suite, "--seed", "0"]) == 0
     assert capsys.readouterr().out.splitlines() == [f"suite {suite}: PASS", *lines]
 

@@ -26,8 +26,7 @@ from coulombium import (
     solver_objective,
     total_energy,
 )
-from coulombium.energy import (Candidate, _hamiltonian_factor, _rayleigh_quotient,
-                               _residual_norm, _shifted_hamiltonian)
+from coulombium.energy import _hamiltonian_factor, _residual_norm, _shifted_hamiltonian
 from coulombium.kernel import dense_coulomb_pair_energy, dense_potential_from_density
 from coulombium.verify import random_smooth
 
@@ -186,18 +185,17 @@ def test_boundary_flux_diagnostic_small_for_neutral():
 @settings(max_examples=100, deadline=None, database=None)
 @given(half=st.integers(1, 400), L=st.floats(0.5, 40.0), seed=st.integers(0, 2**32 - 1))
 def test_rayleigh_quotient_is_the_stencils_quadratic_form(half, L, seed):
-    # <u, H u> = kinetic + int V u^2 holds by summation by parts for zero-ended u
+    # the objective's ray = kinetic + (int V_bg u^2 + int V_el u^2) is
+    # <u, H u> = h sum u (H u) by summation by parts for zero-ended u
     g = Grid(L, 2 * half + 1)
     rng = np.random.default_rng(seed)
     u = Samples(g, rng.standard_normal(g.N))
     u.values[0] = u.values[-1] = 0.0
-    V = Samples(g, rng.standard_normal(g.N))
-    kin = kinetic_energy(u)
-    rq = _rayleigh_quotient(Candidate(u, V, kin, 0.0, 0.0))
-    hu = _shifted_hamiltonian(u.values, V.values, g.h, 0.0)
+    c = solver_objective(u, Samples(g, rng.standard_normal(g.N)))
+    hu = _shifted_hamiltonian(u.values, c.V.values, g.h, 0.0)
     # V changes sign, so the error is measured against kinetic + int |V| u^2
-    scale = kin + float(np.dot(g.weights, np.abs(V.values) * u.values**2))
-    assert abs(rq - float(np.dot(g.weights * u.values, hu))) <= 1e-12 * scale
+    scale = c.kinetic + float(np.dot(g.weights, np.abs(c.V.values) * c.density))
+    assert abs(c.ray - g.h * float(np.dot(u.values, hu))) <= 1e-12 * scale
 
 
 @settings(max_examples=60, deadline=None, database=None)
@@ -224,10 +222,13 @@ def test_in_place_kernels_keep_the_bits_of_their_expression_forms(half, L, seed)
     sq = u.values * u.values
     v_el = potential_from_density(u.with_values(sq)).values
     c = solver_objective(u, v_bg)
-    coul = 2.0 * float(np.dot(w, v_bg.values * sq)) + float(np.dot(w * sq, v_el))
+    bg, pair = float(np.dot(w, v_bg.values * sq)), float(np.dot(w * sq, v_el))
+    coul = 2.0 * bg + pair
     assert np.array_equal(c.V.values, v_el + v_bg.values)
+    assert np.array_equal(c.density, u.values**2)
     assert (c.kinetic, c.coulomb) == (kinetic_energy(u), coul)
     assert c.objective == c.kinetic + 0.5 * coul
+    assert c.ray == c.kinetic + (bg + pair)
 
 
 @settings(max_examples=100, deadline=None, database=None)

@@ -24,19 +24,35 @@ from coulombium.verify import random_density, random_zero_mean_compact
        rows=st.integers(1, 9))
 def test_block_draws_are_successive_one_row_draws(half, L, seed, rows):
     # a suite's block keeps the data its seed gave trial by trial (the
-    # zero-mean core needs N >= 5)
+    # zero-mean draw needs N >= 7)
     grid = Grid(L, 2 * half + 1)
     draws = [
         lambda rng, rows=None: random_density(grid, rng, rows=rows),
         lambda rng, rows=None: random_density(grid, rng, normalized=True, rows=rows),
-        lambda rng, rows=None: random_zero_mean_compact(grid, rng, rows=rows),
     ]
+    if grid.N >= 7:
+        draws.append(lambda rng, rows=None: random_zero_mean_compact(grid, rng, rows=rows))
     for draw in draws:
         block = draw(np.random.default_rng(seed), rows=rows)
         rng = np.random.default_rng(seed)
         assert block.shape == (rows, grid.N)
         for i in range(rows):
             assert np.array_equal(block[i], draw(rng).values)
+
+
+@pytest.mark.parametrize("n", [3, 5])
+@pytest.mark.parametrize("rows", [None, 2])
+def test_zero_mean_draw_refuses_a_grid_below_seven_nodes(n, rows):
+    # N = 3 leaves no core and N = 5 one node, which the zero mean sets to 0
+    with pytest.raises(ValueError, match=f"at least 7 nodes, got N = {n}"):
+        random_zero_mean_compact(Grid(1.0, n), np.random.default_rng(0), rows=rows)
+
+
+def test_zero_mean_draw_on_seven_nodes_is_nonzero_and_zero_mean():
+    grid = Grid(1.0, 7)
+    f = random_zero_mean_compact(grid, np.random.default_rng(0))
+    assert np.any(f.values != 0.0)
+    assert abs(float(np.dot(grid.weights, f.values))) <= 1e-15
 
 
 def test_forms_suite_fails_a_perturbed_form(monkeypatch):
