@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
-import csv
+import functools
 import inspect
 import json
 import sys
@@ -112,7 +112,9 @@ def _subparser(sub, command: str, help: str) -> argparse.ArgumentParser:
     return p
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it unchanged."""
     p = argparse.ArgumentParser(
         prog="coulombium",
         description="Ground states of the 1-D Schrodinger-Coulomb system",
@@ -168,14 +170,23 @@ def _config_lines(cfg: argparse.Namespace):
     return [f"# schema_version={SCHEMA_VERSION}", f"# config {pairs}"]
 
 
+def _csv_cells(column):
+    """A column's cells: ``repr`` mapped over a column of floats, :func:`_fmt` otherwise."""
+    return map(repr if set(map(type, column)) == {float} else _fmt, column)
+
+
 def _write_csv(path, cfg, table, comments=()):
-    """Write ``table``, a dict of equal-length columns, below the config lines; return path."""
+    """Write ``table``, a dict of equal-length columns, below the config lines; return path.
+
+    The header and rows are joined as the ``csv`` module's default dialect
+    writes them: a comma between cells and CR LF after each row.  The cells
+    are numbers, blanks and plain words, none of which that dialect quotes.
+    """
+    rows = zip(*map(_csv_cells, table.values()))
     with open(path, "w", newline="") as fh:
         for line in (*_config_lines(cfg), *comments):
             fh.write(line + "\n")
-        writer = csv.writer(fh)
-        writer.writerow(table.keys())
-        writer.writerows(zip(*(map(_fmt, column) for column in table.values())))
+        fh.write("\r\n".join(map(",".join, (table.keys(), *rows))) + "\r\n")
     return path
 
 
@@ -220,8 +231,8 @@ def cmd_solve(args) -> int:
             states["scf"].candidate.objective - states["gd"].candidate.objective
         )
 
-    u = primary.u.values
-    table = {"x": primary.u.grid.x.tolist(), "u": u.tolist(), "u2": (u**2).tolist(),
+    table = {"x": primary.u.grid.x.tolist(), "u": primary.u.values.tolist(),
+             "u2": primary.candidate.density.tolist(),
              "V": primary.candidate.V.values.tolist()}
     trace = {"iteration": list(range(1, len(primary.history) + 1)),
              "objective": [e for e, _ in primary.history],
@@ -251,14 +262,13 @@ def _scan_row(solve, solver_cfg: SolverConfig, bg: PointCharge):
         state = solve(bg, solver_cfg)
     except SolverError:
         return {"z": bg.z, "status": "no_convergence"}
-    sq = state.u.with_values(state.u.values**2)
     return {
         "z": bg.z,
         "E": state.energy.total,
         "epsilon": state.epsilon,
         "kinetic": state.energy.kinetic,
         "coulomb": state.energy.coulomb,
-        "moment1": moment(sq, 1.0),
+        "moment1": moment(state.u.with_values(state.candidate.density), 1.0),
         "iterations": state.iterations,
         "status": "ok",
     }

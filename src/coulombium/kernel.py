@@ -21,12 +21,13 @@ can prove the prefix-sum algebra.
 Each quantity the ``verify`` suites use has one array-level evaluation
 along the last axis: ``_potential_rows`` (the potential),
 ``_c_plus_rows`` (the four C+ forms), ``_b_rows`` (the min-kernel form
-b[f, g]), ``_g_form`` (the g-kernel form) and ``_b_norm_rows`` (the
-quartic norm).  ``potential_from_density``, ``c_plus``, ``b_form``,
-``c_functional`` and ``b_norm`` pass them one row, the suites a block of
-rows, and each row gets the same bits either way: every reduction is an
-``np.vecdot`` over contiguous rows, and every prefix sum runs along the
-row.
+b[f, g]: ``_b_dot`` of the suffix sums ``_b_sums`` of f and of g),
+``_g_form`` (the g-kernel form) and ``_b_norm_rows`` (the quartic norm,
+``_quartic_root`` of b[u^2, u^2]).  ``potential_from_density``,
+``c_plus``, ``b_form``, ``c_functional`` and ``b_norm`` pass them one
+row, the suites a block of rows, and each row gets the same bits either
+way: every reduction is an ``np.vecdot`` over contiguous rows, and every
+prefix sum runs along the row.
 """
 
 from __future__ import annotations
@@ -146,12 +147,15 @@ def _half_axis(values: np.ndarray, grid: Grid, side: int):
 
 
 def _suffix_sums(m: np.ndarray) -> np.ndarray:
-    """S_i = sum_{k>=i} m_k along the last axis, copied into node order.
+    """S_i = sum_{k>=i} m_k along the last axis, contiguous and in node order.
 
+    The sums run from the end into a reversed view of the result:
     ``np.vecdot`` gives a contiguous row the bits of a one-row ``np.dot``
     but sums a reversed strided view in another order.
     """
-    return np.ascontiguousarray(np.cumsum(m[..., ::-1], axis=-1)[..., ::-1])
+    S = np.empty(m.shape)
+    np.cumsum(m[..., ::-1], axis=-1, out=S[..., ::-1])
+    return S
 
 
 def _c_plus_rows(t: np.ndarray, m: np.ndarray, h: float, form: CPlusForm):
@@ -193,20 +197,33 @@ def dense_c_plus(f: Samples) -> float:
     return float(m @ np.minimum.outer(t, t) @ m)
 
 
-def _b_rows(f: np.ndarray, g: np.ndarray, grid: Grid):
-    """Min-kernel form b[f, g] along the last axis of two sample arrays.
+def _b_sums(f: np.ndarray, grid: Grid) -> np.ndarray:
+    """Suffix sums S_1 .. S_n-1 of both closed half-axes of f, along the last axis.
 
-    Each closed half-axis adds h * sum_{i>=1} S_i[f] S_i[g], where
-    S_i = sum_{k>=i} m_k are the suffix sums (:func:`_suffix_sums`) of the
-    half-axis point masses (form C of C+, polarized).  Returns one value
-    per row.
+    S_i = sum_{k>=i} m_k (:func:`_suffix_sums`) of the half-axis point
+    masses, x >= 0 then x <= 0 on a new second-to-last axis, so the result
+    has shape ``f.shape[:-1] + (2, n - 1)``.  They are the half of the
+    min-kernel form that depends on f alone (:func:`_b_dot`).
     """
-    acc = 0.0
-    for side in (+1, -1):
-        sf = _suffix_sums(_half_axis(f, grid, side)[1])[..., 1:]  # S_1 .. S_n-1
-        sg = sf if g is f else _suffix_sums(_half_axis(g, grid, side)[1])[..., 1:]
-        acc = acc + grid.h * np.vecdot(sf, sg)
-    return acc
+    # S_1 .. S_n-1 do not read the origin's mass
+    m = np.stack([_half_axis(f, grid, side)[1][..., 1:] for side in (+1, -1)], axis=-2)
+    return _suffix_sums(m)
+
+
+def _b_dot(sf: np.ndarray, sg: np.ndarray, h: float):
+    """Min-kernel form b[f, g] from the suffix sums of f and g (:func:`_b_sums`).
+
+    Each closed half-axis adds h * sum_{i>=1} S_i[f] S_i[g] (form C of C+,
+    polarized).  Returns one value per row.
+    """
+    d = np.vecdot(sf, sg)
+    return h * d[..., 0] + h * d[..., 1]
+
+
+def _b_rows(f: np.ndarray, g: np.ndarray, grid: Grid):
+    """Min-kernel form b[f, g] along the last axis of two sample arrays."""
+    sf = _b_sums(f, grid)
+    return _b_dot(sf, sf if g is f else _b_sums(g, grid), grid.h)
 
 
 def _g_form(f: np.ndarray, grid: Grid, z: float):
@@ -221,15 +238,20 @@ def _g_form(f: np.ndarray, grid: Grid, z: float):
     return (z - 1.0) * s0 * m1 + _b_rows(f, f, grid)
 
 
-def _b_norm_rows(u: np.ndarray, grid: Grid):
-    """Quartic norm b[u^2, u^2]^(1/4) along the last axis.
+def _quartic_root(b):
+    """b^(1/4), the quartic norm from b[u^2, u^2].
 
     The fourth root is two correctly rounded square roots, which give a
     row the same bits alone and inside a block (a vectorized ``** 0.25``
     need not).
     """
+    return np.sqrt(np.sqrt(b))
+
+
+def _b_norm_rows(u: np.ndarray, grid: Grid):
+    """Quartic norm b[u^2, u^2]^(1/4) along the last axis."""
     sq = u * u
-    return np.sqrt(np.sqrt(_b_rows(sq, sq, grid)))
+    return _quartic_root(_b_rows(sq, sq, grid))
 
 
 def c_functional(f: Samples, z: float, warn_unnormalized: bool = True) -> float:

@@ -7,13 +7,14 @@ same generators are reused by the test suite.
 
 The seeded suites evaluate their trials as blocks of rows through the
 kernels' array-level forms (``_potential_rows``, ``_c_plus_rows``,
-``_b_rows``, ``_g_form`` and ``rearrange._rearrange_rows``), which give
-every row the bits of the one-row public call.  ``forms``, ``rearrange``
-and ``innerprod`` draw all their trials as one block: a ``(k, N)`` draw
-from a NumPy generator is the same stream as k draws of N, so a seed
-gives the same data, and the same report, as a trial-by-trial loop.
-``bnorm`` interleaves u, v and the scale per pair, so it fills its
-blocks pair by pair.
+``_b_sums`` and ``_b_dot``, ``_g_form`` and ``rearrange._rearrange_rows``),
+which give every row the bits of the one-row public call.  Each suite
+draws its data as blocks: a ``(k, N)`` draw from a NumPy generator is the
+same stream as k draws of N, so ``forms``, ``rearrange`` and
+``innerprod`` give a seed the same data, and the same report, as a
+trial-by-trial loop.  ``bnorm`` draws all u, then all v, then all scales,
+and takes the half-axis suffix sums of each of a pair's five squares
+once, sharing them among the forms and norms it reads.
 """
 
 from __future__ import annotations
@@ -27,12 +28,13 @@ from .diagnostics import unboundedness_scan
 from .grid import Grid, Samples
 from .kernel import (
     CPlusForm,
-    _b_norm_rows,
-    _b_rows,
+    _b_dot,
+    _b_sums,
     _c_plus_rows,
     _g_form,
     _half_axis,
     _potential_rows,
+    _quartic_root,
     _require_zero_mean,
     coulomb_pair_energy,
 )
@@ -116,45 +118,48 @@ def forms_suite(seed=0) -> SuiteReport:
     return SuiteReport("forms", {"max_rel_deviation": worst}, fails)
 
 
-_BNORM_BLOCK = 64  # pairs per kernel call: amortizes the call overhead, keeps the arrays small
+# pairs per kernel call: five (64, 201) squares amortize the call overhead and keep
+# the arrays small
+_BNORM_BLOCK = 64
 
 
 def bnorm_suite(seed=0) -> SuiteReport:
     """Norm axioms for the quartic functional on 1000 random sample pairs.
 
-    Each pair draws u, then v, then the scale lambda, in the same order as
-    a pair-by-pair loop, so a seed always gives the same data.  The four
-    axioms (homogeneity, triangle, Cauchy-Schwarz for b on squares, uniform
-    convexity) are then tested on blocks of ``_BNORM_BLOCK`` pairs at once
-    through the kernel's array-level form and norm, whose value for each
-    row is that of :func:`b_form` and :func:`b_norm` on the row alone.
+    All u are drawn as one block, then all v, then all scales lambda.  Each
+    block of ``_BNORM_BLOCK`` pairs stacks its five squares u^2, v^2,
+    (lambda u)^2, (u+v)^2 and (u-v)^2 and takes their half-axis suffix sums
+    once; b[u^2, u^2], b[v^2, v^2], b[u^2, v^2] and the five norms are dots
+    of those sums, each row with the bits of :func:`b_form` and
+    :func:`b_norm` on the row alone.  The four axioms (homogeneity,
+    triangle, Cauchy-Schwarz for b on squares, uniform convexity) are then
+    tested on all pairs at once.
     """
     rng = np.random.default_rng(seed)
     pairs, N = 1000, 201
     grid = Grid(8.0, N)
-    viol_h = viol_t = viol_cs = viol_uc = 0
-    worst_t = worst_uc = -np.inf
+    u = rng.standard_normal((pairs, N))
+    v = rng.standard_normal((pairs, N))
+    lam = rng.uniform(-3.0, 3.0, pairs)
+    b = np.empty((5, pairs))  # b[s, s] for the five squares s of each pair
+    buv = np.empty(pairs)  # b[u^2, v^2]
     for start in range(0, pairs, _BNORM_BLOCK):
-        n = min(_BNORM_BLOCK, pairs - start)
-        u, v, lam = np.empty((n, N)), np.empty((n, N)), np.empty(n)
-        for i in range(n):
-            rng.standard_normal(out=u[i])
-            rng.standard_normal(out=v[i])
-            lam[i] = rng.uniform(-3.0, 3.0)
-        bu, bv = _b_norm_rows(u, grid), _b_norm_rows(v, grid)
-        scaled = np.abs(lam) * bu
-        blam = _b_norm_rows(lam[:, None] * u, grid)
-        viol_h += np.count_nonzero(np.abs(blam - scaled) > 1e-12 * (1.0 + scaled))
-        bsum = _b_norm_rows(u + v, grid)
-        worst_t = max(worst_t, float(np.max(bsum - bu - bv)))
-        viol_t += np.count_nonzero(bsum > bu + bv + 1e-12)
-        usq, vsq = u**2, v**2
-        cs = _b_rows(usq, vsq, grid) - np.sqrt(_b_rows(usq, usq, grid) * _b_rows(vsq, vsq, grid))
-        viol_cs += np.count_nonzero(cs > 1e-12)
-        bdif = _b_norm_rows(u - v, grid)
-        uc = bdif**4 + bsum**4 - 4.0 * (bu**2 + bv**2) ** 2
-        worst_uc = max(worst_uc, float(np.max(uc)))
-        viol_uc += np.count_nonzero(uc > 1e-10)
+        blk = slice(start, start + _BNORM_BLOCK)
+        ub, vb = u[blk], v[blk]
+        sq = np.stack((ub, vb, lam[blk, None] * ub, ub + vb, ub - vb))
+        sq *= sq
+        S = _b_sums(sq, grid)
+        b[:, blk] = _b_dot(S, S, grid.h)
+        buv[blk] = _b_dot(S[0], S[1], grid.h)
+    bu, bv, blam, bsum, bdif = _quartic_root(b)
+    scaled = np.abs(lam) * bu
+    viol_h = np.count_nonzero(np.abs(blam - scaled) > 1e-12 * (1.0 + scaled))
+    worst_t = float(np.max(bsum - bu - bv))
+    viol_t = np.count_nonzero(bsum > bu + bv + 1e-12)
+    viol_cs = np.count_nonzero(buv - np.sqrt(b[0] * b[1]) > 1e-12)
+    uc = bdif**4 + bsum**4 - 4.0 * (bu**2 + bv**2) ** 2
+    worst_uc = float(np.max(uc))
+    viol_uc = np.count_nonzero(uc > 1e-10)
     total = viol_h + viol_t + viol_cs + viol_uc
     fails = [f"{total} axiom violations over {pairs} pairs"] if total else []
     return SuiteReport(

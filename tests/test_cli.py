@@ -1,9 +1,15 @@
+import argparse
 import csv
 import json
+import math
 import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import coulombium.background
 import coulombium.kernel
@@ -510,13 +516,13 @@ def test_verify_suites_pass(suite, capsys):
         "  homogeneity_violations = 0",
         "  triangle_violations = 0",
         "  uniform_convexity_violations = 0",
-        "  worst_convexity_excess = -1656.77",
-        "  worst_triangle_excess = -1.59863",
+        "  worst_convexity_excess = -1692.44",
+        "  worst_triangle_excess = -1.82559",
     ]),
 ])
 def test_verify_seed0_output_is_pinned(suite, lines, capsys):
-    # recorded from the trial-by-trial (bnorm: pair-by-pair) suites; the
-    # block suites must print the same
+    # recorded from the trial-by-trial suites (bnorm: from its block draws
+    # of all u, then all v, then all scales); the block suites must print the same
     assert run_cli(["verify", suite, "--seed", "0"]) == 0
     assert capsys.readouterr().out.splitlines() == [f"suite {suite}: PASS", *lines]
 
@@ -589,3 +595,94 @@ def test_trace_cells_are_plain_floats(tmp_path, method):
     for row in rows[1:]:
         assert len(row) == 3
         [float(cell) for cell in row]
+
+
+def _csv_writer_reference(path, cfg, table, comments=()):
+    """The table written cell by cell through ``_fmt`` and ``csv.writer``."""
+    with open(path, "w", newline="") as fh:
+        for line in (*cli._config_lines(cfg), *comments):
+            fh.write(line + "\n")
+        writer = csv.writer(fh)
+        writer.writerow(table.keys())
+        writer.writerows(zip(*(map(cli._fmt, column) for column in table.values())))
+
+
+def _assert_csv_matches_reference(table, comments=()):
+    cfg = argparse.Namespace(L=12.0, N=241, output="t")
+    with tempfile.TemporaryDirectory() as d:
+        got, want = Path(d, "got.csv"), Path(d, "want.csv")
+        cli._write_csv(got, cfg, table, comments)
+        _csv_writer_reference(want, cfg, table, comments)
+        assert got.read_bytes() == want.read_bytes()
+
+
+_FLOATS = st.one_of(st.floats(),
+                    st.sampled_from([-0.0, 1e-05, 1e16, math.inf, -math.inf, math.nan]))
+# scan's cells: floats, ints, blanks and status words, in one column
+_SCAN_CELLS = st.one_of(_FLOATS, st.integers(0, 10**6),
+                        st.sampled_from(["", "ok", "no_convergence"]))
+
+
+@st.composite
+def _tables(draw):
+    """Tables shaped like solve's and scan's: 2-8 equal columns of floats, ints or scan cells.
+
+    A one-column row holding one blank, the one row ``csv`` would quote, never occurs.
+    """
+    rows = draw(st.integers(1, 20))
+    names = draw(st.lists(st.sampled_from(["x", "u", "u2", "V", "iteration", "objective", "z",
+                                           "E", "moment1", "iterations", "status"]),
+                          min_size=2, max_size=8, unique=True))
+    kinds = [_FLOATS, st.integers(-10**12, 10**12), _SCAN_CELLS]
+    return {name: draw(st.lists(draw(st.sampled_from(kinds)), min_size=rows, max_size=rows))
+            for name in names}
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(table=_tables(), summary=st.booleans())
+def test_write_csv_writes_the_csv_writer_bytes(table, summary):
+    _assert_csv_matches_reference(table, ["# summary E=-0.0 iterations=3"] if summary else [])
+
+
+def test_write_csv_writes_the_csv_writer_bytes_for_full_tables():
+    # a solve's 2001-row table and trace, and a scan with a failed row
+    x = np.linspace(-30.0, 30.0, 2001)
+    u = np.exp(-np.abs(x))
+    _assert_csv_matches_reference(
+        {"x": x.tolist(), "u": u.tolist(), "u2": (u * u).tolist(), "V": (0.5 * x).tolist()})
+    _assert_csv_matches_reference({"iteration": list(range(1, 31)),
+                                   "objective": np.geomspace(1.0, 1e-12, 30).tolist(),
+                                   "residual": np.geomspace(1e-1, 1e-16, 30).tolist()})
+    rows = [{"z": 1.0, "status": "no_convergence"},
+            {"z": 2.0, "E": 1.26, "epsilon": 0.47, "kinetic": 0.25, "coulomb": 1.0,
+             "moment1": 0.78, "iterations": 6, "status": "ok"}]
+    _assert_csv_matches_reference(
+        {col: [row.get(col, "") for row in rows] for col in cli._SCAN_COLUMNS})
+
+
+def test_cached_parser_gives_a_fresh_parsers_output(tmp_path, monkeypatch, capsys):
+    # main parses every call with one parser; a sequence of calls through it
+    # prints and writes what a parser built for each call does
+    assert cli.build_parser() is cli.build_parser()
+    argvs = [["solve", "--bogus"], ["verify", "bnorm", "--seed", "3"], ["verify", "delta"],
+             ["solve", "--z", "2", "--L", "12", "--N", "241", "--output", "s"],
+             ["verify", "delta", "--z", "2"]]
+
+    def record(side):
+        monkeypatch.chdir(tmp_path / side)
+        calls = []
+        for argv in argvs:
+            code = main(argv)
+            out, err = capsys.readouterr()
+            calls.append((code, out, err))
+        files = {p.name: p.read_bytes() for p in sorted(Path().iterdir())}
+        return calls, files
+
+    (tmp_path / "cached").mkdir()
+    (tmp_path / "fresh").mkdir()
+    cached = record("cached")
+    monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+    fresh = record("fresh")
+    assert cached == fresh
+    assert [code for code, _, _ in cached[0]] == [1, 0, 0, 0, 1]
+    assert sorted(cached[1]) == ["s.csv", "s_trace.csv"]

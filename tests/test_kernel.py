@@ -378,8 +378,8 @@ def test_block_rows_match_one_row_results(half, L, seed, rows):
 
 def test_bnorm_suite_fails_a_non_norm(monkeypatch):
     # the squared quartic norm is homogeneous of degree 2, not 1
-    norm = verify._b_norm_rows
-    monkeypatch.setattr(verify, "_b_norm_rows", lambda u, grid: norm(u, grid) ** 2)
+    root = verify._quartic_root
+    monkeypatch.setattr(verify, "_quartic_root", lambda b: root(b) ** 2)
     rep = verify.bnorm_suite(seed=0)
     assert not rep.passed
     assert rep.metrics["homogeneity_violations"] > 0

@@ -7,6 +7,9 @@ from coulombium import (
     CPlusForm,
     Grid,
     NonZeroMeanError,
+    Samples,
+    b_form,
+    b_norm,
     c_functional,
     c_plus,
     hardy_littlewood_check,
@@ -126,6 +129,29 @@ def _loop_metrics(name, seed):
                           - c_functional(f, 1.0, warn_unnormalized=False))
         return {"equimeasurability_failures": equi, "worst_hardy_littlewood_excess": worst_hl,
                 "worst_interaction_increase": worst_c}
+    if name == "bnorm":
+        # the suite's three block draws, then pair by pair; the axioms are
+        # read from the per-pair values with the suite's array arithmetic
+        grid, pairs = Grid(8.0, 201), 1000
+        u, v = rng.standard_normal((pairs, grid.N)), rng.standard_normal((pairs, grid.N))
+        lam = rng.uniform(-3.0, 3.0, pairs)
+        norms, cs = [], []
+        for ui, vi, li in zip(u, v, lam):
+            norms.append([b_norm(Samples(grid, w)) for w in (ui, vi, li * ui, ui + vi, ui - vi)])
+            usq, vsq = Samples(grid, ui**2), Samples(grid, vi**2)
+            cs.append(b_form(usq, vsq) - np.sqrt(b_form(usq, usq) * b_form(vsq, vsq)))
+        bu, bv, blam, bsum, bdif = np.array(norms).T
+        scaled = np.abs(lam) * bu
+        uc = bdif**4 + bsum**4 - 4.0 * (bu**2 + bv**2) ** 2
+        return {
+            "homogeneity_violations": np.count_nonzero(
+                np.abs(blam - scaled) > 1e-12 * (1.0 + scaled)),
+            "triangle_violations": np.count_nonzero(bsum > bu + bv + 1e-12),
+            "cauchy_schwarz_violations": np.count_nonzero(np.array(cs) > 1e-12),
+            "uniform_convexity_violations": np.count_nonzero(uc > 1e-10),
+            "worst_triangle_excess": float(np.max(bsum - bu - bv)),
+            "worst_convexity_excess": float(np.max(uc)),
+        }
     grid, min_ip, worst = Grid(10.0, 401), np.inf, 0.0
     for _ in range(500):
         f = random_zero_mean_compact(grid, rng)
@@ -135,7 +161,7 @@ def _loop_metrics(name, seed):
     return {"min_inner_product": min_ip, "worst_identity_rel_err": worst}
 
 
-@pytest.mark.parametrize("name", ["forms", "rearrange", "innerprod"])
+@pytest.mark.parametrize("name", ["forms", "bnorm", "rearrange", "innerprod"])
 @pytest.mark.parametrize("seed", [3, 2024])
 def test_block_suites_give_the_loop_metrics_bit_for_bit(name, seed):
     assert verify.SUITES[name](seed=seed).metrics == _loop_metrics(name, seed)
