@@ -73,11 +73,8 @@ from .kernel import (
     c_functional,
     c_plus,
     coulomb_pair_energy,
-    g_kernel,
-    min_kernel,
     neg_kernel_inner_product,
     potential_from_density,
-    reflected_half_sum,
 )
 from .rearrange import (
     RearrangementReport,

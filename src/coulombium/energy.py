@@ -101,7 +101,7 @@ def candidate_energy(c: Candidate, background_const: float) -> EnergyBreakdown:
     added, since it does not affect minimizers.
     """
     mass = integrate(c.u.with_values(c.density))
-    if abs(mass - 1.0) > 1e-8:
+    if not abs(mass - 1.0) <= 1e-8:  # NaN fails it too
         raise NotNormalizedError(f"integral of u^2 is {mass!r}, expected 1 within 1e-8")
     return EnergyBreakdown(c.kinetic, c.coulomb, background_const, c.kinetic + c.coulomb)
 

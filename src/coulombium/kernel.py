@@ -13,10 +13,9 @@ zero-mean functions.
 Discretely every quantity is a finite sum over trapezoid point masses
 m_k = w_k f_k, so the Fubini rearrangements behind the continuum
 identities become exact rearrangements of one double sum: the four C+
-forms, the half-axis decoupling and the fast/dense agreement all hold to
-rounding error by construction.  Dense O(N^2) twins of each fast path
-are kept in this module, outside the package's public names, so tests
-can prove the prefix-sum algebra.
+forms, the half-axis decoupling and the agreement with the dense O(N^2)
+double sums (the tests' references) all hold to rounding error by
+construction.
 
 Each quantity the ``verify`` suites use has one array-level evaluation
 along the last axis: ``_potential_rows`` (the potential),
@@ -38,7 +37,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import NonZeroMeanError, NormalizationWarning
-from .grid import Grid, Samples, integrate, reflect, require_same_mesh
+from .grid import Grid, Samples, integrate, require_same_mesh
 
 
 class CPlusForm(Enum):
@@ -94,40 +93,11 @@ def potential_from_density(f: Samples) -> Samples:
     return f.with_values(_potential_rows(_point_masses(f), f.grid.x))
 
 
-def dense_potential_from_density(f: Samples) -> Samples:
-    """O(N^2) twin of :func:`potential_from_density` (verification only)."""
-    x = f.grid.x
-    kern = np.abs(x[:, None] - x[None, :])
-    return f.with_values(-0.5 * (kern @ _point_masses(f)))
-
-
 def coulomb_pair_energy(f: Samples, g: Samples) -> float:
     """Double integral of -|x-y| f(x) g(y), via the O(N) potential."""
     require_same_mesh(f.grid, g.grid)
     v = potential_from_density(g)
     return float(np.dot(_point_masses(f), 2.0 * v.values))
-
-
-def dense_coulomb_pair_energy(f: Samples, g: Samples) -> float:
-    """O(N^2) twin of :func:`coulomb_pair_energy` (verification only)."""
-    require_same_mesh(f.grid, g.grid)
-    x = f.grid.x
-    kern = -np.abs(x[:, None] - x[None, :])
-    return float(_point_masses(f) @ kern @ _point_masses(g))
-
-
-def g_kernel(x, y, z: float):
-    """Interaction kernel g(x,y) = ( z(|x|+|y|) - |x-y| ) / 2 (vectorized)."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    return 0.5 * (z * (np.abs(x) + np.abs(y)) - np.abs(x - y))
-
-
-def min_kernel(x, y):
-    """Same-sign kernel G(x,y) = min(|x|,|y|) for xy > 0, else 0."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    return np.where(x * y > 0, np.minimum(np.abs(x), np.abs(y)), 0.0)
 
 
 def _half_axis(values: np.ndarray, grid: Grid, side: int):
@@ -189,12 +159,6 @@ def c_plus(f: Samples, form: CPlusForm | str = CPlusForm.C) -> float:
     """
     t, m = _half_axis(f.values, f.grid, +1)
     return float(_c_plus_rows(t, m, f.grid.h, CPlusForm(form)))
-
-
-def dense_c_plus(f: Samples) -> float:
-    """O(N^2) twin of :func:`c_plus` (verification only)."""
-    t, m = _half_axis(f.values, f.grid, +1)
-    return float(m @ np.minimum.outer(t, t) @ m)
 
 
 def _b_sums(f: np.ndarray, grid: Grid) -> np.ndarray:
@@ -264,20 +228,13 @@ def c_functional(f: Samples, z: float, warn_unnormalized: bool = True) -> float:
     """
     if warn_unnormalized:
         mass = integrate(f)
-        if abs(mass - 1.0) > 1e-8:
+        if not abs(mass - 1.0) <= 1e-8:  # NaN fails it too
             warnings.warn(
                 f"c_functional expects a unit-mass density (integral = {mass!r})",
                 NormalizationWarning,
                 stacklevel=2,
             )
     return float(_g_form(f.values, f.grid, z))
-
-
-def dense_c_functional(f: Samples, z: float) -> float:
-    """O(N^2) twin of :func:`c_functional` (verification only)."""
-    x = f.grid.x
-    m = _point_masses(f)
-    return float(m @ g_kernel(x[:, None], x[None, :], z) @ m)
 
 
 def b_form(f: Samples, g: Samples) -> float:
@@ -300,10 +257,10 @@ def _require_zero_mean(values: np.ndarray, grid: Grid, name: str) -> None:
     """Refuse samples that are not zero-mean, along the last axis.
 
     Raises :class:`NonZeroMeanError` naming the first row whose trapezoid
-    integral exceeds 1e-8 in magnitude.
+    integral exceeds 1e-8 in magnitude or is NaN.
     """
     mean = np.vecdot(grid.weights, values)
-    bad = np.argwhere(np.abs(mean) > 1e-8)
+    bad = np.argwhere(~(np.abs(mean) <= 1e-8))  # NaN fails it too
     if len(bad):
         row = tuple(bad[0])
         where = name + "".join(f"[{i}]" for i in row)
@@ -323,8 +280,3 @@ def neg_kernel_inner_product(f: Samples, g: Samples) -> float:
     for s, name in ((f, "f"), (g, "g")):
         _require_zero_mean(s.values, s.grid, name)
     return coulomb_pair_energy(f, g)
-
-
-def reflected_half_sum(f: Samples, form: CPlusForm | str = CPlusForm.C) -> float:
-    """C+[f restricted to x>=0] + C+[reflect(f) restricted to x>=0]."""
-    return c_plus(f, form) + c_plus(reflect(f), form)

@@ -36,9 +36,9 @@ class RearrangementReport:
 
 
 def _check_nonnegative(values: np.ndarray):
-    low = float(np.min(values))
-    if low < -1e-14:
-        raise NegativeInputError(f"density has negative sample {low!r}")
+    low = float(np.min(values))  # NaN if any sample is NaN
+    if not low >= -1e-14:
+        raise NegativeInputError(f"density has a negative or NaN sample {low!r}")
 
 
 def _rearrange_rows(values: np.ndarray, grid: Grid) -> np.ndarray:

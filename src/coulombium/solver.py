@@ -23,6 +23,7 @@ on the returned state only warns of truncation.
 
 from __future__ import annotations
 
+import numbers
 import warnings
 from dataclasses import dataclass, field
 from itertools import islice
@@ -72,8 +73,9 @@ class SolverConfig:
             value = getattr(self, name)
             if not (np.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be finite and positive, got {value}")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be at least 1")
+        # an integer count: islice refuses a float or NaN only inside the solve
+        if not (isinstance(self.max_iter, numbers.Integral) and self.max_iter >= 1):
+            raise ValueError(f"max_iter must be an integer of at least 1, got {self.max_iter!r}")
 
 
 @dataclass

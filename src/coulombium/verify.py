@@ -3,7 +3,8 @@
 Each suite draws seeded random data, measures the margins of the
 inequalities it exercises and reports pass/fail against the declared
 tolerances; trial counts and grids are fixed in the suite's body.  The
-same generators are reused by the test suite.
+tests draw their data from the same generators, and keep their own dense
+references and smooth-bump draws in ``tests/oracles.py``.
 
 The seeded suites evaluate their trials as blocks of rows through the
 kernels' array-level forms (``_potential_rows``, ``_c_plus_rows``,
@@ -59,27 +60,14 @@ class SuiteReport:
         return out
 
 
-def random_density(grid, rng, normalized=False, rows=None):
+def random_density(grid, rng, rows=None):
     """Rough nonnegative nodewise-random density, or a ``(rows, N)`` block of them.
 
     One density comes back as :class:`Samples`, a block as an array whose
     rows are what ``rows`` successive one-density draws would give.
     """
     vals = rng.random(grid.N if rows is None else (rows, grid.N))
-    if normalized:
-        vals = vals / np.vecdot(grid.weights, vals)[..., None]
     return Samples(grid, vals) if rows is None else vals
-
-
-def random_smooth(grid, rng, bumps=3) -> Samples:
-    """Mixture of random Gaussian bumps, compactly small near the ends."""
-    vals = np.zeros(grid.N)
-    for _ in range(bumps):
-        c = rng.uniform(-0.5 * grid.L, 0.5 * grid.L)
-        w = rng.uniform(0.4, 1.5)
-        a = rng.uniform(0.2, 1.0)
-        vals += a * np.exp(-0.5 * ((grid.x - c) / w) ** 2)
-    return Samples(grid, vals)
 
 
 def random_zero_mean_compact(grid, rng, rows=None):

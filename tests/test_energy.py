@@ -27,8 +27,7 @@ from coulombium import (
     total_energy,
 )
 from coulombium.energy import _hamiltonian_factor, _residual_norm, _shifted_hamiltonian
-from coulombium.kernel import dense_coulomb_pair_energy, dense_potential_from_density
-from coulombium.verify import random_smooth
+from oracles import dense_coulomb_pair_energy, dense_potential_from_density, random_smooth
 
 
 def _normalized_wave(grid, rng):

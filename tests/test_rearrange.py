@@ -18,7 +18,8 @@ from coulombium import (
     symmetric_decreasing_rearrangement,
 )
 from coulombium.rearrange import _rearrange_rows
-from coulombium.verify import random_density, random_smooth
+from coulombium.verify import random_density
+from oracles import random_smooth
 
 
 def test_fixed_point_exact():

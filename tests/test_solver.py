@@ -639,8 +639,12 @@ def test_max_iter_error_carries_one_float_entry_per_iteration(solve):
 def test_solver_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(tol_energy=-1.0)
-    with pytest.raises(ValueError):
-        SolverConfig(max_iter=0)
+    # a float or NaN count once passed here and failed in the solve, inside islice
+    for value in (0, 2.5, np.nan):
+        with pytest.raises(ValueError, match=rf"^max_iter must be an integer of at least 1, got {value!r}$"):
+            SolverConfig(max_iter=value)
+    with pytest.raises(MaxIterExceededError, match="in 3 iterations"):
+        scf_solve(PointCharge(2.0), SolverConfig(L=12.0, N=241, max_iter=np.int64(3)))
 
 
 @pytest.mark.parametrize("name", ["tol_energy", "tol_residual", "L"])

@@ -31,7 +31,6 @@ def test_block_draws_are_successive_one_row_draws(half, L, seed, rows):
     grid = Grid(L, 2 * half + 1)
     draws = [
         lambda rng, rows=None: random_density(grid, rng, rows=rows),
-        lambda rng, rows=None: random_density(grid, rng, normalized=True, rows=rows),
     ]
     if grid.N >= 7:
         draws.append(lambda rng, rows=None: random_zero_mean_compact(grid, rng, rows=rows))
