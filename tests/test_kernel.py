@@ -58,6 +58,15 @@ def test_potential_of_zero_density():
     assert np.all(v.values == 0.0)
 
 
+def test_potential_matches_dense():
+    rng = np.random.default_rng(0)
+    g = Grid(7.0, 201)
+    f = Samples(g, rng.standard_normal(g.N))
+    fast = potential_from_density(f).values
+    dense = dense_potential_from_density(f).values
+    assert np.max(np.abs(fast - dense)) / np.max(np.abs(dense)) < 1e-12
+
+
 @settings(max_examples=60, deadline=None, database=None)
 @given(**_ODD_GRIDS)
 def test_potential_keeps_the_bits_of_its_expression_form(half, L, seed):
@@ -74,10 +83,8 @@ def test_potential_keeps_the_bits_of_its_expression_form(half, L, seed):
 
 @settings(max_examples=60, deadline=None, database=None)
 @given(**_ODD_GRIDS, rows=st.integers(1, 9))
-@example(half=100, L=7.0, seed=0, rows=1)
 def test_potential_rows_match_one_row_results(half, L, seed, rows):
-    # a block of rows gives each row the bits of the one-row call, and the
-    # first row is the dense double sum
+    # a block of rows gives each row the bits of the one-row call
     grid = Grid(L, 2 * half + 1)
     f = np.random.default_rng(seed).standard_normal((rows, grid.N))
     block = kernel._potential_rows(grid.weights * f, grid.x)
@@ -158,6 +165,14 @@ def test_c_plus_accepts_form_names():
     assert c_plus(f, "A") == pytest.approx(c_plus(f, CPlusForm.A), abs=0)
 
 
+@settings(max_examples=60, deadline=None, database=None)
+@given(**_ODD_GRIDS)
+def test_four_forms_agree(half, L, seed):
+    f = random_density(Grid(L, 2 * half + 1), np.random.default_rng(seed))
+    vals = [c_plus(f, form) for form in CPlusForm]
+    assert (max(vals) - min(vals)) / max(abs(v) for v in vals) < 1e-9
+
+
 def test_form_c_indicator_third():
     # int_0^1 (1 - z)^2 dz = 1/3 for the unit-height indicator of [0, 1];
     # the jump at 1 limits quadrature accuracy to O(h)
@@ -190,6 +205,16 @@ def test_c_plus_ignores_negative_axis():
     assert c_plus(Samples(g, modified)) == c_plus(f)
 
 
+@settings(max_examples=60, deadline=None, database=None)
+@given(**_ODD_GRIDS)
+@example(half=200, L=8.0, seed=7)
+def test_c_plus_matches_dense(half, L, seed):
+    f = random_density(Grid(L, 2 * half + 1), np.random.default_rng(seed))
+    dense = dense_c_plus(f)
+    for form in CPlusForm:
+        assert _rel(c_plus(f, form), dense) < 1e-12
+
+
 def _c_plus_by_dots(f, grid, form):
     """C+ of one row by np.dot of suffix-sum views: the loop reference."""
     t, m = kernel._half_axis(f, grid, +1)
@@ -208,11 +233,9 @@ def _c_plus_by_dots(f, grid, form):
 
 @settings(max_examples=60, deadline=None, database=None)
 @given(**_ODD_GRIDS, rows=st.integers(1, 9))
-@example(half=200, L=8.0, seed=7, rows=1)
 def test_c_plus_rows_match_one_row_results(half, L, seed, rows):
     # every form gives each row of a block the bits of the one-row call, and
-    # those the bits of the reference; on the first row every form is the
-    # dense double sum to 1e-12, so the four forms agree to 2e-12
+    # those the bits of the reference
     grid = Grid(L, 2 * half + 1)
     f = random_density(grid, np.random.default_rng(seed), rows=rows)
     t, m = kernel._half_axis(f, grid, +1)
