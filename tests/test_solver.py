@@ -1,3 +1,5 @@
+import inspect
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
@@ -7,6 +9,7 @@ from scipy.linalg import eigh_tridiagonal
 from coulombium import (
     DivergingEnergyError,
     Grid,
+    GridMismatchError,
     LineSearchStalledError,
     MaxIterExceededError,
     PointCharge,
@@ -23,6 +26,7 @@ from coulombium import (
     normalize,
     scf_solve,
     solver_objective,
+    total_charge,
 )
 from coulombium import solver
 from coulombium.energy import _shifted_hamiltonian
@@ -640,7 +644,8 @@ def test_solver_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(tol_energy=-1.0)
     # a float or NaN count once passed here and failed in the solve, inside islice
-    for value in (0, 2.5, np.nan):
+    # True is an Integral, and ran a one-iteration solve
+    for value in (0, 2.5, np.nan, True, False):
         with pytest.raises(ValueError, match=rf"^max_iter must be an integer of at least 1, got {value!r}$"):
             SolverConfig(max_iter=value)
     with pytest.raises(MaxIterExceededError, match="in 3 iterations"):
@@ -665,3 +670,128 @@ def test_initial_guess_recentered():
     u0 = default_initial_guess(bg, g)
     peak = g.x[np.argmax(u0.values)]
     assert peak == pytest.approx(3.0, abs=0.1)
+
+
+# -- the coarse start --------------------------------------------------------
+
+
+def test_prolongation_keeps_the_coarse_values_and_fits_a_smooth_gaussian():
+    coarse, fine = Grid(30.0, 6001), Grid(30.0, 60001)
+    gauss = np.exp(-0.5 * ((coarse.x - 0.3) / 0.9) ** 2)
+    gauss[0] = gauss[-1] = 0.0
+    fine_values = solver._prolong(Samples(coarse, gauss), fine).values
+    assert np.array_equal(fine_values[::10], gauss)
+    assert fine_values[0] == fine_values[-1] == 0.0
+    assert np.max(np.abs(fine_values - np.exp(-0.5 * ((fine.x - 0.3) / 0.9) ** 2))) <= 1e-6
+
+
+@settings(max_examples=30, deadline=None)
+@given(cells=st.integers(2, 40), L=st.floats(0.5, 40.0),
+       seed=st.integers(0, 2**32 - 1))
+def test_prolongation_keeps_any_coarse_values_bit_for_bit(cells, L, seed):
+    coarse, fine = Grid(L, 2 * cells + 1), Grid(L, 20 * cells + 1)
+    values = np.random.default_rng(seed).normal(size=coarse.N)
+    values[0] = values[-1] = 0.0
+    fine_values = solver._prolong(Samples(coarse, values), fine).values
+    assert np.array_equal(fine_values[::10], values)
+    assert fine_values[0] == fine_values[-1] == 0.0
+
+
+def _two_wells(g: Grid, charge: float) -> SampledCharge:
+    wells = np.exp(-0.5 * ((g.x + 1.0) / 0.8) ** 2) + 0.7 * np.exp(-0.5 * ((g.x - 1.2) / 0.6) ** 2)
+    return SampledCharge(Samples(g, wells * (-charge / np.dot(g.weights, wells))))
+
+
+def _spy_on_grids(monkeypatch) -> list:
+    """The node count of every grid ``solver._converge`` iterates on, in call order."""
+    grids = []
+    converge = solver._converge
+
+    def spy(name, iterates, bg, cfg, u0):
+        grids.append(cfg.N)
+        return converge(name, iterates, bg, cfg, u0)
+
+    monkeypatch.setattr(solver, "_converge", spy)
+    return grids
+
+
+@pytest.mark.parametrize("solve", [scf_solve, gradient_solve])
+@pytest.mark.parametrize("background", ["point", "wells"])
+def test_a_coarse_start_reaches_the_cold_start_objective(solve, background, monkeypatch):
+    # From the spline-prolonged coarse state both methods take 3-4 fine
+    # passes where the cold start takes 6-10, to the same minimizer
+    cfg = SolverConfig(L=30.0, N=60001)
+    g = Grid(cfg.L, cfg.N)
+    bg = PointCharge(2.0) if background == "point" else _two_wells(g, 1.8)
+    cold = solve(bg, cfg, u0=default_initial_guess(bg, g))
+    grids = _spy_on_grids(monkeypatch)
+    state = solve(bg, cfg)
+    assert grids == [60001, 6001]
+    assert abs(state.candidate.objective - cold.candidate.objective) <= 1e-13
+    assert state.iterations == len(state.history) < cold.iterations
+    assert state.residual <= cfg.tol_residual
+
+
+@pytest.mark.parametrize("solve", [scf_solve, gradient_solve])
+@pytest.mark.parametrize("L,N", [(30.0, 6001), (30.0, 20001), (15.0, 3001), (30.0, 60003)])
+def test_no_coarse_solve_where_the_rule_does_not_hold(solve, L, N, monkeypatch):
+    # a tenth-node spacing above 0.01 (the first three) or N - 1 not a
+    # multiple of 20 (the last) keeps the default start, so the default
+    # mesh's outputs are unchanged
+    grids = _spy_on_grids(monkeypatch)
+    solve(PointCharge(2.0), SolverConfig(L=L, N=N))
+    assert grids == [N]
+
+
+def test_a_well_narrower_than_the_coarse_spacing_keeps_its_charge(monkeypatch):
+    # Width 0.002 between two coarse nodes: sampling every tenth node would
+    # keep about a third of its charge, and the coarse solve would meet a
+    # subcritical background; the hat weights keep z = 1 to rounding
+    cfg = SolverConfig(L=30.0, N=60001)
+    g = Grid(cfg.L, cfg.N)
+    well = np.exp(-0.5 * ((g.x - 0.0048) / 0.002) ** 2)
+    bg = SampledCharge(Samples(g, -well / np.dot(g.weights, well)))
+    coarse = Grid(cfg.L, 6001)
+    assert integrate(Samples(coarse, bg.rho.values[::10])) > -0.5
+    assert abs(total_charge(solver._restrict(bg, coarse)) - total_charge(bg)) <= 1e-15
+    prolonged = []
+    prolong = solver._prolong
+    monkeypatch.setattr(solver, "_prolong", lambda u, fine: prolonged.append(u) or prolong(u, fine))
+    state = scf_solve(bg, cfg)
+    assert len(prolonged) == 1  # the coarse solve converged
+    assert state.residual <= cfg.tol_residual
+
+
+@pytest.mark.parametrize("solve", [scf_solve, gradient_solve])
+def test_a_failed_coarse_solve_falls_back_to_the_default_start(solve, monkeypatch):
+    cfg = SolverConfig(L=30.0, N=60001, max_iter=1)
+    g = Grid(cfg.L, cfg.N)
+    bg = _two_wells(g, 1.8)
+    with pytest.raises(MaxIterExceededError) as cold:
+        solve(bg, cfg, u0=default_initial_guess(bg, g))
+    grids = _spy_on_grids(monkeypatch)
+    with pytest.raises(MaxIterExceededError, match="in 1 iterations") as excinfo:
+        solve(bg, cfg)
+    assert grids == [60001, 6001]
+    # a supplied start is normalized once more, so the bits may differ
+    assert len(excinfo.value.history) == 1
+    assert excinfo.value.history[0] == pytest.approx(cold.value.history[0], rel=1e-13)
+
+
+@pytest.mark.parametrize("solve", [scf_solve, gradient_solve])
+def test_only_the_returned_state_warns_of_tail_mass(solve, monkeypatch):
+    # both grids carry tail mass at z = 1 on L = 8; the coarse one (N = 1601)
+    # stays silent, and the one warning names the line that called the solver
+    grids = _spy_on_grids(monkeypatch)
+    with pytest.warns(RuntimeWarning, match="tail mass") as record:
+        line = inspect.currentframe().f_lineno + 1
+        solve(PointCharge(1.0), SolverConfig(L=8.0, N=16001, tol_residual=1e-6))
+    assert grids == [16001, 1601]
+    assert [(w.filename, w.lineno) for w in record] == [(__file__, line)]
+
+
+def test_a_background_on_another_mesh_is_refused_before_a_coarse_solve(monkeypatch):
+    grids = _spy_on_grids(monkeypatch)
+    with pytest.raises(GridMismatchError):
+        scf_solve(_two_wells(Grid(30.0, 6001), 1.8), SolverConfig(L=30.0, N=60001))
+    assert grids == [60001]
