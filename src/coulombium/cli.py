@@ -91,8 +91,11 @@ def load_config_file(path: str, command: str) -> dict:
     """Raw values, by setting name, of the INI file's keys; ``command`` must read each."""
     parser = configparser.ConfigParser()
     parser.optionxform = str  # keys are case-sensitive (L vs l)
-    if not parser.read(path):
-        raise CoulombiumError(f"cannot read config file {path}")
+    try:
+        if not parser.read(path):
+            raise CoulombiumError(f"cannot read config file {path}")
+    except configparser.Error as exc:  # no section header, a repeated key, a line without =
+        raise CoulombiumError(f"cannot parse config file {path}: {exc}") from None
     names = {(SETTINGS[n].section, SETTINGS[n].key): n for n in COMMANDS[command]}
     out = {}
     for section in parser.sections():

@@ -13,14 +13,10 @@ rule: an iterate is the ground state when its Euler-Lagrange residual
 objective, from :mod:`coulombium.energy`'s one stencil on the V the
 iterate holds) is at most tol_residual and its objective moved by at
 most tol_energy from the previous iterate's (the start's, for the first).
-Without a supplied start, a fine grid (N - 1 a multiple of 20, its every
-tenth node at most 0.01 apart, the default mesh's spacing) starts from
-nested iteration (Brandt, Math. Comp. 31 (1977) 333): the same method
-first solves on the tenth-node grid, against the background restricted
-with hat weights, and the natural cubic spline through that state starts
-the fine solve; a coarse solve that raises falls back to the default
-start.  The default mesh (L = 30, N = 6001) and coarser never take this
-path.  A ground state exists when the background's
+Without a supplied start, a fine grid starts from nested iteration
+(Brandt, Math. Comp. 31 (1977) 333), a solve on its every tenth node
+(``_solve`` states the rule); the default mesh (L = 30, N = 6001) and
+coarser never take this path.  A ground state exists when the background's
 charge ratio z = -total charge is at least 1, and below 1 the energy is
 unbounded (the subcritical family in :mod:`coulombium.diagnostics`).
 ``require_bound_state`` alone decides it, raising :class:`DivergingEnergyError`
@@ -100,7 +96,6 @@ class GroundState:
     """Converged minimizer: the accepted candidate, its multiplier, energies and trace."""
 
     candidate: Candidate  # u, V and the objective's terms of the accepted iterate
-    epsilon: float
     residual: float  # the Euler-Lagrange residual the stopping rule read
     energy: EnergyBreakdown
     iterations: int  # on the returned state's grid; a coarse start's are not counted
@@ -110,6 +105,10 @@ class GroundState:
     @property
     def u(self) -> Samples:
         return self.candidate.u
+
+    @property
+    def epsilon(self) -> float:  # the multiplier: the accepted iterate's Rayleigh quotient
+        return self.candidate.ray
 
 
 def ground_eigenpair(V: Samples, start: Samples | None = None) -> tuple[float, Samples]:
@@ -323,8 +322,7 @@ def _converge(name: str, iterates, bg: BackgroundCharge, cfg: SolverConfig, u0) 
     on cfg's grid, from u0 or else from the coarse or the default start."""
     grid = Grid(cfg.L, cfg.N)
     if u0 is not None:
-        if not u0.grid.same_mesh(grid):
-            raise ValueError("initial guess lives on a different mesh than the config grid")
+        require_same_mesh(u0.grid, grid)
         u0 = Samples(grid, np.pad(u0.values[1:-1], 1))  # no gradient step moves the ends
     v_bg = background_potential(bg, grid)  # before a coarse start: it refuses another mesh
     if u0 is None:
@@ -339,7 +337,7 @@ def _converge(name: str, iterates, bg: BackgroundCharge, cfg: SolverConfig, u0) 
             history.append((cur.objective, res))
             if res <= cfg.tol_residual and abs(cur.objective - prev) <= cfg.tol_energy:
                 energy = candidate_energy(cur, _background_const(bg, v_bg))
-                return GroundState(cur, cur.ray, res, energy, it, True, history)
+                return GroundState(cur, res, energy, it, True, history)
             prev = cur.objective
     except SolverError as exc:
         exc.history = history
@@ -380,9 +378,8 @@ def scf_solve(
 
     Each pass takes the ground eigenpair of -D2 + V, with V the accepted
     iterate's potential, and mixes densities.  The eigensolve starts from
-    the previous pass's eigenvector (the first from the box ground state),
-    which is already near the new one, so it takes a few inverse-iteration
-    steps.
+    that iterate's u, on every pass and from any start, so it takes a few
+    inverse-iteration steps once u is near the ground state.
     The map accelerated is rho = u^2 -> u_lin^2, u_lin the ground
     eigenvector of V[rho], with residual f = u_lin^2 - u^2.  Anderson
     mixing of depth m = 5 (Anderson 1965; Walker & Ni 2011) keeps the last
@@ -413,9 +410,8 @@ def scf_solve(
         gram = np.empty((_SCF_DEPTH, _SCF_DEPTH))
         pairs = 0  # differences taken since the last reset
         prev = None  # (u^2, f) of the previous pass
-        u_lin = None
         while True:
-            eps, u_lin = ground_eigenpair(cur.V, u_lin)
+            eps, u_lin = ground_eigenpair(cur.V, cur.u)
             u2 = cur.density
             f = u_lin.values**2 - u2
             # The objective is convex in the density, so its slope along the

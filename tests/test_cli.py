@@ -487,6 +487,16 @@ def test_config_file_unknown_key(tmp_path):
     assert run_cli(["solve", "--config", str(cfgfile), "--z", "2"]) == 1
 
 
+@pytest.mark.parametrize("text", ["N = 241\n", "[grid]\nN = 241\nN = 243\n", "[grid]\nN = 241\nbogus\n"],
+                         ids=["no-section-header", "duplicated-key", "line-without-equals"])
+def test_malformed_config_file_is_usage_error(tmp_path, capsys, text):
+    # configparser's own errors once escaped main as a traceback
+    cfgfile = tmp_path / "bad.ini"
+    cfgfile.write_text(text)
+    assert run_cli(["solve", "--config", str(cfgfile), "--z", "2"]) == 1
+    assert capsys.readouterr().err.startswith(f"error: cannot parse config file {cfgfile}: ")
+
+
 def test_missing_background_is_usage_error(tmp_path):
     assert run_cli(["solve", "--L", "16", "--N", "1601",
                     "--output", str(tmp_path / "x")]) == 1

@@ -1,4 +1,5 @@
 import inspect
+import weakref
 
 import numpy as np
 import pytest
@@ -328,8 +329,9 @@ def test_scf_from_a_warm_start_near_the_minimizer_converges(charge, centre, widt
     # sometimes refused.  A weight that only halved stalled at a residual
     # above 1e-7 for 1000 passes and more from these starts (which input
     # stalls depends on the last bits of the eigensolve).  With every
-    # fallback starting again from 0.6 they take 31 and 21 passes with one
-    # BLAS thread, 15 and 27 with two.
+    # fallback starting again from 0.6, and each eigensolve starting from
+    # the iterate it diagonalizes, they take 8 and 8 passes with one BLAS
+    # thread, 9 and 4 with two.
     cfg = SolverConfig(L=30.0, N=60001, max_iter=60)
     fine, coarse = Grid(cfg.L, cfg.N), Grid(cfg.L, 6001)
     g = np.exp(-0.5 * ((fine.x - centre) / width) ** 2)
@@ -718,8 +720,9 @@ def _spy_on_grids(monkeypatch) -> list:
 @pytest.mark.parametrize("solve", [scf_solve, gradient_solve])
 @pytest.mark.parametrize("background", ["point", "wells"])
 def test_a_coarse_start_reaches_the_cold_start_objective(solve, background, monkeypatch):
-    # From the spline-prolonged coarse state both methods take 3-4 fine
-    # passes where the cold start takes 6-10, to the same minimizer
+    # From the spline-prolonged coarse state SCF takes 3 fine passes where
+    # the cold start takes 6 (point) and 9 (wells), the gradient solver 4
+    # and 3 where it takes 10 and 8, to the same minimizer
     cfg = SolverConfig(L=30.0, N=60001)
     g = Grid(cfg.L, cfg.N)
     bg = PointCharge(2.0) if background == "point" else _two_wells(g, 1.8)
@@ -788,6 +791,40 @@ def test_only_the_returned_state_warns_of_tail_mass(solve, monkeypatch):
         solve(PointCharge(1.0), SolverConfig(L=8.0, N=16001, tol_residual=1e-6))
     assert grids == [16001, 1601]
     assert [(w.filename, w.lineno) for w in record] == [(__file__, line)]
+
+
+def test_every_scf_eigensolve_starts_from_the_iterate_it_diagonalizes(monkeypatch):
+    # one start rule on both grids: the first fine pass after a coarse start
+    # starts from the prolonged state, not from the box ground state
+    live = weakref.WeakValueDictionary()  # id(candidate.V) -> candidate
+    calls = []
+    objective, eigenpair = solver.solver_objective, solver.ground_eigenpair
+
+    def record(u, v_bg):
+        c = objective(u, v_bg)
+        live[id(c.V)] = c
+        return c
+
+    def spy(V, start=None):
+        c = live[id(V)]
+        assert c.V is V
+        calls.append((V.grid.N, start is not None and np.array_equal(start.values, c.u.values)))
+        return eigenpair(V, start)
+
+    monkeypatch.setattr(solver, "solver_objective", record)
+    monkeypatch.setattr(solver, "ground_eigenpair", spy)
+    cfg = SolverConfig(L=30.0, N=60001)
+    scf_solve(_two_wells(Grid(cfg.L, cfg.N), 1.8), cfg)
+    assert [n for n, _ in calls].index(60001) > 0  # the coarse solve ran first
+    assert all(same for _, same in calls)
+
+
+@pytest.mark.parametrize("solve", [scf_solve, gradient_solve])
+def test_a_start_on_another_mesh_is_refused(solve):
+    # the rule every other mesh mismatch follows (the background, the eigensolve's start)
+    with pytest.raises(GridMismatchError, match="mesh mismatch"):
+        solve(PointCharge(2.0), SolverConfig(L=12.0, N=241),
+              u0=default_initial_guess(PointCharge(2.0), Grid(12.0, 243)))
 
 
 def test_a_background_on_another_mesh_is_refused_before_a_coarse_solve(monkeypatch):
