@@ -222,7 +222,7 @@ def cmd_solve(args) -> int:
         "coulomb": primary.energy.coulomb,
         "background_const": primary.energy.background_const,
         "total_energy": primary.energy.total,
-        "objective": primary.candidate.objective,
+        "objective": primary.objective,
         "residual": primary.residual,
         "iterations": primary.iterations,
     }
@@ -230,13 +230,11 @@ def cmd_solve(args) -> int:
         summary["cross_method_energy_gap"] = abs(
             states["scf"].energy.total - states["gd"].energy.total
         )
-        summary["cross_method_objective_gap"] = abs(
-            states["scf"].candidate.objective - states["gd"].candidate.objective
-        )
+        summary["cross_method_objective_gap"] = abs(states["scf"].objective
+                                                    - states["gd"].objective)
 
     table = {"x": primary.u.grid.x.tolist(), "u": primary.u.values.tolist(),
-             "u2": primary.candidate.density.tolist(),
-             "V": primary.candidate.V.values.tolist()}
+             "u2": (primary.u.values**2).tolist(), "V": primary.V.values.tolist()}
     trace = {"iteration": list(range(1, len(primary.history) + 1)),
              "objective": [e for e, _ in primary.history],
              "residual": [r for _, r in primary.history]}
@@ -271,7 +269,7 @@ def _scan_row(solve, solver_cfg: SolverConfig, bg: PointCharge):
         "epsilon": state.epsilon,
         "kinetic": state.energy.kinetic,
         "coulomb": state.energy.coulomb,
-        "moment1": moment(state.u.with_values(state.candidate.density), 1.0),
+        "moment1": moment(state.u.with_values(state.u.values**2), 1.0),
         "iterations": state.iterations,
         "status": "ok",
     }

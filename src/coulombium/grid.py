@@ -36,6 +36,7 @@ class Grid:
         at the middle node and x[i] == -x[N-1-i] exactly.
     weights : numpy.ndarray
         Trapezoid quadrature weights: h at interior nodes, h/2 at the ends.
+        Both arrays are read-only: states on the mesh share them.
     """
 
     L: float
@@ -62,6 +63,7 @@ class Grid:
         w = np.full(self.N, self.h)
         w[0] = w[-1] = 0.5 * self.h
         self.weights = w
+        self.x.flags.writeable = w.flags.writeable = False
 
     @property
     def center_index(self) -> int:
@@ -90,11 +92,12 @@ class Samples:
 
 
 def from_function(grid: Grid, fn: Callable[[np.ndarray], np.ndarray]) -> Samples:
-    """Sample a vectorized callable on the grid nodes."""
-    return Samples(grid, np.asarray(fn(grid.x), dtype=float))
+    """Sample a vectorized callable on the grid nodes, into a new array."""
+    return Samples(grid, np.array(fn(grid.x), dtype=float))
 
 
-def require_same_mesh(a: Grid, b: Grid) -> None:
+def require_same_mesh(a: Grid, b) -> None:
+    """Raise :class:`GridMismatchError` unless b (a Grid or a SolverConfig) has a's L and N."""
     if not a.same_mesh(b):
         raise GridMismatchError(f"mesh mismatch: (L={a.L}, N={a.N}) vs (L={b.L}, N={b.N})")
 

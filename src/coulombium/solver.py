@@ -6,13 +6,13 @@ kept from rising; only SCF calls the ground eigenpair, so each checks the other.
 Each method supplies only its accepted iterates, and each passes one Armijo
 test, ``_descends``: SCF's Anderson candidate directly, every other step
 through ``_descend``'s backtracking along the method's own path.  One
-driver builds the grid, V_bg and the start (a supplied start's two end
-values are zeroed), records the trace and applies the single stopping
-rule: an iterate is the ground state when its Euler-Lagrange residual
-(|(H - eps) u| at its multiplier, the Rayleigh quotient ``ray`` of its
-objective, from :mod:`coulombium.energy`'s one stencil on the V the
-iterate holds) is at most tol_residual and its objective moved by at
-most tol_energy from the previous iterate's (the start's, for the first).
+driver takes the grid (a sampled background's own), V_bg and the start (a
+supplied start's end values are zeroed), records the trace and returns u
+and V of the first iterate to meet the single stopping rule: a residual
+|(H - eps) u| at its multiplier (the Rayleigh quotient ``ray`` of its
+objective, from :mod:`coulombium.energy`'s one stencil on the V it holds)
+of at most tol_residual, and an objective within tol_energy of the
+previous iterate's (the start's, for the first).
 Without a supplied start, a fine grid starts from nested iteration
 (Brandt, Math. Comp. 31 (1977) 333), a solve on its every tenth node
 (``_solve`` states the rule); the default mesh (L = 30, N = 6001) and
@@ -93,9 +93,11 @@ class SolverConfig:
 
 @dataclass
 class GroundState:
-    """Converged minimizer: the accepted candidate, its multiplier, energies and trace."""
+    """Converged minimizer u and its potential V (one grid), multiplier, energies and trace."""
 
-    candidate: Candidate  # u, V and the objective's terms of the accepted iterate
+    u: Samples
+    V: Samples  # V_el + V_bg
+    epsilon: float  # the multiplier: the accepted iterate's Rayleigh quotient
     residual: float  # the Euler-Lagrange residual the stopping rule read
     energy: EnergyBreakdown
     iterations: int  # on the returned state's grid; a coarse start's are not counted
@@ -103,12 +105,8 @@ class GroundState:
     history: list = field(repr=False)  # (objective, residual) per accepted fine-grid iterate
 
     @property
-    def u(self) -> Samples:
-        return self.candidate.u
-
-    @property
-    def epsilon(self) -> float:  # the multiplier: the accepted iterate's Rayleigh quotient
-        return self.candidate.ray
+    def objective(self) -> float:  # kinetic + coulomb / 2, the candidate's bits
+        return self.energy.kinetic + 0.5 * self.energy.coulomb
 
 
 def ground_eigenpair(V: Samples, start: Samples | None = None) -> tuple[float, Samples]:
@@ -216,9 +214,9 @@ def default_initial_guess(bg: BackgroundCharge, grid: Grid) -> Samples:
     return normalize(Samples(grid, vals))
 
 
-def _check_tail(c: Candidate):
+def _check_tail(u: Samples):
     """Warn when a converged state carries mass near the domain's edge."""
-    g, sq = c.u.grid, c.density
+    g, sq = u.grid, u.values**2
     mask = np.abs(g.x) > _BOUNDARY_FRACTION * g.L
     tail = float(np.dot(g.weights[mask], sq[mask])) / float(np.dot(g.weights, sq))
     if tail > _TAIL_MASS_LIMIT:
@@ -275,7 +273,8 @@ def _restrict(bg: BackgroundCharge, coarse: Grid) -> BackgroundCharge:
     masses[:-1] = blocks @ (1.0 - t)
     masses[1:] += blocks @ t
     masses[-1] += m[-1]
-    return SampledCharge(Samples(coarse, masses / coarse.weights))
+    # SampledCharge admits values up to 1e-12, whose averages may round above it
+    return SampledCharge(Samples(coarse, np.minimum(masses / coarse.weights, 0.0)))
 
 
 def _prolong(u: Samples, fine: Grid) -> Samples:
@@ -318,13 +317,15 @@ def _coarse_start(name: str, iterates, bg: BackgroundCharge, cfg, grid: Grid) ->
 
 
 def _converge(name: str, iterates, bg: BackgroundCharge, cfg: SolverConfig, u0) -> GroundState:
-    """Trace and stop the ``(candidate, residual)`` that ``iterates`` yields
-    on cfg's grid, from u0 or else from the coarse or the default start."""
-    grid = Grid(cfg.L, cfg.N)
+    """Trace and stop the ``(candidate, residual)`` that ``iterates`` yields on
+    cfg's mesh (a sampled background's own grid, which the state then shares),
+    from u0 or else from the coarse or the default start."""
+    grid = Grid(cfg.L, cfg.N) if isinstance(bg, PointCharge) else bg.rho.grid
+    require_same_mesh(grid, cfg)
     if u0 is not None:
         require_same_mesh(u0.grid, grid)
         u0 = Samples(grid, np.pad(u0.values[1:-1], 1))  # no gradient step moves the ends
-    v_bg = background_potential(bg, grid)  # before a coarse start: it refuses another mesh
+    v_bg = background_potential(bg, grid)
     if u0 is None:
         u0 = _coarse_start(name, iterates, bg, cfg, grid)
     u = default_initial_guess(bg, grid) if u0 is None else normalize(u0)
@@ -337,7 +338,7 @@ def _converge(name: str, iterates, bg: BackgroundCharge, cfg: SolverConfig, u0) 
             history.append((cur.objective, res))
             if res <= cfg.tol_residual and abs(cur.objective - prev) <= cfg.tol_energy:
                 energy = candidate_energy(cur, _background_const(bg, v_bg))
-                return GroundState(cur, res, energy, it, True, history)
+                return GroundState(cur.u, cur.V, cur.ray, res, energy, it, True, history)
             prev = cur.objective
     except SolverError as exc:
         exc.history = history
@@ -365,7 +366,7 @@ def _solve(name: str, iterates, bg: BackgroundCharge, cfg, u0) -> GroundState:
     """
     require_bound_state(bg)
     state = _converge(name, iterates, bg, cfg if cfg is not None else SolverConfig(), u0)
-    _check_tail(state.candidate)
+    _check_tail(state.u)
     return state
 
 

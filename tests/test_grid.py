@@ -25,6 +25,17 @@ def test_make_grid_arithmetic():
     assert abs(g.h * (g.N - 1) - 2 * g.L) < 1e-12
 
 
+def test_grid_arrays_are_read_only_and_sampling_copies():
+    # states share their background's grid, so no sample may alias its nodes
+    g = Grid(1.0, 5)
+    s = from_function(g, lambda x: x)
+    s.values *= 2.0
+    assert np.array_equal(g.x, [-1.0, -0.5, 0.0, 0.5, 1.0])
+    for nodes in (g.x, g.weights):
+        with pytest.raises(ValueError, match="read-only"):
+            nodes[0] = 0.0
+
+
 @pytest.mark.parametrize("L,N", [(1.0, 4), (1.0, 2), (0.0, 3), (-2.0, 5)])
 def test_make_grid_rejects(L, N):
     with pytest.raises(ValueError):

@@ -1,3 +1,4 @@
+import dataclasses
 import inspect
 import weakref
 
@@ -245,7 +246,7 @@ def test_cross_method_agreement(z2_states):
     assert abs(scf.energy.total - gd.energy.total) <= 1e-4
     # the energy gap above measures tol_residual; the objective, which both
     # minimize, shows whether the two methods reach the same fixed point
-    assert abs(scf.candidate.objective - gd.candidate.objective) <= 1e-12
+    assert abs(scf.objective - gd.objective) <= 1e-12
     assert el_residual(scf.u, scf.epsilon, bg) <= 1e-6
     assert el_residual(gd.u, gd.epsilon, bg) <= 1e-6
 
@@ -302,7 +303,7 @@ def test_gradient_solve_is_fast_and_agrees_with_scf_on_random_wells(bg):
     assert gd.iterations <= 30
     assert scf.iterations <= 40
     assert _rises_within_rounding([e for e, _ in scf.history])
-    assert abs(gd.candidate.objective - scf.candidate.objective) <= 1e-12
+    assert abs(gd.objective - scf.objective) <= 1e-12
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # tail mass near charge 1
@@ -318,7 +319,7 @@ def test_scf_solves_separated_near_critical_wells(charge, wells):
     cfg = SolverConfig(L=30.0, N=1201)
     scf = scf_solve(bg, cfg)
     assert scf.iterations <= 40
-    assert abs(scf.candidate.objective - gradient_solve(bg, cfg).candidate.objective) <= 1e-12
+    assert abs(scf.objective - gradient_solve(bg, cfg).objective) <= 1e-12
 
 
 @pytest.mark.parametrize("charge,centre,width", [(2.2892, 1.1124, 0.834),
@@ -409,9 +410,9 @@ def test_epsilon_matches_rayleigh_quotient(z2_states):
     scf, gd, _, bg = z2_states
     for state in (scf, gd):
         # kinetic + int V u^2, summed in another order than the objective's sums
-        c, w = state.candidate, state.u.grid.weights
-        quotient = c.kinetic + float(np.dot(w, c.V.values * c.density))
-        scale = c.kinetic + float(np.dot(w, np.abs(c.V.values) * c.density))
+        w, kin, sq = state.u.grid.weights, state.energy.kinetic, state.u.values**2
+        quotient = kin + float(np.dot(w, state.V.values * sq))
+        scale = kin + float(np.dot(w, np.abs(state.V.values) * sq))
         assert abs(state.epsilon - quotient) <= 1e-14 * scale
         u = state.u
         v = effective_potential(u, bg)
@@ -730,9 +731,61 @@ def test_a_coarse_start_reaches_the_cold_start_objective(solve, background, monk
     grids = _spy_on_grids(monkeypatch)
     state = solve(bg, cfg)
     assert grids == [60001, 6001]
-    assert abs(state.candidate.objective - cold.candidate.objective) <= 1e-13
+    assert abs(state.objective - cold.objective) <= 1e-13
     assert state.iterations == len(state.history) < cold.iterations
     assert state.residual <= cfg.tol_residual
+
+
+@pytest.mark.parametrize("solve", [scf_solve, gradient_solve])
+def test_a_coarse_start_takes_tails_at_the_positive_limit(solve, monkeypatch):
+    # SampledCharge admits values up to 1e-12, and the coarse background's
+    # hat-weighted averages of such a tail round to 1.0000000000000002e-12
+    cfg = SolverConfig(L=30.0, N=60001)
+    g = Grid(cfg.L, cfg.N)
+    rho = -2.0 * np.exp(-0.5 * g.x**2) / np.sqrt(2.0 * np.pi)
+    rho[np.abs(g.x) > 20.0] = 1e-12
+    bg = SampledCharge(Samples(g, rho))
+    cold = solve(bg, cfg, u0=default_initial_guess(bg, g))
+    grids = _spy_on_grids(monkeypatch)
+    state = solve(bg, cfg)
+    assert grids == [60001, 6001]
+    assert abs(state.objective - cold.objective) <= 1e-13
+
+
+def _reachable_arrays(obj) -> dict:
+    """id -> array for every array reachable from obj through dataclass
+    fields, lists and tuples, bases of views included."""
+    found = {}
+    if isinstance(obj, np.ndarray):
+        while obj is not None:
+            found[id(obj)] = obj
+            obj = obj.base
+    elif dataclasses.is_dataclass(obj):
+        for f in dataclasses.fields(obj):
+            found.update(_reachable_arrays(getattr(obj, f.name)))
+    elif isinstance(obj, (list, tuple)):
+        for item in obj:
+            found.update(_reachable_arrays(item))
+    else:
+        assert isinstance(obj, (float, int)), type(obj)
+    return found
+
+
+@pytest.mark.parametrize("solve", [scf_solve, gradient_solve])
+@pytest.mark.parametrize("N", [6001, 60001])
+@pytest.mark.parametrize("background", ["point", "wells"])
+def test_a_returned_state_holds_only_u_and_v_on_one_grid(solve, N, background):
+    # N = 60001 takes the coarse start; a sampled background's state lives
+    # on the background's own grid, a point charge's on one grid of its own
+    cfg = SolverConfig(L=30.0, N=N)
+    bg = PointCharge(2.0) if background == "point" else _two_wells(Grid(cfg.L, cfg.N), 1.8)
+    state = solve(bg, cfg)
+    g = state.u.grid
+    assert state.V.grid is g
+    if background == "wells":
+        assert g is bg.rho.grid
+    kept = {id(a) for a in (state.u.values, state.V.values, g.x, g.weights)}
+    assert set(_reachable_arrays(state)) == kept
 
 
 @pytest.mark.parametrize("solve", [scf_solve, gradient_solve])
