@@ -6,7 +6,7 @@ one-dimensional Coulomb kernel -|x-y|.  The package evaluates the energy
 functional and its kernel identities by exact prefix-sum quadrature,
 computes ground states by Anderson-mixed SCF eigen-iteration or
 preconditioned projected gradient descent, and verifies the
-rearrangement, positivity and concentration inequalities the theory
+rearrangement, positivity and quartic-norm inequalities the theory
 predicts.
 """
 
@@ -14,24 +14,18 @@ from .background import (
     BackgroundCharge,
     PointCharge,
     SampledCharge,
-    abs_moment,
     background_potential,
     delta_approximant,
-    jensen_lower_bound_check,
     load_background,
     recenter_shift,
     total_charge,
 )
 from .diagnostics import (
-    ConcentrationProfile,
     CounterexampleMetrics,
     UnboundednessScanResult,
-    concentration_profile,
     counterexample_un,
     grid_for_counterexample,
     moment,
-    tail_mass,
-    tightness_lower_bound,
     unboundedness_scan,
 )
 from .energy import (
@@ -64,7 +58,6 @@ from .grid import (
     integrate,
     kinetic_energy,
     normalize,
-    reflect,
 )
 from .kernel import (
     CPlusForm,
@@ -76,12 +69,7 @@ from .kernel import (
     neg_kernel_inner_product,
     potential_from_density,
 )
-from .rearrange import (
-    RearrangementReport,
-    double_rearrangement_check,
-    hardy_littlewood_check,
-    symmetric_decreasing_rearrangement,
-)
+from .rearrange import symmetric_decreasing_rearrangement
 from .solver import (
     GroundState,
     SolverConfig,

@@ -54,14 +54,6 @@ def total_charge(bg: BackgroundCharge) -> float:
     return integrate(bg.rho)
 
 
-def abs_moment(bg: BackgroundCharge) -> float:
-    """First absolute moment int |x| |rho(x)| dx (0 for the point charge)."""
-    if isinstance(bg, PointCharge):
-        return 0.0
-    g = bg.rho.grid
-    return float(np.dot(g.weights, np.abs(g.x) * np.abs(bg.rho.values)))
-
-
 def background_potential(bg: BackgroundCharge, grid: Grid) -> Samples:
     """Potential V_rho(x) = (1/2) int |x-y| (-rho(y)) dy.
 
@@ -88,21 +80,6 @@ def recenter_shift(bg: BackgroundCharge) -> float:
     g = bg.rho.grid
     first_moment = float(np.dot(g.weights, g.x * bg.rho.values))
     return -first_moment / z
-
-
-def jensen_lower_bound_check(bg: SampledCharge, grid: Grid) -> float:
-    """Largest violation of V_rho(x) >= (z/2) |x - P| over the nodes.
-
-    Jensen's inequality makes the recentered point-charge potential a lower
-    bound for V_rho; the returned max of (z/2)|x - P| - V_rho should be <= 0
-    up to quadrature slack.
-    """
-    if isinstance(bg, PointCharge):
-        raise TypeError("jensen_lower_bound_check takes a sampled background")
-    p = recenter_shift(bg)  # raises ValueError unless the total charge is negative
-    z = -total_charge(bg)
-    v = background_potential(bg, grid)
-    return float(np.max(0.5 * z * np.abs(grid.x - p) - v.values))
 
 
 def delta_approximant(n: int, grid: Grid) -> Samples:

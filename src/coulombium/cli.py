@@ -88,14 +88,20 @@ def _checked(name: str, raw):
 
 
 def load_config_file(path: str, command: str) -> dict:
-    """Raw values, by setting name, of the INI file's keys; ``command`` must read each."""
-    parser = configparser.ConfigParser()
+    """Raw values, by setting name, of the INI file's keys; ``command`` must read each.
+
+    Values are read literally (a ``%`` is a character), and no setting lives
+    in ``[DEFAULT]``, so a key there is refused like any other unread key.
+    """
+    parser = configparser.ConfigParser(interpolation=None)
     parser.optionxform = str  # keys are case-sensitive (L vs l)
     try:
         if not parser.read(path):
             raise CoulombiumError(f"cannot read config file {path}")
     except configparser.Error as exc:  # no section header, a repeated key, a line without =
         raise CoulombiumError(f"cannot parse config file {path}: {exc}") from None
+    for key in parser.defaults():
+        raise CoulombiumError(f"{command} reads no config key [{parser.default_section}] {key}")
     names = {(SETTINGS[n].section, SETTINGS[n].key): n for n in COMMANDS[command]}
     out = {}
     for section in parser.sections():

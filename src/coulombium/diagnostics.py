@@ -1,9 +1,4 @@
-"""Concentration, tail and moment diagnostics, and the subcritical family.
-
-The concentration functional Q[f](r) is the mass within [-r, r]; its
-large-r limit separates tight densities from escaping ones, and the
-squared-suffix form of the interaction yields the quantitative lower
-bound C[f] >= R * max(P+, P-)^2 on the tail masses P+- beyond +-R.
+"""Moments of a density, and the subcritical family.
 
 The family u_n realizes the subcritical (z < 1) collapse: widening
 normalized densities whose interaction falls like (z-1) log(n+1) while
@@ -24,16 +19,7 @@ import numpy as np
 
 from .errors import GridTooSmallError
 from .grid import Grid, Samples, integrate, kinetic_energy
-from .kernel import c_functional
-
-
-@dataclass
-class ConcentrationProfile:
-    """Mass-within-radius table Q[f](r) with its large-r value."""
-
-    radii: np.ndarray
-    Q: np.ndarray
-    lambda_estimate: float
+from .kernel import _g_form
 
 
 @dataclass
@@ -54,41 +40,6 @@ class UnboundednessScanResult:
     metrics: list
     slope: float
     intercept: float
-
-
-def concentration_profile(f: Samples, radii) -> ConcentrationProfile:
-    """Q[f](r) = int_{-r}^{r} f by partial trapezoid sums.
-
-    Radii between nodes are handled by linear interpolation of the
-    cumulative integral, which keeps Q nondecreasing for f >= 0.
-    """
-    radii = np.atleast_1d(np.asarray(radii, dtype=float))
-    g = f.grid
-    v = f.values
-    cum = np.concatenate(([0.0], np.cumsum(0.5 * g.h * (v[1:] + v[:-1]))))
-    upper = np.interp(radii, g.x, cum)
-    lower = np.interp(-radii, g.x, cum)
-    q = upper - lower
-    return ConcentrationProfile(radii, q, float(q[np.argmax(radii)]))
-
-
-def tail_mass(f: Samples, R: float) -> float:
-    """Mass beyond radius R: int f - Q[f](R)."""
-    return integrate(f) - float(concentration_profile(f, [R]).Q[0])
-
-
-def tightness_lower_bound(f: Samples, R: float) -> float:
-    """R * max(P+, P-)^2 from the node masses strictly beyond +-R.
-
-    Bounded interaction forces this quantity to stay bounded as R grows,
-    which is what certifies tightness of minimizing sequences; the test
-    invariant is c_functional(f, 1) >= bound - slack for normalized f.
-    """
-    g = f.grid
-    m = g.weights * f.values
-    p_plus = float(np.sum(m[g.x > R]))
-    p_minus = float(np.sum(m[g.x < -R]))
-    return R * max(p_plus, p_minus) ** 2
 
 
 def moment(f: Samples, p: float) -> float:
@@ -150,7 +101,8 @@ def unboundedness_scan(z: float, n_list) -> UnboundednessScanResult:
         sq = u.with_values(u.values * u.values)
         norm = integrate(sq)
         kin = kinetic_energy(u)
-        c_val = c_functional(sq, z, warn_unnormalized=False)
+        # u_n^2 has unit mass only up to quadrature error: no c_functional check
+        c_val = float(_g_form(sq.values, g, z))
         metrics.append(CounterexampleMetrics(n, norm, kin, c_val, kin + c_val))
     logs = np.log(np.asarray(n_list, dtype=float) + 1.0)
     cvals = np.asarray([mtr.c_value for mtr in metrics])

@@ -118,11 +118,6 @@ def kinetic_energy(u: Samples) -> float:
     return float(np.dot(d, d) / u.grid.h)
 
 
-def reflect(f: Samples) -> Samples:
-    """Samples of x -> f(-x); exact on the symmetric grid."""
-    return Samples(f.grid, f.values[::-1].copy())
-
-
 def normalize(u: Samples) -> Samples:
     """Scale u so that the trapezoid integral of u^2 is exactly 1.
 

@@ -218,7 +218,7 @@ def _b_norm_rows(u: np.ndarray, grid: Grid):
     return _quartic_root(_b_rows(sq, sq, grid))
 
 
-def c_functional(f: Samples, z: float, warn_unnormalized: bool = True) -> float:
+def c_functional(f: Samples, z: float) -> float:
     """Interaction functional C[f] = int int g(x,y) f(x) f(y) dx dy.
 
     The g kernel arises from rewriting the background moment term as a
@@ -226,14 +226,13 @@ def c_functional(f: Samples, z: float, warn_unnormalized: bool = True) -> float:
     integral strays from 1 by more than 1e-8 therefore triggers a
     non-fatal :class:`NormalizationWarning`.
     """
-    if warn_unnormalized:
-        mass = integrate(f)
-        if not abs(mass - 1.0) <= 1e-8:  # NaN fails it too
-            warnings.warn(
-                f"c_functional expects a unit-mass density (integral = {mass!r})",
-                NormalizationWarning,
-                stacklevel=2,
-            )
+    mass = integrate(f)
+    if not abs(mass - 1.0) <= 1e-8:  # NaN fails it too
+        warnings.warn(
+            f"c_functional expects a unit-mass density (integral = {mass!r})",
+            NormalizationWarning,
+            stacklevel=2,
+        )
     return float(_g_form(f.values, f.grid, z))
 
 

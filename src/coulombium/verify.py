@@ -4,7 +4,8 @@ Each suite draws seeded random data, measures the margins of the
 inequalities it exercises and reports pass/fail against the declared
 tolerances; trial counts and grids are fixed in the suite's body.  The
 tests draw their data from the same generators, and keep their own dense
-references and smooth-bump draws in ``tests/oracles.py``.
+references, smooth-bump draws and the lemmas no suite runs (tightness,
+Jensen's bound, the double rearrangement) in ``tests/oracles.py``.
 
 The seeded suites evaluate their trials as blocks of rows through the
 kernels' array-level forms (``_potential_rows``, ``_c_plus_rows``,
@@ -168,9 +169,9 @@ def rearrange_suite(seed=0) -> SuiteReport:
     """Equimeasurability, Hardy-Littlewood and interaction monotonicity (z=1), 200 trials.
 
     The densities are drawn as one block and rearranged once; the
-    Hardy-Littlewood sides (profile |x|, as :func:`hardy_littlewood_check`)
-    and the interactions before and after are read from that block, each
-    row with the bits of the one-density calls.
+    Hardy-Littlewood sides int f |x| >= int f* |x| and the interactions
+    before and after are read from that block, each row with the bits of
+    the one-density calls.
     """
     rng = np.random.default_rng(seed)
     grid = Grid(6.0, 241)

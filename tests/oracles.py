@@ -1,14 +1,29 @@
-"""Dense O(N^2) references for the prefix-sum kernels, and random test data.
+"""Dense O(N^2) references for the prefix-sum kernels, the lemmas of the
+existence argument stated on package quantities, and random test data.
 
 Each reference is a double sum over trapezoid point masses m = w f with an
 explicit kernel matrix.  The half-axis masses of C+ are built from
 ``grid.weights`` with the origin's weight halved, not by the kernel
 module's own helper, so a wrong weight there shows as a disagreement.
+
+The lemmas (tightness, Jensen's bound on the background potential,
+Hardy-Littlewood and the double rearrangement) return both sides or the
+margin of their inequality; the tests assert it.
 """
 
 import numpy as np
 
-from coulombium import Samples
+from coulombium import (
+    PointCharge,
+    Samples,
+    background_potential,
+    c_functional,
+    integrate,
+    kinetic_energy,
+    recenter_shift,
+    symmetric_decreasing_rearrangement,
+    total_charge,
+)
 from coulombium.grid import require_same_mesh
 from coulombium.verify import random_density
 
@@ -53,6 +68,76 @@ def dense_c_functional(f: Samples, z: float) -> float:
     """m @ g(x, y) @ m: the reference for ``c_functional``."""
     x, m = f.grid.x, _masses(f)
     return float(m @ g_kernel(x[:, None], x[None, :], z) @ m)
+
+
+def concentration_profile(f: Samples, radii):
+    """(Q, lambda): Q[f](r) = int_{-r}^{r} f by partial trapezoid sums, and Q at the largest r.
+
+    Radii between nodes are handled by linear interpolation of the
+    cumulative integral, which keeps Q nondecreasing for f >= 0.
+    """
+    radii = np.atleast_1d(np.asarray(radii, dtype=float))
+    g = f.grid
+    v = f.values
+    cum = np.concatenate(([0.0], np.cumsum(0.5 * g.h * (v[1:] + v[:-1]))))
+    q = np.interp(radii, g.x, cum) - np.interp(-radii, g.x, cum)
+    return q, float(q[np.argmax(radii)])
+
+
+def tightness_lower_bound(f: Samples, R: float) -> float:
+    """R * max(P+, P-)^2 from the node masses strictly beyond +-R.
+
+    Bounded interaction forces this quantity to stay bounded as R grows,
+    which is what certifies tightness of minimizing sequences; the test
+    invariant is c_functional(f, 1) >= bound - slack for normalized f.
+    """
+    g = f.grid
+    m = g.weights * f.values
+    p_plus = float(np.sum(m[g.x > R]))
+    p_minus = float(np.sum(m[g.x < -R]))
+    return R * max(p_plus, p_minus) ** 2
+
+
+def jensen_lower_bound_check(bg, grid) -> float:
+    """Largest violation of V_rho(x) >= (z/2) |x - P| over the nodes.
+
+    Jensen's inequality makes the recentered point-charge potential a lower
+    bound for V_rho; the returned max of (z/2)|x - P| - V_rho should be <= 0
+    up to quadrature slack.
+    """
+    if isinstance(bg, PointCharge):
+        raise TypeError("jensen_lower_bound_check takes a sampled background")
+    p = recenter_shift(bg)  # raises ValueError unless the total charge is negative
+    z = -total_charge(bg)
+    v = background_potential(bg, grid)
+    return float(np.max(0.5 * z * np.abs(grid.x - p) - v.values))
+
+
+def hardy_littlewood_check(f: Samples, g_profile):
+    """Both sides (lhs, rhs) of int f g >= int f* g for a nondecreasing profile of |x|.
+
+    Strict inequality is expected when the profile is strictly increasing
+    and f differs from its rearrangement.
+    """
+    gv = np.asarray(g_profile(np.abs(f.grid.x)), dtype=float)
+    fstar = symmetric_decreasing_rearrangement(f)
+    lhs = integrate(f.with_values(f.values * gv))
+    rhs = integrate(f.with_values(fstar.values * gv))
+    return lhs, rhs
+
+
+def double_rearrangement_check(f: Samples, z: float):
+    """((kinetic, coulomb) of f, the same of f*, whether f == f*) for f = u^2.
+
+    The kinetic terms are those of the square roots, the Coulomb terms
+    ``c_functional`` at z; at z = 1 the interaction never increases and the
+    total drops strictly for asymmetric densities.
+    """
+    def terms(d):
+        return kinetic_energy(d.with_values(np.sqrt(np.maximum(d.values, 0.0)))), c_functional(d, z)
+
+    fstar = symmetric_decreasing_rearrangement(f)
+    return terms(f), terms(fstar), bool(np.array_equal(f.values, fstar.values))
 
 
 def random_unit_density(grid, rng) -> Samples:

@@ -8,16 +8,16 @@ from coulombium import (
     SampledCharge,
     Samples,
     UnderResolvedError,
-    abs_moment,
     background_potential,
     coulomb_pair_energy,
     delta_approximant,
     integrate,
-    jensen_lower_bound_check,
     load_background,
+    moment,
     recenter_shift,
     total_charge,
 )
+from oracles import jensen_lower_bound_check
 
 
 def _bump_background(grid, mass, center=0.0, width=0.5):
@@ -69,29 +69,6 @@ def test_total_charge():
     assert total_charge(bg) == pytest.approx(-1.5, abs=1e-8)
 
 
-def test_abs_moment():
-    assert abs_moment(PointCharge(3.0)) == 0.0
-    g = Grid(4.0, 401)
-    # single-node mass at x = 2: moment is exactly 2 * mass
-    j = np.argmin(np.abs(g.x - 2.0))
-    vals = np.zeros(g.N)
-    mass = 0.7
-    vals[j] = -mass / g.weights[j]
-    assert abs_moment(SampledCharge(Samples(g, vals))) == pytest.approx(
-        2.0 * mass, rel=1e-13
-    )
-
-
-def test_abs_moment_uniform_block():
-    # rho = -1/2 on [-1, 1] with trapezoid edge values: int |x|/2 = 1/2 exactly
-    g = Grid(2.0, 401)
-    vals = np.where(np.abs(g.x) < 1.0, -0.5, 0.0)
-    vals[np.isclose(np.abs(g.x), 1.0)] = -0.25
-    bg = SampledCharge(Samples(g, vals))
-    assert total_charge(bg) == pytest.approx(-1.0, abs=1e-12)
-    assert abs_moment(bg) == pytest.approx(0.5, abs=1e-6)
-
-
 def test_point_potential_is_exact():
     g = Grid(11.0, 443)
     v = background_potential(PointCharge(2.0), g)
@@ -105,14 +82,14 @@ def test_sampled_zero_potential():
 
 
 def test_potential_uniform_bound():
-    # sup |V_rho - (z/2)|x|| <= abs_moment / 2, exact discretely
+    # sup |V_rho - (z/2)|x|| <= (int |x| |rho|) / 2, exact discretely
     g = Grid(10.0, 2001)
     for width in (0.1, 0.4, 1.0):
         bg = _bump_background(g, 1.0, width=width)
         z = -total_charge(bg)
         v = background_potential(bg, g)
         dev = np.max(np.abs(v.values - 0.5 * z * np.abs(g.x)))
-        assert dev <= 0.5 * abs_moment(bg) + 1e-12
+        assert dev <= 0.5 * moment(bg.rho.with_values(np.abs(bg.rho.values)), 1.0) + 1e-12
 
 
 def test_point_potential_distributional_identity():

@@ -497,6 +497,28 @@ def test_malformed_config_file_is_usage_error(tmp_path, capsys, text):
     assert capsys.readouterr().err.startswith(f"error: cannot parse config file {cfgfile}: ")
 
 
+def test_config_value_is_read_literally(tmp_path):
+    # a % in a value once escaped main as configparser's InterpolationSyntaxError
+    cfgfile = tmp_path / "run.ini"
+    out = tmp_path / "run%1"
+    cfgfile.write_text(f"[output]\npath = {out}\n")
+    assert run_cli(["solve", "--config", str(cfgfile), "--z", "2", "--L", "12", "--N", "241"]) == 0
+    assert f"output={out}" in (tmp_path / "run%1.csv").read_text().splitlines()[1]
+
+
+@pytest.mark.parametrize("text", ["[DEFAULT]\nN = 241\n", "[DEFAULT]\nN = 241\n\n[grid]\nL = 12\n"],
+                         ids=["alone", "beside-a-section"])
+def test_default_section_key_is_usage_error(tmp_path, capsys, text):
+    # alone, [DEFAULT] keys were ignored (the solve ran at N = 6001); beside
+    # another section they were copied into it
+    cfgfile = tmp_path / "run.ini"
+    cfgfile.write_text(text)
+    argv = ["solve", "--config", str(cfgfile), "--z", "2", "--output", str(tmp_path / "s")]
+    assert run_cli(argv) == 1
+    assert capsys.readouterr().err == "error: solve reads no config key [DEFAULT] N\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run.ini"]
+
+
 def test_missing_background_is_usage_error(tmp_path):
     assert run_cli(["solve", "--L", "16", "--N", "1601",
                     "--output", str(tmp_path / "x")]) == 1

@@ -12,7 +12,6 @@ from coulombium import (
     b_norm,
     c_functional,
     c_plus,
-    hardy_littlewood_check,
     kinetic_energy,
     neg_kernel_inner_product,
     potential_from_density,
@@ -20,6 +19,7 @@ from coulombium import (
     verify,
 )
 from coulombium.verify import random_density, random_zero_mean_compact
+from oracles import hardy_littlewood_check
 
 
 @settings(max_examples=40, deadline=None, database=None)
@@ -124,8 +124,7 @@ def _loop_metrics(name, seed):
             equi += not np.array_equal(np.sort(f.values), np.sort(fstar.values))
             lhs, rhs = hardy_littlewood_check(f, lambda a: a)
             worst_hl = max(worst_hl, rhs - lhs)
-            worst_c = max(worst_c, c_functional(fstar, 1.0, warn_unnormalized=False)
-                          - c_functional(f, 1.0, warn_unnormalized=False))
+            worst_c = max(worst_c, c_functional(fstar, 1.0) - c_functional(f, 1.0))
         return {"equimeasurability_failures": equi, "worst_hardy_littlewood_excess": worst_hl,
                 "worst_interaction_increase": worst_c}
     if name == "bnorm":
@@ -160,6 +159,7 @@ def _loop_metrics(name, seed):
     return {"min_inner_product": min_ip, "worst_identity_rel_err": worst}
 
 
+@pytest.mark.filterwarnings("ignore::coulombium.errors.NormalizationWarning")  # random mass
 @pytest.mark.parametrize("name", ["forms", "bnorm", "rearrange", "innerprod"])
 @pytest.mark.parametrize("seed", [3, 2024])
 def test_block_suites_give_the_loop_metrics_bit_for_bit(name, seed):
