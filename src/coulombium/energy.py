@@ -25,19 +25,56 @@ step reads its quotient and residual from the system it solved.  The
 stencil, the factor's diagonal, ``solver_objective`` and the kernel's
 ``potential_from_density`` run in place, operation for operation as
 their expression forms, so they return the same bits.
+
+LAPACK is bound here, once for the package: ``dpttrf`` and ``dpttrs`` come
+straight from SciPy's ``_flapack`` extension, loaded from its file without
+running the ``scipy.linalg`` package import (most of the package's import
+time), or from ``scipy.linalg.lapack`` if that load fails.  Either way they
+are the same Fortran routines.  The solvers take both names from here.
 """
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
+import os
+import sys
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dpttrf
 
 from .background import BackgroundCharge, PointCharge, background_potential
 from .errors import NotNormalizedError
 from .grid import Samples, integrate, kinetic_energy
 from .kernel import _point_masses, potential_from_density
+
+_FLAPACK = "scipy.linalg._flapack"
+
+
+def _load_flapack():
+    """SciPy's LAPACK extension module, loaded from its file if not yet imported."""
+    if _FLAPACK in sys.modules:
+        return sys.modules[_FLAPACK]
+    linalg = os.path.join(importlib.util.find_spec("scipy").submodule_search_locations[0], "linalg")
+    path = next(p for p in (os.path.join(linalg, "_flapack" + s)
+                            for s in importlib.machinery.EXTENSION_SUFFIXES) if os.path.isfile(p))
+    spec = importlib.util.spec_from_file_location(_FLAPACK, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return sys.modules.setdefault(_FLAPACK, module)  # a later scipy.linalg import reuses it
+
+
+def _bind_lapack():
+    """(dpttrf, dpttrs) from ``_load_flapack``, or from scipy.linalg.lapack if it fails."""
+    try:
+        flapack = _load_flapack()
+        return flapack.dpttrf, flapack.dpttrs
+    except Exception:  # the file's place is SciPy's private layout, so any failure falls back
+        from scipy.linalg.lapack import dpttrf, dpttrs
+        return dpttrf, dpttrs
+
+
+dpttrf, dpttrs = _bind_lapack()
 
 
 @dataclass

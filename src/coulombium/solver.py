@@ -33,12 +33,12 @@ from dataclasses import dataclass, field, replace
 from itertools import islice
 
 import numpy as np
-from scipy.linalg.lapack import dpttrf, dpttrs
 
 from .background import (BackgroundCharge, PointCharge, SampledCharge, background_potential,
                          recenter_shift, total_charge)
 from .energy import (Candidate, EnergyBreakdown, _background_const, _hamiltonian_factor,
-                     _residual_norm, _shifted_hamiltonian, candidate_energy, solver_objective)
+                     _residual_norm, _shifted_hamiltonian, candidate_energy, dpttrf, dpttrs,
+                     solver_objective)
 from .errors import (
     DivergingEnergyError,
     LineSearchStalledError,

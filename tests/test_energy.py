@@ -1,9 +1,13 @@
+import json
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.linalg import eigh_tridiagonal
-from scipy.linalg.lapack import dpttrf
+from scipy.linalg import eigh_tridiagonal, lapack
 
 from coulombium import (
     Grid,
@@ -25,6 +29,7 @@ from coulombium import (
     solver_objective,
     total_energy,
 )
+from coulombium import energy, solver
 from coulombium.energy import _hamiltonian_factor, _residual_norm, _shifted_hamiltonian
 from oracles import dense_coulomb_pair_energy, dense_potential_from_density, random_smooth
 
@@ -213,7 +218,7 @@ def test_in_place_kernels_keep_the_bits_of_their_expression_forms(half, L, seed)
     assert np.array_equal(_shifted_hamiltonian(uv, vv, h, eps), stencil)
     sigma = float(np.min(vv)) - 1.0  # below lambda_1 by Gershgorin
     d, e = _hamiltonian_factor(vv, h, sigma)
-    d_ref, e_ref, _ = dpttrf(2.0 / h**2 + vv[1:-1] - sigma, np.full(g.N - 3, -1.0 / h**2))
+    d_ref, e_ref, _ = lapack.dpttrf(2.0 / h**2 + vv[1:-1] - sigma, np.full(g.N - 3, -1.0 / h**2))
     assert np.array_equal(d, d_ref) and np.array_equal(e, e_ref)
     u = normalize(Samples(g, uv))
     v_bg = Samples(g, vv)
@@ -247,3 +252,43 @@ def test_hamiltonian_factor_exists_exactly_below_the_ground_eigenvalue(half, L, 
     assert np.allclose(d[1:] + e**2 * d[:-1], diag[1:] - (lam1 - margin), rtol=1e-12)
     assert np.allclose(e * d[:-1], off, rtol=1e-12)
     assert _hamiltonian_factor(v, g.h, lam1 + margin) is None
+
+
+def test_cli_import_loads_lapack_from_the_flapack_extension_alone():
+    # a SciPy that moves _flapack would send every command through the
+    # scipy.linalg import again: same results, twice the start-up
+    src = os.path.dirname(os.path.dirname(energy.__file__))
+    child = ("import json, sys, coulombium.cli, coulombium.energy as e; "
+             "f = sys.modules['scipy.linalg._flapack']; "
+             "loaded = sorted(m for m in ('scipy.linalg', 'scipy._lib') if m in sys.modules); "
+             "print(json.dumps([loaded, e.dpttrf is f.dpttrf and e.dpttrs is f.dpttrs]))")
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    env = dict(os.environ, PYTHONPATH=path)
+    out = subprocess.run([sys.executable, "-c", child], env=env, capture_output=True, text=True,
+                         check=True).stdout
+    assert json.loads(out) == [[], True]
+
+
+def test_lapack_fallback_binds_scipy_linalg_lapack_with_the_same_bits(monkeypatch):
+    def missing():
+        raise ImportError("no _flapack file")
+
+    coarse, fine = Grid(30.0, 61), Grid(30.0, 601)
+    gauss = np.exp(-0.5 * ((coarse.x - 0.3) / 0.9) ** 2)
+    gauss[0] = gauss[-1] = 0.0
+    vv = -2.0 / (1.0 + fine.x**2)
+    rhs = np.linspace(-1.0, 1.0, fine.N - 2)
+
+    def outputs():
+        d, e = _hamiltonian_factor(vv, fine.h, -3.0)
+        prolonged = solver._prolong(Samples(coarse, gauss), fine).values
+        return d, e, energy.dpttrs(d, e, rhs)[0], prolonged
+
+    direct = outputs()
+    monkeypatch.setattr(energy, "_load_flapack", missing)
+    bound = energy._bind_lapack()
+    assert bound == (lapack.dpttrf, lapack.dpttrs)
+    for module in (energy, solver):
+        monkeypatch.setattr(module, "dpttrf", bound[0])
+        monkeypatch.setattr(module, "dpttrs", bound[1])
+    assert all(np.array_equal(a, b) for a, b in zip(outputs(), direct, strict=True))
