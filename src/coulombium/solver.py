@@ -7,12 +7,18 @@ Each method supplies only its accepted iterates, and each passes one Armijo
 test, ``_descends``: SCF's Anderson candidate directly, every other step
 through ``_descend``'s backtracking along the method's own path.  One
 driver takes the grid (a sampled background's own), V_bg and the start (a
-supplied start's end values are zeroed), records the trace and returns u
-and V of the first iterate to meet the single stopping rule: a residual
-|(H - eps) u| at its multiplier (the Rayleigh quotient ``ray`` of its
-objective, from :mod:`coulombium.energy`'s one stencil on the V it holds)
-of at most tol_residual, and an objective within tol_energy of the
-previous iterate's (the start's, for the first).
+supplied start u0 enters as |u0| with its end values zeroed), records the
+trace and returns u and V of the first iterate to meet the single stopping
+rule: a residual |(H - eps) u| at its multiplier (the Rayleigh quotient
+``ray`` of its objective, from :mod:`coulombium.energy`'s one stencil on the
+V it holds) of at most tol_residual, and an objective within tol_energy of
+the previous iterate's (the start's, for the first).
+The driver hands the start over to the method, and each method holds only
+the arrays it still reads.  At N = 60001, where an N-vector is 0.48 MB, a solve's traced
+peak above its inputs is 12 N-vectors for SCF on two wells (two fine
+passes), 16 for SCF on a point charge (z = 2, three passes; the solve
+builds the grid's x and weights) and 18 for the gradient solver on it;
+``scf_solve`` and ``gradient_solve`` say what holds them.
 Without a supplied start, a fine grid starts from nested iteration
 (Brandt, Math. Comp. 31 (1977) 333), a solve on its every tenth node
 (``_solve`` states the rule); the default mesh (L = 30, N = 6001) and
@@ -137,6 +143,11 @@ def ground_eigenpair(V: Samples, start: Samples | None = None) -> tuple[float, S
     (rho - 2 tol, rho]; rho is the eigenvalue returned.  u is embedded with
     zero ends and normalized to unit trapezoid mass, so u >= 0.
 
+    It holds six N-vectors at its peak: y, one buffer that takes the start's
+    stencil and then each step's solve in place, and the factors of the
+    accepted shift and of the shift it tries (two each); at N = 60001 that
+    is 2.9 MB.
+
     Raises ValueError for a non-finite V or start, or a start that vanishes
     on the interior, and :class:`NoConvergenceError` if the step cap is hit
     or the result is not one-signed.
@@ -163,7 +174,8 @@ def ground_eigenpair(V: Samples, start: Samples | None = None) -> tuple[float, S
     def factor(sigma):
         return _hamiltonian_factor(vv, g.h, sigma)
 
-    # the start's quotient and residual come from the stencil
+    # the start's quotient and residual come from the stencil, whose buffer
+    # then holds each step's solve
     y /= np.linalg.norm(y)
     hy = _shifted_hamiltonian(y, vv, g.h, 0.0)
     rho = float(np.dot(y, hy))
@@ -172,9 +184,10 @@ def ground_eigenpair(V: Samples, start: Samples | None = None) -> tuple[float, S
     sigma, above = max(rho - 2.0 * res, vmin), np.inf  # lambda_1 lies in (sigma, above]
     while (fac := factor(sigma)) is None:
         sigma, above = 0.5 * (sigma + floor), sigma
-    yi = y[1:-1]  # a view: y keeps its zero ends
+    yi, x = y[1:-1], hy[1:-1]  # views: y keeps its zero ends
     for _ in range(_EIGEN_MAX_STEPS):
-        x = dpttrs(*fac, yi)[0]  # H x = y + sigma x
+        np.copyto(x, yi)
+        x = dpttrs(*fac, x, overwrite_b=True)[0]  # H x = y + sigma x, in x's buffer
         xx = float(np.dot(x, x))
         offset = float(np.dot(x, yi)) / xx  # rho - sigma
         rho = sigma + offset
@@ -235,6 +248,14 @@ def _descends(obj: float, trial: Candidate, step: float, slope: float) -> bool:
     below it, and every step would be rejected.
     """
     return trial.objective <= obj + 1e-4 * step * slope + 4e-16 * max(1.0, abs(obj))
+
+
+def _anderson_state(grid: Grid, u2, f, gamma, d_rho, d_f) -> Samples:
+    """normalize(sqrt(max(rho_AA, 0))) for the Anderson density
+    rho_AA = u2 + b f - gamma @ d_rho - b (gamma @ d_f), b = 0.6."""
+    rho = u2 + _SCF_FIRST_MIX * f
+    rho -= gamma @ d_rho + _SCF_FIRST_MIX * (gamma @ d_f)
+    return normalize(Samples(grid, np.sqrt(np.maximum(rho, 0.0, out=rho), out=rho)))
 
 
 def _descend(cur: Candidate, v_bg: Samples, path, step: float, slope: float):
@@ -324,16 +345,19 @@ def _converge(name: str, iterates, bg: BackgroundCharge, cfg: SolverConfig, u0) 
     require_same_mesh(grid, cfg)
     if u0 is not None:
         require_same_mesh(u0.grid, grid)
-        u0 = Samples(grid, np.pad(u0.values[1:-1], 1))  # no gradient step moves the ends
+        # no gradient step moves the ends, and |u0| keeps a start that changes
+        # sign, or is odd, off the excited states its symmetry would hold it to
+        u0 = Samples(grid, np.pad(np.abs(u0.values[1:-1]), 1))
     v_bg = background_potential(bg, grid)
     if u0 is None:
         u0 = _coarse_start(name, iterates, bg, cfg, grid)
-    u = default_initial_guess(bg, grid) if u0 is None else normalize(u0)
-    start = solver_objective(u, v_bg)
+    start = solver_objective(default_initial_guess(bg, grid) if u0 is None else normalize(u0), v_bg)
     prev = start.objective
+    steps = iterates(start, v_bg)
+    del u0, start  # the generator alone holds the start, until its first iterate
     history: list = []
     try:
-        for it, (cur, res) in enumerate(islice(iterates(start, v_bg), cfg.max_iter), 1):
+        for it, (cur, res) in enumerate(islice(steps, cfg.max_iter), 1):
             res = float(res)
             history.append((cur.objective, res))
             if res <= cfg.tol_residual and abs(cur.objective - prev) <= cfg.tol_energy:
@@ -384,8 +408,10 @@ def scf_solve(
     The map accelerated is rho = u^2 -> u_lin^2, u_lin the ground
     eigenvector of V[rho], with residual f = u_lin^2 - u^2.  Anderson
     mixing of depth m = 5 (Anderson 1965; Walker & Ni 2011) keeps the last
-    m differences d_rho_j, d_f_j of successive passes and the Gram matrix of
-    the d_f_j in the trapezoid inner product, picks gamma by least squares,
+    m differences d_rho_j, d_f_j of successive passes, in rows grown one a
+    pass to the passes made (a fine solve from the coarse start makes 2-4),
+    and the Gram matrix of the d_f_j in the trapezoid inner product, picks
+    gamma by least squares,
     min |f - sum_j gamma_j d_f_j|, and proposes
 
         rho_AA = u^2 + b f - sum_j gamma_j (d_rho_j + b d_f_j),  b = 0.6,
@@ -400,21 +426,28 @@ def scf_solve(
     Rayleigh quotient <u, H u>, read with its objective (the eigenvalue
     belongs to the previous iterate's V), and its residual is
     |(H - <u, H u>) u| on the V it holds, as in the gradient solver.
+
+    A pass holds V_bg, the iterate's u, V and u^2, the previous pass's u^2
+    and f (f in the eigenvector's own buffer), two history rows a difference
+    and, at its peak, the eigensolve's six N-vectors: 12 + 2 k in all after k
+    differences, plus the grid's two for a point charge.
     """
 
     def iterates(cur: Candidate, v_bg: Samples):
         grid = cur.u.grid
         w = grid.weights
         # ring buffers of the last _SCF_DEPTH density and residual differences,
-        # and the Gram matrix of the residual differences in the trapezoid product
-        d_rho, d_f = np.empty((_SCF_DEPTH, grid.N)), np.empty((_SCF_DEPTH, grid.N))
+        # grown a row at a time to the rows in use, and the Gram matrix of the
+        # residual differences in the trapezoid product
+        d_rho, d_f = np.empty((0, grid.N)), np.empty((0, grid.N))
         gram = np.empty((_SCF_DEPTH, _SCF_DEPTH))
         pairs = 0  # differences taken since the last reset
         prev = None  # (u^2, f) of the previous pass
         while True:
             eps, u_lin = ground_eigenpair(cur.V, cur.u)
             u2 = cur.density
-            f = u_lin.values**2 - u2
+            f = np.square(u_lin.values, out=u_lin.values)  # u_lin^2 - u^2, in u_lin's buffer
+            f -= u2
             # The objective is convex in the density, so its slope along the
             # mixing direction is at most eps - <u, H u> <= 0.  Asking for a
             # share of that decrease keeps the damping from settling into a
@@ -423,15 +456,17 @@ def scf_solve(
             trial = None
             if prev is not None:
                 slot, held = pairs % _SCF_DEPTH, min(pairs + 1, _SCF_DEPTH)
+                if slot == len(d_rho):
+                    d_rho = np.concatenate((d_rho, np.empty((1, grid.N))))
+                    d_f = np.concatenate((d_f, np.empty((1, grid.N))))
                 np.subtract(u2, prev[0], out=d_rho[slot])
                 np.subtract(f, prev[1], out=d_f[slot])
+                prev = None  # the previous pass's u^2 and f are read
                 gram[slot, :held] = gram[:held, slot] = d_f[:held] @ (w * d_f[slot])
                 pairs += 1
                 gamma = np.linalg.lstsq(gram[:held, :held], d_f[:held] @ (w * f), rcond=None)[0]
-                rho = u2 + _SCF_FIRST_MIX * f
-                rho -= gamma @ d_rho[:held] + _SCF_FIRST_MIX * (gamma @ d_f[:held])
-                trial = solver_objective(normalize(Samples(grid, np.sqrt(np.maximum(rho, 0.0)))),
-                                         v_bg)
+                trial = solver_objective(
+                    _anderson_state(grid, u2, f, gamma, d_rho[:held], d_f[:held]), v_bg)
                 if not _descends(cur.objective, trial, _SCF_FIRST_MIX, slope):
                     trial, pairs = None, 0
             prev = (u2, f)
@@ -439,8 +474,8 @@ def scf_solve(
                 trial = _descend(cur, v_bg, lambda a: np.sqrt(u2 + a * f), _SCF_FIRST_MIX,
                                  slope)[0]
             cur = trial
-            r = _shifted_hamiltonian(cur.u.values, cur.V.values, grid.h, cur.ray)
-            yield cur, _residual_norm(r, grid.h)
+            yield cur, _residual_norm(
+                _shifted_hamiltonian(cur.u.values, cur.V.values, grid.h, cur.ray), grid.h)
 
     return _solve("scf", iterates, bg, cfg, u0)
 
@@ -474,6 +509,10 @@ def gradient_solve(
     ``_descend`` along s -> u - s d with slope -<g_t, d>.  The start is the first
     iterate.  Each iterate's multiplier is its Rayleigh quotient and its
     residual is the norm of the same (H - ray) u = g_t / 2.
+
+    An iterate's step holds V_bg, P's factor (two N-vectors), the iterate
+    and the trial (u, V and u^2 each), both g_t and both d, and three more
+    while it forms the quotient: 18 N-vectors with a point charge's grid.
     """
 
     def iterates(cur: Candidate, v_bg: Samples):
@@ -482,20 +521,25 @@ def gradient_solve(
         h = grid.h
         # P = H[V0] - (min V0 - s) is diagonally dominant with eigenvalues
         # above s, so its factor exists
-        v0 = cur.V.values
-        pd, pe = _hamiltonian_factor(v0, h, float(np.min(v0[1:-1])) - _SOBOLEV_SHIFT)
+        pd, pe = _hamiltonian_factor(cur.V.values, h,
+                                     float(np.min(cur.V.values[1:-1])) - _SOBOLEV_SHIFT)
 
         def inner(a, b):
             return float(np.dot(w * a, b))
 
         def tangent_gradient(c: Candidate):
-            r = _shifted_hamiltonian(c.u.values, c.V.values, h, c.ray)
-            gt = 2.0 * r
-            sol, _ = dpttrs(pd, pe, np.column_stack((gt[1:-1], c.u.values[1:-1])))
-            pg, pu = sol.T
+            gt = _shifted_hamiltonian(c.u.values, c.V.values, h, c.ray)
+            res = _residual_norm(gt, h)
+            gt *= 2.0
+            # the two right-hand sides as rows, solved in place as the columns of
+            # the transpose: the rows become P^-1 g_t and P^-1 u
+            rhs = np.empty((2, grid.N - 2))
+            rhs[0], rhs[1] = gt[1:-1], c.u.values[1:-1]
+            pg, pu = dpttrs(pd, pe, rhs.T, overwrite_b=True)[0].T
+            pu *= np.dot(c.u.values[1:-1], pg) / np.dot(c.u.values[1:-1], pu)
             d = np.zeros_like(gt)
-            d[1:-1] = pg - (np.dot(c.u.values[1:-1], pg) / np.dot(c.u.values[1:-1], pu)) * pu
-            return _residual_norm(r, h), gt, d
+            np.subtract(pg, pu, out=d[1:-1])
+            return res, gt, d
 
         res, gt, d = tangent_gradient(cur)
         step = 0.5  # before the first Barzilai-Borwein quotient

@@ -70,20 +70,6 @@ def dense_c_functional(f: Samples, z: float) -> float:
     return float(m @ g_kernel(x[:, None], x[None, :], z) @ m)
 
 
-def concentration_profile(f: Samples, radii):
-    """(Q, lambda): Q[f](r) = int_{-r}^{r} f by partial trapezoid sums, and Q at the largest r.
-
-    Radii between nodes are handled by linear interpolation of the
-    cumulative integral, which keeps Q nondecreasing for f >= 0.
-    """
-    radii = np.atleast_1d(np.asarray(radii, dtype=float))
-    g = f.grid
-    v = f.values
-    cum = np.concatenate(([0.0], np.cumsum(0.5 * g.h * (v[1:] + v[:-1]))))
-    q = np.interp(radii, g.x, cum) - np.interp(-radii, g.x, cum)
-    return q, float(q[np.argmax(radii)])
-
-
 def tightness_lower_bound(f: Samples, R: float) -> float:
     """R * max(P+, P-)^2 from the node masses strictly beyond +-R.
 

@@ -21,7 +21,7 @@ from coulombium import (
     unboundedness_scan,
 )
 from coulombium.verify import random_density
-from oracles import concentration_profile, tightness_lower_bound
+from oracles import tightness_lower_bound
 
 
 # Closed forms for the widening family, obtained by integrating the profile
@@ -54,39 +54,6 @@ def ke_exact(n):
 
 def c_exact(n, z):
     return (z - 1.0) * m1_exact(n) + cg_exact(n)
-
-
-# --- concentration ----------------------------------------------------------
-
-def test_concentration_full_mass_and_zero_radius():
-    g = Grid(8.0, 321)
-    u = normalize(from_function(g, lambda x: np.exp(-x * x)))
-    f = u.with_values(u.values**2)
-    q, lam = concentration_profile(f, [0.0, 1.0, g.L])
-    assert q[0] == 0.0
-    assert q[-1] == pytest.approx(1.0, abs=1e-8)
-    assert lam == pytest.approx(1.0, abs=1e-8)
-
-
-def test_concentration_monotone():
-    rng = np.random.default_rng(0)
-    g = Grid(6.0, 241)
-    radii = np.linspace(0.0, 6.0, 61)
-    for _ in range(20):
-        f = random_density(g, rng)
-        q, _ = concentration_profile(f, radii)
-        assert np.all(np.diff(q) >= -1e-14)
-
-
-def test_concentration_escaping_bump():
-    g = Grid(40.0, 1601)
-    qs = []
-    for m in (5, 10, 20, 30):
-        u = normalize(from_function(g, lambda x, m=m: np.exp(-((x - m) ** 2))))
-        f = u.with_values(u.values**2)
-        qs.append(concentration_profile(f, [2.0])[0][0])
-    assert all(b < a + 1e-12 for a, b in zip(qs, qs[1:]))
-    assert qs[-1] < 1e-10
 
 
 # --- tightness bound --------------------------------------------------------

@@ -1,5 +1,6 @@
 import dataclasses
 import inspect
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -634,6 +635,25 @@ def test_both_solvers_converge_from_a_start_nonzero_at_the_ends():
         assert state.energy.total == pytest.approx(ref, abs=1e-6)
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # tail mass at z = 1, L = 12
+@pytest.mark.parametrize("solve", [scf_solve, gradient_solve])
+@pytest.mark.parametrize("z", [1.0, 2.0])
+@pytest.mark.parametrize("start", ["odd", "negative"])
+def test_a_start_of_any_sign_reaches_the_ground_state(solve, z, start):
+    # Symmetry would keep the gradient flow from an odd start odd, on the
+    # excited state at objective 1.81910 for z = 2 (the ground state's is
+    # 0.757834), and a negative start would end at u <= 0: both start from |u0|
+    cfg = SolverConfig(L=12.0, N=241)
+    g = Grid(cfg.L, cfg.N)
+    bg = PointCharge(z)
+    ref = solve(bg, cfg)
+    u0 = g.x * np.exp(-g.x**2) if start == "odd" else -np.exp(-0.5 * g.x**2)
+    state = solve(bg, cfg, u0=Samples(g, u0))
+    assert abs(state.objective - ref.objective) <= 1e-14
+    assert np.all(state.u.values >= 0.0)
+    assert state.residual <= cfg.tol_residual
+
+
 @pytest.mark.parametrize("solve", [scf_solve, gradient_solve])
 def test_max_iter_error_carries_one_float_entry_per_iteration(solve):
     with pytest.raises(MaxIterExceededError) as excinfo:
@@ -786,6 +806,43 @@ def test_a_returned_state_holds_only_u_and_v_on_one_grid(solve, N, background):
         assert g is bg.rho.grid
     kept = {id(a) for a in (state.u.values, state.V.values, g.x, g.weights)}
     assert set(_reachable_arrays(state)) == kept
+
+
+def _traced_peak(solve, bg, cfg: SolverConfig) -> float:
+    """One solve's traced peak above its inputs, in N-vectors of 8 N bytes."""
+    solve(bg, SolverConfig(L=cfg.L, N=241) if isinstance(bg, PointCharge) else cfg)  # warm
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        solve(bg, cfg)
+        return (tracemalloc.get_traced_memory()[1] - base) / (8 * cfg.N)
+    finally:
+        tracemalloc.stop()
+
+
+def _seeded_two_wells(g: Grid, seed: int) -> SampledCharge:
+    rng = np.random.default_rng(seed)
+    wells = sum(rng.uniform(0.5, 1.0) * np.exp(-0.5 * ((g.x - rng.uniform(-1.5, 1.5))
+                                                      / rng.uniform(0.5, 1.5)) ** 2)
+                for _ in range(2))
+    return SampledCharge(Samples(g, wells * (-rng.uniform(1.6, 3.0) / np.dot(g.weights, wells))))
+
+
+@pytest.mark.parametrize("solve,background,budget", [
+    (scf_solve, "wells", 12), (scf_solve, "point", 16), (gradient_solve, "point", 18)])
+def test_a_fine_solve_holds_a_bounded_working_set(solve, background, budget):
+    # Each budget is the measured peak in N-vectors (0.48 MB each here), and
+    # the bound one vector more.  SCF holds the iterate's u, V and u^2, V_bg,
+    # the last pass's u^2 and f, the Anderson history (two rows a difference)
+    # and the eigensolve's six; a point charge's grid adds two.  The gradient
+    # solver holds the iterate and the trial, V_bg, the factor of its metric,
+    # both gradients and directions, and the step's three.  A solve that keeps
+    # its start candidate or a full-depth history peaks at 28, 32 and 25.
+    cfg = SolverConfig(L=30.0, N=60001)
+    g = Grid(cfg.L, cfg.N)
+    bg = PointCharge(2.0) if background == "point" else _seeded_two_wells(g, 101)
+    assert _traced_peak(solve, bg, cfg) <= budget + 1
 
 
 @pytest.mark.parametrize("solve", [scf_solve, gradient_solve])
