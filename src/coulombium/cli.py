@@ -36,7 +36,7 @@ from .grid import Grid
 from .solver import SolverConfig, gradient_solve, require_bound_state, scf_solve
 from .verify import SUITES
 
-SCHEMA_VERSION = 6
+SCHEMA_VERSION = 7
 
 _EXIT_OK = 0
 _EXIT_USAGE = 1
@@ -240,7 +240,7 @@ def cmd_solve(args) -> int:
                                                     - states["gd"].objective)
 
     table = {"x": primary.u.grid.x.tolist(), "u": primary.u.values.tolist(),
-             "u2": (primary.u.values**2).tolist(), "V": primary.V.values.tolist()}
+             "V": primary.V.values.tolist()}
     trace = {"iteration": list(range(1, len(primary.history) + 1)),
              "objective": [e for e, _ in primary.history],
              "residual": [r for _, r in primary.history]}

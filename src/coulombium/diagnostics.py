@@ -44,8 +44,8 @@ class UnboundednessScanResult:
 
 def moment(f: Samples, p: float) -> float:
     """Weighted moment int |x|^p f(x) dx for p >= 0."""
-    if p < 0:
-        raise ValueError(f"moment order must be >= 0, got {p}")
+    if not (math.isfinite(p) and p >= 0):  # NaN compares false with 0
+        raise ValueError(f"moment order must be finite and >= 0, got {p}")
     return float(np.dot(f.grid.weights, np.abs(f.grid.x) ** p * f.values))
 
 
@@ -92,8 +92,8 @@ def unboundedness_scan(z: float, n_list) -> UnboundednessScanResult:
     (about 0.7 GB peak for n = 8000).
     """
     n_list = list(n_list)
-    if not n_list:
-        raise ValueError("empty n list")
+    if len(set(n_list)) < 2:  # a line through one n is not determined
+        raise ValueError(f"need at least two distinct n to fit a slope, got {n_list}")
     metrics = []
     for n in n_list:
         g = grid_for_counterexample(n)

@@ -11,20 +11,20 @@ variational factor is half of the reported one).
 
 On the solver path each candidate is evaluated once: ``solver_objective``
 builds V = V_el + V_bg with a single prefix-sum pass (V_bg built once per
-solve by the caller) and returns u^2, the kinetic term, the Coulomb term
+solve by the caller) and returns u, V, the kinetic term, the Coulomb term
 2 int V_bg u^2 + int V_el u^2, the objective kinetic + coulomb/2 and the
 Rayleigh quotient <u, H u> = kinetic + (int V_bg u^2 + int V_el u^2),
-read from the Coulomb term's two sums.  The g-kernel quartic form
-``c_functional`` of a point background equals that Coulomb term to
-rounding, which the tests hold as an identity.  The discrete Hamiltonian
-H = -D2 + V (Dirichlet ends) lives only here: one stencil for (H - eps) u,
-one residual norm and one LAPACK factor of H - sigma serve both solvers
-and :func:`el_residual`.  The eigensolve factors its shifts
-here and applies the stencil only to its start: each inverse-iteration
-step reads its quotient and residual from the system it solved.  The
-stencil, the factor's diagonal, ``solver_objective`` and the kernel's
-``potential_from_density`` run in place, operation for operation as
-their expression forms, so they return the same bits.
+read from the Coulomb term's two sums; u^2 lives only while it evaluates.
+The g-kernel quartic form ``c_functional`` of a point background equals
+that Coulomb term to rounding, which the tests hold as an identity.  The
+discrete Hamiltonian H = -D2 + V (Dirichlet ends) lives only here: one
+stencil for (H - eps) u, one residual norm and one LAPACK factor of
+H - sigma serve both solvers and :func:`el_residual`.  The eigensolve
+factors its shifts here and applies the stencil only to its start: each
+inverse-iteration step reads its quotient and residual from the system it
+solved.  The stencil, the factor's diagonal, ``solver_objective`` and the
+kernel's ``potential_from_density`` run in place, operation for operation
+as their expression forms, so they return the same bits.
 
 LAPACK is bound here, once for the package: ``dpttrf`` and ``dpttrs`` come
 straight from SciPy's ``_flapack`` extension, loaded from its file without
@@ -89,11 +89,10 @@ class EnergyBreakdown:
 
 @dataclass
 class Candidate:
-    """A solver iterate with the quantities read from its one potential."""
+    """A solver iterate: u, its potential V and the numbers read from V."""
 
     u: Samples
     V: Samples  # V_el + V_bg
-    density: np.ndarray  # u^2
     kinetic: float
     coulomb: float  # 2 int V_bg u^2 + int V_el u^2
     objective: float  # kinetic + coulomb / 2
@@ -116,7 +115,7 @@ def solver_objective(u: Samples, v_bg: Samples) -> Candidate:
     bg = float(np.dot(w, np.multiply(v_bg.values, sq, out=wsq)))
     v += v_bg.values
     coul = 2.0 * bg + pair
-    return Candidate(u, u.with_values(v), sq, kin, coul, kin + 0.5 * coul, kin + (bg + pair))
+    return Candidate(u, u.with_values(v), kin, coul, kin + 0.5 * coul, kin + (bg + pair))
 
 
 def _background_const(bg: BackgroundCharge, v_bg: Samples) -> float:
@@ -137,7 +136,7 @@ def candidate_energy(c: Candidate, background_const: float) -> EnergyBreakdown:
     constant (``_background_const``) is reported beside the total and never
     added, since it does not affect minimizers.
     """
-    mass = integrate(c.u.with_values(c.density))
+    mass = integrate(c.u.with_values(c.u.values * c.u.values))
     if not abs(mass - 1.0) <= 1e-8:  # NaN fails it too
         raise NotNormalizedError(f"integral of u^2 is {mass!r}, expected 1 within 1e-8")
     return EnergyBreakdown(c.kinetic, c.coulomb, background_const, c.kinetic + c.coulomb)

@@ -14,11 +14,12 @@ rule: a residual |(H - eps) u| at its multiplier (the Rayleigh quotient
 V it holds) of at most tol_residual, and an objective within tol_energy of
 the previous iterate's (the start's, for the first).
 The driver hands the start over to the method, and each method holds only
-the arrays it still reads.  At N = 60001, where an N-vector is 0.48 MB, a solve's traced
-peak above its inputs is 12 N-vectors for SCF on two wells (two fine
-passes), 16 for SCF on a point charge (z = 2, three passes; the solve
-builds the grid's x and weights) and 18 for the gradient solver on it;
-``scf_solve`` and ``gradient_solve`` say what holds them.
+the arrays it still reads; an iterate is u, V and numbers, and only SCF
+forms u^2, once a pass.  At N = 60001, where an N-vector is 0.48 MB, a
+solve's traced peak above its inputs is 11 N-vectors for SCF on two wells
+(two fine passes), 15 for SCF on a point charge (z = 2, three passes; the
+solve builds the grid's x and weights) and 16 for the gradient solver on
+it; ``scf_solve`` and ``gradient_solve`` say what holds them.
 Without a supplied start, a fine grid starts from nested iteration
 (Brandt, Math. Comp. 31 (1977) 333), a solve on its every tenth node
 (``_solve`` states the rule); the default mesh (L = 30, N = 6001) and
@@ -427,10 +428,10 @@ def scf_solve(
     belongs to the previous iterate's V), and its residual is
     |(H - <u, H u>) u| on the V it holds, as in the gradient solver.
 
-    A pass holds V_bg, the iterate's u, V and u^2, the previous pass's u^2
-    and f (f in the eigenvector's own buffer), two history rows a difference
-    and, at its peak, the eigensolve's six N-vectors: 12 + 2 k in all after k
-    differences, plus the grid's two for a point charge.
+    A pass holds V_bg, the iterate's u and V, the last pass's u^2 and f (f
+    in the eigenvector's buffer), two history rows a difference and, at its
+    peak, the eigensolve's six N-vectors, before it forms u^2: 11 + 2 k in
+    all after k differences, plus the grid's two for a point charge.
     """
 
     def iterates(cur: Candidate, v_bg: Samples):
@@ -445,7 +446,7 @@ def scf_solve(
         prev = None  # (u^2, f) of the previous pass
         while True:
             eps, u_lin = ground_eigenpair(cur.V, cur.u)
-            u2 = cur.density
+            u2 = cur.u.values * cur.u.values
             f = np.square(u_lin.values, out=u_lin.values)  # u_lin^2 - u^2, in u_lin's buffer
             f -= u2
             # The objective is convex in the density, so its slope along the
@@ -511,8 +512,8 @@ def gradient_solve(
     residual is the norm of the same (H - ray) u = g_t / 2.
 
     An iterate's step holds V_bg, P's factor (two N-vectors), the iterate
-    and the trial (u, V and u^2 each), both g_t and both d, and three more
-    while it forms the quotient: 18 N-vectors with a point charge's grid.
+    and the trial (u and V each), both g_t and both d, and three more while
+    it forms the quotient: 16 N-vectors with a point charge's grid.
     """
 
     def iterates(cur: Candidate, v_bg: Samples):

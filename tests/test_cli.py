@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 import coulombium.background
 import coulombium.kernel
+import coulombium.solver
 from coulombium import cli
 from coulombium.cli import _solver_config, build_parser, main, resolve_config
 from coulombium.solver import SolverConfig
@@ -30,11 +31,11 @@ def test_solve_point_charge(tmp_path):
     )
     assert code == 0
     table = (tmp_path / "sol.csv").read_text().splitlines()
-    assert table[0] == "# schema_version=6"
+    assert table[0] == "# schema_version=7"
     assert table[1].startswith("# config ")
     assert table[2].startswith("# summary ")
     assert "total_energy=" in table[2]
-    assert table[3] == "x,u,u2,V"
+    assert table[3] == "x,u,V"
     assert len(table) == 4 + 1601
     assert (tmp_path / "sol_trace.csv").exists()
 
@@ -47,7 +48,7 @@ def test_solve_json_format(tmp_path):
     )
     assert code == 0
     doc = json.loads((tmp_path / "sol.json").read_text())
-    assert doc["schema_version"] == 6
+    assert doc["schema_version"] == 7
     assert doc["config"]["z"] == 2.0
     assert "converged" not in doc["summary"]  # a returned state is always converged
     assert len(doc["table"]["x"]) == 1601
@@ -175,6 +176,14 @@ def test_failing_command_exits_with_its_code_and_writes_nothing(tmp_path, capsys
     assert sorted(p.name for p in tmp_path.iterdir()) == ["one_column.dat"]
 
 
+def test_an_uncertified_eigensolve_exits_with_the_solver_code(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(coulombium.solver, "_EIGEN_MAX_STEPS", 1)
+    assert run_cli(["solve", "--z", "2", "--L", "12", "--N", "241", "--output", "s"]) == 2
+    assert "solver did not converge: inverse iteration uncertified" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_three_node_grid_is_usage_error(tmp_path, capsys):
     argv = ["solve", "--z", "2", "--L", "1", "--N", "3", "--output", str(tmp_path / "s")]
     assert run_cli(argv) == 1
@@ -217,7 +226,7 @@ def test_csv_and_json_carry_the_same_record(tmp_path, argv, code):
         return
     assert summary == {k: str(v) for k, v in doc["summary"].items()}
     table = doc["table"]
-    assert header == ["x", "u", "u2", "V"] and sorted(table) == sorted(header)
+    assert header == ["x", "u", "V"] and sorted(table) == sorted(header)
     assert rows == _cells([dict(zip(table, row)) for row in zip(*table.values())], header)
     _, trace_header, trace = _csv_record(tmp_path / "c_trace.csv")
     assert trace_header == ["iteration", "objective", "residual"]
@@ -662,7 +671,7 @@ def _tables(draw):
     A one-column row holding one blank, the one row ``csv`` would quote, never occurs.
     """
     rows = draw(st.integers(1, 20))
-    names = draw(st.lists(st.sampled_from(["x", "u", "u2", "V", "iteration", "objective", "z",
+    names = draw(st.lists(st.sampled_from(["x", "u", "V", "iteration", "objective", "z",
                                            "E", "moment1", "iterations", "status"]),
                           min_size=2, max_size=8, unique=True))
     kinds = [_FLOATS, st.integers(-10**12, 10**12), _SCAN_CELLS]
@@ -681,7 +690,7 @@ def test_write_csv_writes_the_csv_writer_bytes_for_full_tables():
     x = np.linspace(-30.0, 30.0, 2001)
     u = np.exp(-np.abs(x))
     _assert_csv_matches_reference(
-        {"x": x.tolist(), "u": u.tolist(), "u2": (u * u).tolist(), "V": (0.5 * x).tolist()})
+        {"x": x.tolist(), "u": u.tolist(), "V": (0.5 * x).tolist()})
     _assert_csv_matches_reference({"iteration": list(range(1, 31)),
                                    "objective": np.geomspace(1.0, 1e-12, 30).tolist(),
                                    "residual": np.geomspace(1e-1, 1e-16, 30).tolist()})

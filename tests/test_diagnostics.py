@@ -183,8 +183,10 @@ def test_neutral_interaction_bounded_over_family():
 
 
 def test_scan_rejects_empty():
-    with pytest.raises(ValueError):
-        unboundedness_scan(0.5, [])
+    # a slope needs two distinct n: one n, or one n twice, fits no line
+    for n_list in ([], [10], [10, 10]):
+        with pytest.raises(ValueError, match="two distinct n"):
+            unboundedness_scan(0.5, n_list)
 
 
 # --- moments -----------------------------------------------------------------
@@ -196,8 +198,9 @@ def test_moment_basics():
     assert moment(f, 0.0) == pytest.approx(1.0, abs=1e-12)
     block = Samples(g, np.where((g.x >= 0) & (g.x <= 1.0), 1.0, 0.0))
     assert moment(block, 1.0) == pytest.approx(0.5, abs=2 * g.h)
-    with pytest.raises(ValueError):
-        moment(f, -1.0)
+    for p in (-1.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="finite and >= 0"):
+            moment(f, p)
 
 
 def test_ground_state_moment_stable_under_domain_growth():

@@ -15,6 +15,7 @@ from coulombium import (
     GridMismatchError,
     LineSearchStalledError,
     MaxIterExceededError,
+    NoConvergenceError,
     PointCharge,
     SampledCharge,
     Samples,
@@ -654,6 +655,33 @@ def test_a_start_of_any_sign_reaches_the_ground_state(solve, z, start):
     assert state.residual <= cfg.tol_residual
 
 
+def test_a_stalled_line_search_carries_the_iterates_accepted_before_it(monkeypatch):
+    # the gradient solver's start is its first iterate, and each later one
+    # comes from one _descend: a stall at the third call follows three
+    with pytest.raises(MaxIterExceededError) as ref:
+        gradient_solve(PointCharge(2.0), SolverConfig(L=12.0, N=241, max_iter=3))
+    calls = []
+
+    def descend(*args):
+        calls.append(args)
+        if len(calls) == 3:
+            raise LineSearchStalledError("stalled on purpose")
+        return _descend(*args)
+
+    monkeypatch.setattr(solver, "_descend", descend)
+    with pytest.raises(LineSearchStalledError, match="stalled on purpose") as excinfo:
+        gradient_solve(PointCharge(2.0), SolverConfig(L=12.0, N=241))
+    assert len(excinfo.value.history) == 3 and excinfo.value.history == ref.value.history
+
+
+def test_an_uncertified_eigensolve_stops_the_scf_solve(monkeypatch):
+    # one inverse-iteration step cannot certify the first pass's eigenpair
+    monkeypatch.setattr(solver, "_EIGEN_MAX_STEPS", 1)
+    with pytest.raises(NoConvergenceError, match="uncertified after 1 steps") as excinfo:
+        scf_solve(PointCharge(2.0), SolverConfig(L=12.0, N=241))
+    assert excinfo.value.history == []
+
+
 @pytest.mark.parametrize("solve", [scf_solve, gradient_solve])
 def test_max_iter_error_carries_one_float_entry_per_iteration(solve):
     with pytest.raises(MaxIterExceededError) as excinfo:
@@ -830,15 +858,17 @@ def _seeded_two_wells(g: Grid, seed: int) -> SampledCharge:
 
 
 @pytest.mark.parametrize("solve,background,budget", [
-    (scf_solve, "wells", 12), (scf_solve, "point", 16), (gradient_solve, "point", 18)])
+    (scf_solve, "wells", 11), (scf_solve, "point", 15), (gradient_solve, "point", 16)])
 def test_a_fine_solve_holds_a_bounded_working_set(solve, background, budget):
     # Each budget is the measured peak in N-vectors (0.48 MB each here), and
-    # the bound one vector more.  SCF holds the iterate's u, V and u^2, V_bg,
-    # the last pass's u^2 and f, the Anderson history (two rows a difference)
-    # and the eigensolve's six; a point charge's grid adds two.  The gradient
-    # solver holds the iterate and the trial, V_bg, the factor of its metric,
-    # both gradients and directions, and the step's three.  A solve that keeps
-    # its start candidate or a full-depth history peaks at 28, 32 and 25.
+    # the bound one vector more.  SCF holds the iterate's u and V, V_bg, the
+    # last pass's u^2 and f, the Anderson history (two rows a difference) and
+    # the eigensolve's six; it forms the iterate's u^2 after the eigensolve,
+    # and a point charge's grid adds two.  The gradient solver holds the
+    # iterate and the trial (u and V each), V_bg, the factor of its metric,
+    # both gradients and directions, and the step's three.  A candidate that
+    # keeps its u^2 peaks at 12, 16 and 18; a solve that keeps its start
+    # candidate or a full-depth history, at 28, 32 and 25.
     cfg = SolverConfig(L=30.0, N=60001)
     g = Grid(cfg.L, cfg.N)
     bg = PointCharge(2.0) if background == "point" else _seeded_two_wells(g, 101)
