@@ -14,7 +14,9 @@ builds V = V_el + V_bg with a single prefix-sum pass (V_bg built once per
 solve by the caller) and returns u, V, the kinetic term, the Coulomb term
 2 int V_bg u^2 + int V_el u^2, the objective kinetic + coulomb/2 and the
 Rayleigh quotient <u, H u> = kinetic + (int V_bg u^2 + int V_el u^2),
-read from the Coulomb term's two sums; u^2 lives only while it evaluates.
+read from the Coulomb term's two sums, and the bound ``rounding`` on the
+objective's evaluation error, read from the same sums; u^2 lives only
+while it evaluates.
 The g-kernel quartic form ``c_functional`` of a point background equals
 that Coulomb term to rounding, which the tests hold as an identity.  The
 discrete Hamiltonian H = -D2 + V (Dirichlet ends) lives only here: one
@@ -49,6 +51,15 @@ from .grid import Samples, integrate, kinetic_energy
 from .kernel import _point_masses, potential_from_density
 
 _FLAPACK = "scipy.linalg._flapack"
+# Ulps of kinetic + |int V_bg u^2| + |int V_el u^2| / 2, the magnitudes a
+# candidate's objective sums, in its rounding allowance; two objectives
+# whose difference is within the sum of their allowances are equal to
+# rounding (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
+# ch. 3-4).  Against an extended-precision evaluation near the minimizers of
+# seeded wells, the difference of two objectives was off by up to 1.5 of
+# those ulps at N = 6001, 5.4 at N = 60001 and 7.6 at N = 240001; the prefix
+# sums of V_el round alike on nearby states, so most of their error cancels.
+_OBJECTIVE_ULPS = 4.0
 
 
 def _load_flapack():
@@ -97,6 +108,7 @@ class Candidate:
     coulomb: float  # 2 int V_bg u^2 + int V_el u^2
     objective: float  # kinetic + coulomb / 2
     ray: float  # Rayleigh quotient <u, H u> = kinetic + int V u^2 (zero-ended u)
+    rounding: float  # _OBJECTIVE_ULPS ulps of the magnitudes the objective sums
 
 
 def solver_objective(u: Samples, v_bg: Samples) -> Candidate:
@@ -105,6 +117,8 @@ def solver_objective(u: Samples, v_bg: Samples) -> Candidate:
     One ``potential_from_density`` call gives V_el; the objective
     kinetic + coulomb/2 is stationary on the unit sphere exactly at
     solutions of the coupled system -u'' + Vu = eps u, -V'' = u^2 + rho.
+    Its rounding allowance is _OBJECTIVE_ULPS ulps of
+    kinetic + |int V_bg u^2| + |int V_el u^2| / 2.
     """
     sq = u.values * u.values
     v = potential_from_density(u.with_values(sq)).values  # V_el, then V in place
@@ -115,7 +129,9 @@ def solver_objective(u: Samples, v_bg: Samples) -> Candidate:
     bg = float(np.dot(w, np.multiply(v_bg.values, sq, out=wsq)))
     v += v_bg.values
     coul = 2.0 * bg + pair
-    return Candidate(u, u.with_values(v), kin, coul, kin + 0.5 * coul, kin + (bg + pair))
+    rounding = _OBJECTIVE_ULPS * np.finfo(float).eps * (kin + abs(bg) + 0.5 * abs(pair))
+    return Candidate(u, u.with_values(v), kin, coul, kin + 0.5 * coul, kin + (bg + pair),
+                     rounding)
 
 
 def _background_const(bg: BackgroundCharge, v_bg: Samples) -> float:

@@ -66,6 +66,7 @@ _SUBCRITICAL = 1.0 - 1e-9  # charge ratios z below this have no bound state
 # near-critical separated wells where s = 1/4 takes at most 26
 _SOBOLEV_SHIFT = 0.25
 _EIGEN_MAX_STEPS = 200  # inverse-iteration steps per eigensolve
+_EPS_MACH = float(np.finfo(float).eps)
 _COARSE_STRIDE = 10  # a coarse start solves on every tenth node
 # the widest coarse spacing used, the default mesh's: at L = 30 a coarse
 # start cost point charges 6-27 % more time at N = 6001 (coarse spacing
@@ -116,7 +117,8 @@ class GroundState:
         return self.energy.kinetic + 0.5 * self.energy.coulomb
 
 
-def ground_eigenpair(V: Samples, start: Samples | None = None) -> tuple[float, Samples]:
+def ground_eigenpair(V: Samples, start: Samples | None = None, *,
+                     _start_quotient: tuple[float, float] | None = None) -> tuple[float, Samples]:
     """Lowest eigenpair of H = -D2 + V with Dirichlet ends, by certified inverse iteration.
 
     H is symmetric tridiagonal over the interior nodes, with diagonal
@@ -132,21 +134,34 @@ def ground_eigenpair(V: Samples, start: Samples | None = None) -> tuple[float, S
     With rho the Rayleigh quotient and r = |H y - rho y| at |y| = 1, the
     start's rho and r come from energy's stencil, and each step reads them
     from its own solve: H x = y + sigma x, so rho = sigma + <x, y>/<x, x>
-    and r = |y - (rho - sigma) x| / |x|, with no pass of the stencil.  The
-    shift starts at rho - 2r, clamped below by the Gershgorin bound min V,
-    and falls halfway toward min V - 1 while dpttrf refuses it.  After each
-    step it rises to rho - 2 max(r, tol) when dpttrf accepts that.  A
-    refusal proves lambda_1 lies below that value, and the shift bisects
-    toward it instead: a start held in a shallower well, far from the
-    deepest, otherwise settles on an excited state with a tiny residual.
+    and r = |y - (rho - sigma) x| / |x|, with no pass of the stencil.
     Iteration stops when r <= tol = 64 eps_mach (4/h^2 + max |V|) and an
     accepted shift lies within 2 tol of rho, which certifies lambda_1 in
     (rho - 2 tol, rho]; rho is the eigenvalue returned.  u is embedded with
     zero ends and normalized to unit trapezoid mass, so u >= 0.
 
-    It holds six N-vectors at its peak: y, one buffer that takes the start's
-    stencil and then each step's solve in place, and the factors of the
-    accepted shift and of the shift it tries (two each); at N = 60001 that
+    The first shift is the one that certificate already accepts,
+    rho - tol - r^2 (Temple's bound with the gap taken as 1), wherever it
+    lies above the rule's own first shift: a warm start, r^2 well below
+    tol, then certifies after one factor and one solve.  If dpttrf refuses
+    it, that proves lambda_1 lies below it.  The rule's shift starts at
+    rho - 2r, clamped below by the Gershgorin bound min V, and falls halfway
+    toward min V - 1 while dpttrf refuses it.  After each step it rises to
+    rho - 2 max(r, tol) when dpttrf accepts that.  A refusal proves
+    lambda_1 lies below that value, and the shift bisects toward it
+    instead: a start held in a shallower well, far from the deepest,
+    otherwise settles on an excited state with a tiny residual.
+
+    SCF passes its iterate's rho and r as ``_start_quotient``: it has read
+    them already, since its multiplier <u, H u> and its residual
+    |(H - <u, H u>) u| at unit trapezoid mass (h |u|^2 = 1) are those of
+    y = u / |u|.  The stencil then does not run, and a warm start makes one
+    factor and one solve.
+
+    It holds six N-vectors at its peak: y, one buffer that takes the
+    start's stencil (or is left empty) and then each step's solve in place,
+    the factor of the accepted shift (two), and the factor of the shift it
+    tries or, as it returns, the two of normalizing y; at N = 60001 that
     is 2.9 MB.
 
     Raises ValueError for a non-finite V or start, or a start that vanishes
@@ -167,7 +182,7 @@ def ground_eigenpair(V: Samples, start: Samples | None = None) -> tuple[float, S
         if not np.all(np.isfinite(y)) or not np.any(y[1:-1]):
             raise ValueError("start must be finite and nonzero on the interior")
     y[0] = y[-1] = 0.0
-    tol = 64.0 * np.finfo(float).eps * (4.0 / g.h**2 + max(vmax, -vmin))
+    tol = 64.0 * _EPS_MACH * (4.0 / g.h**2 + max(vmax, -vmin))
     # Gershgorin: lambda_1 > min V, and H - floor is strictly diagonally
     # dominant, so dpttrf accepts it
     floor = vmin - 1.0
@@ -175,15 +190,25 @@ def ground_eigenpair(V: Samples, start: Samples | None = None) -> tuple[float, S
     def factor(sigma):
         return _hamiltonian_factor(vv, g.h, sigma)
 
-    # the start's quotient and residual come from the stencil, whose buffer
-    # then holds each step's solve
     y /= np.linalg.norm(y)
-    hy = _shifted_hamiltonian(y, vv, g.h, 0.0)
-    rho = float(np.dot(y, hy))
-    hy -= rho * y
-    res = float(np.linalg.norm(hy))
+    if _start_quotient is None:
+        # the start's quotient and residual come from the stencil, whose
+        # buffer then holds each step's solve
+        hy = _shifted_hamiltonian(y, vv, g.h, 0.0)
+        rho = float(np.dot(y, hy))
+        hy -= rho * y
+        res = float(np.linalg.norm(hy))
+    else:
+        rho, res = _start_quotient
+        hy = np.empty_like(y)
     sigma, above = max(rho - 2.0 * res, vmin), np.inf  # lambda_1 lies in (sigma, above]
-    while (fac := factor(sigma)) is None:
+    fac = None
+    if (certified := rho - tol - res * res) > sigma:  # the shift the stop rule accepts
+        if (fac := factor(certified)) is None:
+            above = certified  # the refusal proves lambda_1 <= certified
+        else:
+            sigma = certified
+    while fac is None and (fac := factor(sigma)) is None:
         sigma, above = 0.5 * (sigma + floor), sigma
     yi, x = y[1:-1], hy[1:-1]  # views: y keeps its zero ends
     for _ in range(_EIGEN_MAX_STEPS):
@@ -241,14 +266,17 @@ def _check_tail(u: Samples):
         )
 
 
-def _descends(obj: float, trial: Candidate, step: float, slope: float) -> bool:
-    """Armijo: trial's objective is at most obj + 1e-4 step slope + 4e-16 max(1, |obj|).
+def _descends(cur: Candidate, trial: Candidate, step: float, slope: float) -> bool:
+    """Armijo: trial's objective is at most cur's + 1e-4 step slope, within rounding.
 
-    slope < 0 is the predicted rate along the step.  The last term allows a
-    flat step within rounding: near the optimum the predicted decrease falls
-    below it, and every step would be rejected.
+    slope <= 0 is the predicted rate along the step.  The two objectives
+    are equal to rounding when they differ by at most the sum of their
+    ``rounding`` allowances (:func:`coulombium.energy.solver_objective`),
+    and the test allows that flat step: near the optimum the predicted
+    decrease falls below the objectives' rounding, and every step would be
+    rejected, or accepted by the noise in the last bits.
     """
-    return trial.objective <= obj + 1e-4 * step * slope + 4e-16 * max(1.0, abs(obj))
+    return trial.objective <= cur.objective + 1e-4 * step * slope + cur.rounding + trial.rounding
 
 
 def _anderson_state(grid: Grid, u2, f, gamma, d_rho, d_f) -> Samples:
@@ -262,13 +290,13 @@ def _anderson_state(grid: Grid, u2, f, gamma, d_rho, d_f) -> Samples:
 def _descend(cur: Candidate, v_bg: Samples, path, step: float, slope: float):
     """The first s of step, step/2, ... (down to 1e-20) whose candidate
     ``normalize(path(s))`` descends by ``_descends``."""
-    obj = cur.objective
     while step >= 1e-20:
         trial = solver_objective(normalize(Samples(cur.u.grid, path(step))), v_bg)
-        if _descends(obj, trial, step, slope):
+        if _descends(cur, trial, step, slope):
             return trial, step
         step *= 0.5
-    raise LineSearchStalledError(f"no descent step from objective {obj!r} down to step 1e-20")
+    raise LineSearchStalledError(
+        f"no descent step from objective {cur.objective!r} down to step 1e-20")
 
 
 def require_bound_state(bg: BackgroundCharge) -> None:
@@ -316,9 +344,20 @@ def _prolong(u: Samples, fine: Grid) -> Samples:
     moments[1:-1] = dpttrs(d, e, (6.0 / big_h**2) * (y[2:] - 2.0 * y[1:-1] + y[:-2]))[0]
     t = np.arange(_COARSE_STRIDE) / _COARSE_STRIDE
     s = 1.0 - t
-    cells = np.outer(y[:-1], s) + np.outer(y[1:], t)
-    cells += (big_h**2 / 6.0) * (np.outer(moments[:-1], s**3 - s) + np.outer(moments[1:], t**3 - t))
-    return Samples(fine, np.append(cells.ravel(), y[-1]))
+    s3, t3 = s**3 - s, t**3 - t
+    out = np.empty(fine.N)
+    out[-1] = y[-1]
+    cells = out[:-1].reshape(n, _COARSE_STRIDE)  # a view: row j is the cell [X_j, X_{j+1})
+    curve = np.empty(n)
+    for k in range(_COARSE_STRIDE):  # the k-th node of every cell
+        cell = cells[:, k]
+        np.multiply(y[:-1], s[k], out=cell)
+        cell += y[1:] * t[k]
+        np.multiply(moments[:-1], s3[k], out=curve)
+        curve += moments[1:] * t3[k]
+        curve *= big_h**2 / 6.0
+        cell += curve
+    return Samples(fine, out)
 
 
 def _coarse_start(name: str, iterates, bg: BackgroundCharge, cfg, grid: Grid) -> Samples | None:
@@ -426,7 +465,8 @@ def scf_solve(
     passes the one Armijo test.  Each iterate's multiplier is its own
     Rayleigh quotient <u, H u>, read with its objective (the eigenvalue
     belongs to the previous iterate's V), and its residual is
-    |(H - <u, H u>) u| on the V it holds, as in the gradient solver.
+    |(H - <u, H u>) u| on the V it holds, as in the gradient solver; the
+    next pass's eigensolve starts from u with both.
 
     A pass holds V_bg, the iterate's u and V, the last pass's u^2 and f (f
     in the eigenvector's buffer), two history rows a difference and, at its
@@ -444,8 +484,9 @@ def scf_solve(
         gram = np.empty((_SCF_DEPTH, _SCF_DEPTH))
         pairs = 0  # differences taken since the last reset
         prev = None  # (u^2, f) of the previous pass
+        quotient = None  # the iterate's (ray, residual), once it has yielded them
         while True:
-            eps, u_lin = ground_eigenpair(cur.V, cur.u)
+            eps, u_lin = ground_eigenpair(cur.V, cur.u, _start_quotient=quotient)
             u2 = cur.u.values * cur.u.values
             f = np.square(u_lin.values, out=u_lin.values)  # u_lin^2 - u^2, in u_lin's buffer
             f -= u2
@@ -453,7 +494,14 @@ def scf_solve(
             # mixing direction is at most eps - <u, H u> <= 0.  Asking for a
             # share of that decrease keeps the damping from settling into a
             # two-cycle whose objective barely falls while its residual stays.
+            # eps and <u, H u> are each rounded by up to eps_mach ||H||, so a
+            # slope within eps_mach (4/h^2 + max |V|) of 0 is 0: a positive one
+            # would let the Armijo test accept a rise, and a negative one would
+            # ask for a decrease the objective cannot resolve.
             slope = eps - cur.ray
+            if slope > -_EPS_MACH * (4.0 / grid.h**2 + max(np.max(cur.V.values),
+                                                           -np.min(cur.V.values))):
+                slope = 0.0
             trial = None
             if prev is not None:
                 slot, held = pairs % _SCF_DEPTH, min(pairs + 1, _SCF_DEPTH)
@@ -468,15 +516,16 @@ def scf_solve(
                 gamma = np.linalg.lstsq(gram[:held, :held], d_f[:held] @ (w * f), rcond=None)[0]
                 trial = solver_objective(
                     _anderson_state(grid, u2, f, gamma, d_rho[:held], d_f[:held]), v_bg)
-                if not _descends(cur.objective, trial, _SCF_FIRST_MIX, slope):
+                if not _descends(cur, trial, _SCF_FIRST_MIX, slope):
                     trial, pairs = None, 0
             prev = (u2, f)
             if trial is None:
                 trial = _descend(cur, v_bg, lambda a: np.sqrt(u2 + a * f), _SCF_FIRST_MIX,
                                  slope)[0]
             cur = trial
-            yield cur, _residual_norm(
+            quotient = cur.ray, _residual_norm(
                 _shifted_hamiltonian(cur.u.values, cur.V.values, grid.h, cur.ray), grid.h)
+            yield cur, quotient[1]
 
     return _solve("scf", iterates, bg, cfg, u0)
 

@@ -15,6 +15,7 @@ from coulombium import (
     from_function,
     grid_for_counterexample,
     integrate,
+    kinetic_energy,
     moment,
     normalize,
     scf_solve,
@@ -127,6 +128,20 @@ def test_counterexample_matches_closed_forms():
         assert mtr.kinetic == pytest.approx(ke_exact(mtr.n), rel=1e-5)
         assert mtr.c_value == pytest.approx(c_exact(mtr.n, 0.5), abs=2e-6)
         assert abs(mtr.norm - 1.0) < 1e-6
+
+
+@pytest.mark.filterwarnings("ignore::coulombium.errors.NormalizationWarning")  # mass off 1 by 4e-7
+def test_scan_on_the_half_axis_matches_the_full_grid():
+    # the scan builds only x >= 0; the full grid's sums agree to rounding
+    z = 0.5
+    res = unboundedness_scan(z, [10, 20, 40])
+    for mtr in res.metrics:
+        g = grid_for_counterexample(mtr.n)
+        u = counterexample_un(mtr.n, g)
+        sq = u.with_values(u.values**2)
+        assert mtr.norm == pytest.approx(integrate(sq), rel=1e-14)
+        assert mtr.kinetic == pytest.approx(kinetic_energy(u), rel=1e-14)
+        assert mtr.c_value == pytest.approx(c_functional(sq, z), rel=1e-14)
 
 
 def test_scan_slope_matches_closed_form_prediction():

@@ -1,3 +1,4 @@
+import contextlib
 import dataclasses
 import inspect
 import tracemalloc
@@ -143,6 +144,68 @@ def test_ground_eigenpair_leaves_a_start_held_in_a_shallower_well():
     assert u.values[np.argmin(np.abs(g.x + 5.0))] > 0.5
 
 
+def _spy_on_factors(monkeypatch) -> list:
+    """(shift, accepted) of every factor of H - sigma ``solver`` asks for, in call order."""
+    shifts = []
+    factor = solver._hamiltonian_factor
+
+    def spy(vv, h, sigma):
+        fac = factor(vv, h, sigma)
+        shifts.append((sigma, fac is not None))
+        return fac
+
+    monkeypatch.setattr(solver, "_hamiltonian_factor", spy)
+    return shifts
+
+
+def _certified(v: Samples, eps: float, u: Samples) -> bool:
+    """The stencil's residual of (eps, u) and its quotient are within the certificate's tol."""
+    g = v.grid
+    tol = 64.0 * np.finfo(float).eps * (4.0 / g.h**2 + np.max(np.abs(v.values[1:-1])))
+    y = u.values / np.linalg.norm(u.values)
+    hy = _shifted_hamiltonian(y, v.values, g.h, 0.0)
+    return np.linalg.norm(hy - eps * y) <= 2.0 * tol and abs(float(np.dot(y, hy)) - eps) <= tol
+
+
+def test_a_warm_eigensolve_factors_once(monkeypatch):
+    # The start is the ground state SCF returned, so its residual is far
+    # below sqrt(tol): the shift rho - tol - r^2 is accepted, and one solve
+    # from it certifies the pair.  The rule's shift rho - 2r alone needed a
+    # second factor, at rho - 2 tol, only to certify.
+    cfg = SolverConfig(L=30.0, N=60001)
+    state = scf_solve(_seeded_two_wells(Grid(cfg.L, cfg.N), 101), cfg)
+    shifts = _spy_on_factors(monkeypatch)
+    eps, u = ground_eigenpair(state.V, state.u)
+    assert [accepted for _, accepted in shifts] == [True]
+    assert _certified(state.V, eps, u)
+    assert eps == pytest.approx(_lowest_two(state.V)[0], abs=1e-9)
+
+
+def test_a_refused_certificate_shift_still_reaches_the_ground_state(monkeypatch):
+    # The start is the excited eigenvector held in the shallower of two
+    # far-apart wells: its residual is at rounding level, so the first shift
+    # tried, rho - tol - r^2, lies just below lambda_2 and far above
+    # lambda_1, and dpttrf refuses it.  That refusal bounds lambda_1 from
+    # above, and the rule's own shifts go on down to the ground state.
+    g = Grid(20.0, 801)
+
+    def well(c):
+        return np.exp(-0.5 * ((g.x - c) / 0.5) ** 2)
+
+    v = Samples(g, -20.0 * well(-5.0) - 19.9 * well(5.0))
+    lam = _lowest_two(v)
+    excited = np.zeros(g.N)
+    excited[1:-1] = eigh_tridiagonal(2.0 / g.h**2 + v.values[1:-1], np.full(g.N - 3, -1.0 / g.h**2),
+                                     select="i", select_range=(1, 1))[1][:, 0]
+    shifts = _spy_on_factors(monkeypatch)
+    eps, u = ground_eigenpair(v, start=Samples(g, excited))
+    first, accepted = shifts[0]
+    assert not accepted and lam[0] < first < lam[1]
+    assert eps == pytest.approx(lam[0], abs=1e-10)
+    assert np.all(u.values >= 0.0) and u.values[np.argmin(np.abs(g.x + 5.0))] > 0.5
+    assert _certified(v, eps, u)
+
+
 @st.composite
 def eigen_problems(draw):
     """A Dirichlet potential of 0-3 Gaussian wells and a start for its eigensolve."""
@@ -226,13 +289,8 @@ def test_ground_eigenpair_certificate_holds_for_the_stencil(problem):
     # stencil's own residual of the returned pair and its own quotient must
     # still be within the tolerance the certificate states.
     v, start = problem
-    g = v.grid
     eps, u = ground_eigenpair(v, start)
-    tol = 64.0 * np.finfo(float).eps * (4.0 / g.h**2 + np.max(np.abs(v.values[1:-1])))
-    y = u.values / np.linalg.norm(u.values)
-    hy = _shifted_hamiltonian(y, v.values, g.h, 0.0)
-    assert np.linalg.norm(hy - eps * y) <= 2.0 * tol
-    assert abs(float(np.dot(y, hy)) - eps) <= tol
+    assert _certified(v, eps, u)
 
 
 @pytest.fixture(scope="module")
@@ -260,16 +318,45 @@ def test_unit_mass_preserved(z2_states):
         assert integrate(sq) == pytest.approx(1.0, abs=1e-10)
 
 
-def _rises_within_rounding(objs):
-    # the one Armijo test lets a flat rise of 4e-16 max(1, |obj|) through; a
-    # slope that rounds above 0 lets more through only on finer grids than these
-    return all(b <= a + 4e-16 * max(1.0, abs(a)) for a, b in zip(objs, objs[1:]))
+@contextlib.contextmanager
+def _allowances():
+    """objective -> rounding allowance of each candidate the solvers evaluate meanwhile."""
+    seen = {}
+    evaluate = solver.solver_objective
+
+    def record(u, v_bg):
+        c = evaluate(u, v_bg)
+        seen[c.objective] = c.rounding
+        return c
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver, "solver_objective", record)
+        yield seen
+
+
+def _rises_within_rounding(objs, allowance):
+    # the one Armijo test lets a rise through when it lies within the two
+    # objectives' rounding allowances, read from the sums each evaluation formed
+    return all(b <= a + allowance[a] + allowance[b] for a, b in zip(objs, objs[1:]))
 
 
 def test_objective_trace_monotone(z2_states):
-    scf, gd, _, _ = z2_states
-    for state in (scf, gd):
-        assert _rises_within_rounding([e for e, _ in state.history])
+    _, _, cfg, bg = z2_states
+    for solve in (scf_solve, gradient_solve):
+        with _allowances() as allowance:
+            state = solve(bg, cfg)
+        assert _rises_within_rounding([e for e, _ in state.history], allowance)
+
+
+def test_the_rounding_allowance_is_a_few_ulps_of_the_objectives_sums():
+    g = Grid(20.0, 2001)
+    v_bg = background_potential(PointCharge(2.0), g)
+    c = solver_objective(default_initial_guess(PointCharge(2.0), g), v_bg)
+    w, sq = g.weights, c.u.values**2
+    bg = float(np.dot(w, v_bg.values * sq))
+    pair = c.coulomb - 2.0 * bg
+    magnitude = c.kinetic + abs(bg) + 0.5 * abs(pair)
+    assert c.rounding == pytest.approx(4.0 * np.finfo(float).eps * magnitude, rel=1e-12)
 
 
 @st.composite
@@ -301,10 +388,11 @@ def test_gradient_solve_is_fast_and_agrees_with_scf_on_random_wells(bg):
     # Anderson mixing keeps SCF's count as flat, and its accepted trace as monotone.
     cfg = SolverConfig(L=30.0, N=1201)
     gd = gradient_solve(bg, cfg)
-    scf = scf_solve(bg, cfg)
+    with _allowances() as allowance:
+        scf = scf_solve(bg, cfg)
     assert gd.iterations <= 30
     assert scf.iterations <= 40
-    assert _rises_within_rounding([e for e, _ in scf.history])
+    assert _rises_within_rounding([e for e, _ in scf.history], allowance)
     assert abs(gd.objective - scf.objective) <= 1e-12
 
 
@@ -327,21 +415,25 @@ def test_scf_solves_separated_near_critical_wells(charge, wells):
 @pytest.mark.parametrize("charge,centre,width", [(2.2892, 1.1124, 0.834),
                                                   (1.8071, 0.9589, 1.1833)])
 def test_scf_from_a_warm_start_near_the_minimizer_converges(charge, centre, width):
-    # Near the minimizer the objective's rounding noise (up to 2e-15 here)
-    # exceeds the Armijo allowance (about 4e-16), so a good damped weight is
-    # sometimes refused.  A weight that only halved stalled at a residual
-    # above 1e-7 for 1000 passes and more from these starts (which input
-    # stalls depends on the last bits of the eigensolve).  With every
-    # fallback starting again from 0.6, and each eigensolve starting from
-    # the iterate it diagonalizes, they take 8 and 8 passes with one BLAS
-    # thread, 9 and 4 with two.
+    # Near the minimizer two objectives differ by their rounding (up to
+    # 2e-15 here), and the slope eps - <u, H u> by the eigenvalue's
+    # (up to 1e-10).  Under a fixed Armijo allowance of 4e-16 max(1, |obj|)
+    # noise in the last bits refused good Anderson candidates: the first
+    # input took 8 to 12 passes as the start's last bits changed.  Scaling
+    # u0 by 1 + k eps_mach changes those bits; the allowance read from the
+    # objective's own sums and the slope clipped at 0 within the
+    # eigenvalue's rounding take 4 passes on every start, with one BLAS
+    # thread and with two.
     cfg = SolverConfig(L=30.0, N=60001, max_iter=60)
     fine, coarse = Grid(cfg.L, cfg.N), Grid(cfg.L, 6001)
     g = np.exp(-0.5 * ((fine.x - centre) / width) ** 2)
-    rho = -charge * g / np.dot(fine.weights, g)
-    state = scf_solve(SampledCharge(Samples(coarse, rho[::10])), SolverConfig(L=cfg.L, N=6001))
-    u0 = Samples(fine, np.interp(fine.x, coarse.x, state.u.values))
-    assert scf_solve(SampledCharge(Samples(fine, rho)), cfg, u0=u0).iterations <= 60
+    bg = SampledCharge(Samples(fine, -charge * g / np.dot(fine.weights, g)))
+    state = scf_solve(SampledCharge(Samples(coarse, bg.rho.values[::10])),
+                      SolverConfig(L=cfg.L, N=6001))
+    u0 = np.interp(fine.x, coarse.x, state.u.values)
+    for k in (0, 1, 3, 7):
+        start = Samples(fine, u0 * (1.0 + k * np.finfo(float).eps))
+        assert scf_solve(bg, cfg, u0=start).iterations <= 8, k
 
 
 def test_every_scf_fallback_starts_at_the_full_weight(monkeypatch):
@@ -358,13 +450,13 @@ def test_every_scf_fallback_starts_at_the_full_weight(monkeypatch):
         accepted.append(taken)
         return trial, taken
 
-    def descends(obj, trial, step, slope):
+    def descends(cur, trial, step, slope):
         if not accepted:  # the first pass's search refuses weights above 0.1
-            return step < 0.1 and real_descends(obj, trial, step, slope)
+            return step < 0.1 and real_descends(cur, trial, step, slope)
         if len(starts) == len(accepted):  # outside a search: an Anderson candidate
             refused.append(step)
             return False
-        return real_descends(obj, trial, step, slope)
+        return real_descends(cur, trial, step, slope)
 
     real_descends = solver._descends
     monkeypatch.setattr(solver, "_descend", descend)
@@ -385,8 +477,10 @@ def test_accepted_objectives_never_rise_beyond_rounding(solve, problem):
     bg, cfg = problem
     g = Grid(cfg.L, cfg.N)
     start = solver_objective(default_initial_guess(bg, g), background_potential(bg, g))
-    state = solve(bg, cfg)
-    assert _rises_within_rounding([start.objective] + [e for e, _ in state.history])
+    with _allowances() as allowance:
+        state = solve(bg, cfg)
+    allowance[start.objective] = start.rounding
+    assert _rises_within_rounding([start.objective] + [e for e, _ in state.history], allowance)
 
 
 def test_descent_step_stalls_on_a_path_that_only_rises():
@@ -505,12 +599,13 @@ def test_minimizer_is_symmetric_decreasing(solve, z, half, L, shift):
     vals = np.exp(-0.5 * (g.x - shift) ** 2)
     vals[0] = vals[-1] = 0.0
     u0 = normalize(Samples(g, vals))
-    state = solve(PointCharge(z), SolverConfig(L=L, N=g.N), u0=u0)
+    with _allowances() as allowance:
+        state = solve(PointCharge(z), SolverConfig(L=L, N=g.N), u0=u0)
     sq = state.u.with_values(state.u.values**2)
     star = symmetric_decreasing_rearrangement(sq)
     assert np.max(np.abs(np.sqrt(star.values) - state.u.values)) <= 1e-6
     assert integrate(sq) == pytest.approx(1.0, abs=1e-12)
-    assert _rises_within_rounding([e for e, _ in state.history])
+    assert _rises_within_rounding([e for e, _ in state.history], allowance)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -945,11 +1040,11 @@ def test_every_scf_eigensolve_starts_from_the_iterate_it_diagonalizes(monkeypatc
         live[id(c.V)] = c
         return c
 
-    def spy(V, start=None):
+    def spy(V, start=None, **known):
         c = live[id(V)]
         assert c.V is V
         calls.append((V.grid.N, start is not None and np.array_equal(start.values, c.u.values)))
-        return eigenpair(V, start)
+        return eigenpair(V, start, **known)
 
     monkeypatch.setattr(solver, "solver_objective", record)
     monkeypatch.setattr(solver, "ground_eigenpair", spy)
