@@ -49,12 +49,28 @@ def moment(f: Samples, p: float) -> float:
     return float(np.dot(f.grid.weights, np.abs(f.grid.x) ** p * f.values))
 
 
-def _un_values(n: int, ax: np.ndarray) -> np.ndarray:
-    """u_n at the distances ax = |x| from the origin (see :func:`counterexample_un`)."""
+def _un_values(n: int, ax: np.ndarray, out: np.ndarray, work: np.ndarray) -> np.ndarray:
+    """u_n at the distances ax = |x| from the origin (see :func:`counterexample_un`).
+
+    Built in ``out`` (which may be ax itself) with ``work``, another array
+    of ax's size, and returned; the in-place steps run the operations of
+    the profile's expression in its order, so they keep its bits.
+    """
     m = n + 1.0
     amp = m**3 / (2.0 * n**3)
-    dens = amp * (1.0 / (1.0 + ax) ** 2 - 1.0 / m**2 + 2.0 * (ax - n) / m**3)
-    return np.sqrt(np.where(ax <= n, np.maximum(dens, 1e-16), 0.0))
+    outside = ax > n
+    slope = np.subtract(ax, n, out=work)  # 2 (|x| - n) / m^3
+    slope *= 2.0
+    slope /= m**3
+    np.add(ax, 1.0, out=out)  # amp (1/(1+|x|)^2 - 1/m^2 + slope)
+    np.square(out, out=out)
+    np.divide(1.0, out, out=out)
+    out -= 1.0 / m**2
+    out += slope
+    out *= amp
+    np.maximum(out, 1e-16, out=out)
+    out[outside] = 0.0
+    return np.sqrt(out, out=out)
 
 
 def counterexample_un(n: int, grid: Grid) -> Samples:
@@ -74,7 +90,8 @@ def counterexample_un(n: int, grid: Grid) -> Samples:
         raise ValueError(f"family index must be >= 1, got {n}")
     if grid.L < n + 1:
         raise GridTooSmallError(f"need L >= {n + 1}, got L = {grid.L}")
-    return Samples(grid, _un_values(n, np.abs(grid.x)))
+    ax = np.abs(grid.x)
+    return Samples(grid, _un_values(n, ax, out=ax, work=np.empty_like(ax)))
 
 
 def _counterexample_half(n: int) -> int:
@@ -101,27 +118,34 @@ def unboundedness_scan(z: float, n_list) -> UnboundednessScanResult:
     L): the mass, m1 = int |x| u_n^2 and the kinetic term are twice their
     half sums, and C = (z-1) mass m1 + b[u_n^2, u_n^2], whose two half-axis
     parts h sum_{i>=1} S_i^2 (:func:`coulombium.kernel._b_dot`) are equal to
-    the bit, is read from one of them.  Memory grows like n / h (a 0.26 GB
-    traced peak for n = 8000, against 0.69 GB on the whole grid).
+    the bit, is read from one of them.  The scan holds four half-grid
+    arrays sized for the largest n, in which each n's nodes, u_n and sums
+    are built in place, so memory grows like n / h (a 0.18 GB traced peak
+    for n = 8000, against 0.69 GB on the whole grid).
     """
     n_list = list(n_list)
     if len(set(n_list)) < 2:  # a line through one n is not determined
         raise ValueError(f"need at least two distinct n to fit a slope, got {n_list}")
+    # the node indices, the nodes t, u_n and then its point masses, and a
+    # work array (u_n's slope term, its differences, the masses' suffix sums)
+    big = _counterexample_half(max(n_list)) + 1
+    index = np.arange(float(big))
+    t_buf, u_buf, w_buf = np.empty((3, big))
     metrics = []
     for n in n_list:
         half = _counterexample_half(n)
         h = 2.0 * (n + 2.0) / (2 * half)  # the full grid's spacing, to the bit
-        t = h * np.arange(half + 1)  # the full grid's x >= 0
-        u = _un_values(n, t)
-        d = np.diff(u)
+        t = np.multiply(index[:half + 1], h, out=t_buf[:half + 1])  # the full grid's x >= 0
+        u = _un_values(n, t, out=u_buf[:half + 1], work=w_buf[:half + 1])
+        d = np.subtract(u[1:], u[:-1], out=w_buf[:half])
         kin = 2.0 * float(np.dot(d, d) / h)
-        m = u * u  # u_n^2, then its half-axis point masses
+        m = np.multiply(u, u, out=u)  # u_n^2, then its half-axis point masses
         m *= h
         m[0] *= 0.5
         m[-1] *= 0.5
         norm = 2.0 * float(np.sum(m))
         m1 = 2.0 * float(np.dot(t, m))
-        s = _suffix_sums(m[1:])
+        s = _suffix_sums(m[1:], out=w_buf[:half])
         c_val = (z - 1.0) * norm * m1 + 2.0 * h * float(np.vecdot(s, s))
         metrics.append(CounterexampleMetrics(n, norm, kin, c_val, kin + c_val))
     logs = np.log(np.asarray(n_list, dtype=float) + 1.0)

@@ -121,10 +121,11 @@ def kinetic_energy(u: Samples) -> float:
 def normalize(u: Samples) -> Samples:
     """Scale u so that the trapezoid integral of u^2 is exactly 1.
 
-    Raises ValueError unless that integral is finite and positive.
+    Raises ValueError unless that integral is finite and positive.  The
+    result is written over the buffer that held u^2.
     """
     sq = u.values * u.values
     mass = float(np.dot(u.grid.weights, sq))
     if not 0.0 < mass < np.inf:  # also false for NaN
         raise ValueError(f"cannot normalize a function with L2 mass {mass!r}")
-    return Samples(u.grid, u.values / np.sqrt(mass))
+    return Samples(u.grid, np.divide(u.values, np.sqrt(mass), out=sq))

@@ -63,22 +63,20 @@ def _potential_rows(m: np.ndarray, x: np.ndarray) -> np.ndarray:
     """V = -(1/2) sum_k |x - x_k| m_k along the last axis of point masses m.
 
     One cumulative-sum pass per row; ``m`` is overwritten (it holds the
-    first moments' prefix sums).  The totals are copied out of the last
-    column before the in-place steps, which run the operations of
-    -0.5 (x (2 c0 - c0[-1]) + (c1[-1] - 2 c1)) in its order, so a row has
-    the same bits alone and inside a block.
+    first moments' prefix sums).  With the halved totals M0/2 and M1/2
+    taken from the last column, four in-place steps give
+    V = x (M0/2 - c0) + (c1 - M1/2): the -1/2 folded into
+    -0.5 (x (2 c0 - M0) + (M1 - 2 c1)), which halving keeps bit for bit
+    wherever no sum is subnormal.  A row has the same bits alone and
+    inside a block.
     """
     c0 = np.cumsum(m, axis=-1)
     c1 = np.cumsum(np.multiply(m, x, out=m), axis=-1, out=m)
-    # c1[-1] - 2 c1 = -2 c1 + c1[-1] bit for bit
-    t0, t1 = c0[..., -1:].copy(), c1[..., -1:].copy()
-    c0 *= 2.0
-    c0 -= t0
+    half0, half1 = 0.5 * c0[..., -1:], 0.5 * c1[..., -1:]
+    np.subtract(half0, c0, out=c0)
     c0 *= x
-    c1 *= -2.0
-    c1 += t1
+    c1 -= half1
     c0 += c1
-    c0 *= -0.5
     return c0
 
 
@@ -116,14 +114,15 @@ def _half_axis(values: np.ndarray, grid: Grid, side: int):
     return t, v * vals
 
 
-def _suffix_sums(m: np.ndarray) -> np.ndarray:
+def _suffix_sums(m: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """S_i = sum_{k>=i} m_k along the last axis, contiguous and in node order.
 
-    The sums run from the end into a reversed view of the result:
-    ``np.vecdot`` gives a contiguous row the bits of a one-row ``np.dot``
-    but sums a reversed strided view in another order.
+    The sums run from the end into a reversed view of the result (``out``,
+    which may be m itself, or a new array): ``np.vecdot`` gives a
+    contiguous row the bits of a one-row ``np.dot`` but sums a reversed
+    strided view in another order.
     """
-    S = np.empty(m.shape)
+    S = np.empty(m.shape) if out is None else out
     np.cumsum(m[..., ::-1], axis=-1, out=S[..., ::-1])
     return S
 
@@ -161,17 +160,22 @@ def c_plus(f: Samples, form: CPlusForm | str = CPlusForm.C) -> float:
     return float(_c_plus_rows(t, m, f.grid.h, CPlusForm(form)))
 
 
-def _b_sums(f: np.ndarray, grid: Grid) -> np.ndarray:
+def _b_sums(f: np.ndarray, grid: Grid, out: np.ndarray | None = None) -> np.ndarray:
     """Suffix sums S_1 .. S_n-1 of both closed half-axes of f, along the last axis.
 
     S_i = sum_{k>=i} m_k (:func:`_suffix_sums`) of the half-axis point
     masses, x >= 0 then x <= 0 on a new second-to-last axis, so the result
     has shape ``f.shape[:-1] + (2, n - 1)``.  They are the half of the
-    min-kernel form that depends on f alone (:func:`_b_dot`).
+    min-kernel form that depends on f alone (:func:`_b_dot`).  The masses
+    and then the sums go into ``out`` when it is given, else a new array.
     """
-    # S_1 .. S_n-1 do not read the origin's mass
-    m = np.stack([_half_axis(f, grid, side)[1][..., 1:] for side in (+1, -1)], axis=-2)
-    return _suffix_sums(m)
+    # S_1 .. S_n-1 do not read the origin's mass, and the weights of the
+    # other nodes are the half-axis ones (h, and h/2 at the end)
+    c = grid.center_index
+    S = np.empty(f.shape[:-1] + (2, c)) if out is None else out
+    np.multiply(grid.weights[c + 1:], f[..., c + 1:], out=S[..., 0, :])
+    np.multiply(grid.weights[c - 1::-1], f[..., c - 1::-1], out=S[..., 1, :])
+    return _suffix_sums(S, out=S)
 
 
 def _b_dot(sf: np.ndarray, sg: np.ndarray, h: float):
@@ -252,17 +256,20 @@ def b_norm(u: Samples) -> float:
     return float(_b_norm_rows(u.values, u.grid))
 
 
-def _require_zero_mean(values: np.ndarray, grid: Grid, name: str) -> None:
+def _require_zero_mean(values: np.ndarray, grid: Grid, name: str, first_row: int = 0) -> None:
     """Refuse samples that are not zero-mean, along the last axis.
 
     Raises :class:`NonZeroMeanError` naming the first row whose trapezoid
-    integral exceeds 1e-8 in magnitude or is NaN.
+    integral exceeds 1e-8 in magnitude or is NaN.  A block of rows cut
+    from a larger array passes the index of its first row, which the
+    name's leading index counts from.
     """
     mean = np.vecdot(grid.weights, values)
     bad = np.argwhere(~(np.abs(mean) <= 1e-8))  # NaN fails it too
     if len(bad):
         row = tuple(bad[0])
-        where = name + "".join(f"[{i}]" for i in row)
+        shown = (row[0] + first_row, *row[1:]) if row else row
+        where = name + "".join(f"[{i}]" for i in shown)
         raise NonZeroMeanError(
             f"integral of {where} is {mean[row]:.3e}, beyond the 1e-8 zero-mean tolerance"
         )

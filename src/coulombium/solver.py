@@ -67,6 +67,7 @@ _SUBCRITICAL = 1.0 - 1e-9  # charge ratios z below this have no bound state
 _SOBOLEV_SHIFT = 0.25
 _EIGEN_MAX_STEPS = 200  # inverse-iteration steps per eigensolve
 _EPS_MACH = float(np.finfo(float).eps)
+_TINY = float(np.finfo(float).tiny)  # the least positive normal number
 _COARSE_STRIDE = 10  # a coarse start solves on every tenth node
 # the widest coarse spacing used, the default mesh's: at L = 30 a coarse
 # start cost point charges 6-27 % more time at N = 6001 (coarse spacing
@@ -164,6 +165,9 @@ def ground_eigenpair(V: Samples, start: Samples | None = None, *,
     tries or, as it returns, the two of normalizing y; at N = 60001 that
     is 2.9 MB.
 
+    Only the start's direction counts: one whose squared norm overflows or
+    underflows is first divided by its largest entry.
+
     Raises ValueError for a non-finite V or start, or a start that vanishes
     on the interior, and :class:`NoConvergenceError` if the step cap is hit
     or the result is not one-signed.
@@ -190,7 +194,12 @@ def ground_eigenpair(V: Samples, start: Samples | None = None, *,
     def factor(sigma):
         return _hamiltonian_factor(vv, g.h, sigma)
 
-    y /= np.linalg.norm(y)
+    with np.errstate(over="ignore"):
+        yy = float(np.dot(y, y))
+    if not _TINY <= yy < np.inf:  # the problem is scale-invariant: rescale a start
+        y /= np.max(y)  # whose squares over- or underflow, and only such a start
+        yy = float(np.dot(y, y))
+    y /= np.sqrt(yy)
     if _start_quotient is None:
         # the start's quotient and residual come from the stencil, whose
         # buffer then holds each step's solve

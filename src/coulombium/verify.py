@@ -10,13 +10,16 @@ Jensen's bound, the double rearrangement) in ``tests/oracles.py``.
 The seeded suites evaluate their trials as blocks of rows through the
 kernels' array-level forms (``_potential_rows``, ``_c_plus_rows``,
 ``_b_sums`` and ``_b_dot``, ``_g_form`` and ``rearrange._rearrange_rows``),
-which give every row the bits of the one-row public call.  Each suite
-draws its data as blocks: a ``(k, N)`` draw from a NumPy generator is the
-same stream as k draws of N, so ``forms``, ``rearrange`` and
-``innerprod`` give a seed the same data, and the same report, as a
-trial-by-trial loop.  ``bnorm`` draws all u, then all v, then all scales,
-and takes the half-axis suffix sums of each of a pair's five squares
-once, sharing them among the forms and norms it reads.
+which give every row the bits of the one-row public call.  One rule sizes
+the blocks: as many rows as fit ``_BLOCK_BYTES`` (128 KiB), so the few
+block arrays a suite holds at a time stay in a 2 MiB L2 cache, and each
+suite reuses its block buffers from block to block instead of building
+all its trials and temporaries at once.  A ``(k, N)`` draw from a NumPy
+generator is the same stream as k draws of N, so ``forms``, ``rearrange``
+and ``innerprod`` draw and evaluate one block at a time and give a seed
+the same data, and the same report, as a trial-by-trial loop.  ``bnorm``'s
+stream gives all u, then all v, then all scales, so it keeps all of u,
+draws v a block at a time, and reads the scaled u in a second sweep.
 """
 
 from __future__ import annotations
@@ -90,56 +93,86 @@ def random_zero_mean_compact(grid, rng, rows=None):
     return Samples(grid, vals) if rows is None else vals
 
 
+# bytes of one (rows, N) block of float rows: a suite holds a few such
+# arrays at a time, so its working set stays inside a 2 MiB L2 cache
+_BLOCK_BYTES = 128 * 1024
+
+
+def _block_rows(n: int) -> int:
+    """Rows of n nodes that fit the block budget, at least one."""
+    return max(1, _BLOCK_BYTES // (8 * n))
+
+
+def _blocks(trials: int, n: int) -> list:
+    """Consecutive row slices that cover ``trials`` rows of n nodes, one block each."""
+    rows = _block_rows(n)
+    return [slice(s, min(s + rows, trials)) for s in range(0, trials, rows)]
+
+
 def forms_suite(seed=0) -> SuiteReport:
     """Agreement of the four half-axis forms on 100 random nonnegative densities.
 
-    The densities are drawn as one block and each form is evaluated on it
-    in one kernel call, whose value for each row is that of :func:`c_plus`
-    on the row alone.
+    The densities are drawn and evaluated a block at a time, each form in
+    one kernel call per block, whose value for each row is that of
+    :func:`c_plus` on the row alone.
     """
     rng = np.random.default_rng(seed)
-    grid = Grid(10.0, 401)
-    t, m = _half_axis(random_density(grid, rng, rows=100), grid, +1)
-    vals = np.array([_c_plus_rows(t, m, grid.h, form) for form in CPlusForm])
+    trials, grid = 100, Grid(10.0, 401)
+    vals = np.empty((len(CPlusForm), trials))
+    for blk in _blocks(trials, grid.N):
+        t, m = _half_axis(random_density(grid, rng, rows=blk.stop - blk.start), grid, +1)
+        for form_vals, form in zip(vals, CPlusForm):
+            form_vals[blk] = _c_plus_rows(t, m, grid.h, form)
     scale = np.max(np.abs(vals), axis=0)
     worst = float(np.max((np.max(vals, axis=0) - np.min(vals, axis=0)) / scale))
     fails = [] if worst <= 1e-9 else [f"four-form deviation {worst:.3e} > 1e-9"]
     return SuiteReport("forms", {"max_rel_deviation": worst}, fails)
 
 
-# pairs per kernel call: five (64, 201) squares amortize the call overhead and keep
-# the arrays small
-_BNORM_BLOCK = 64
-
-
 def bnorm_suite(seed=0) -> SuiteReport:
     """Norm axioms for the quartic functional on 1000 random sample pairs.
 
-    All u are drawn as one block, then all v, then all scales lambda.  Each
-    block of ``_BNORM_BLOCK`` pairs stacks its five squares u^2, v^2,
-    (lambda u)^2, (u+v)^2 and (u-v)^2 and takes their half-axis suffix sums
-    once; b[u^2, u^2], b[v^2, v^2], b[u^2, v^2] and the five norms are dots
-    of those sums, each row with the bits of :func:`b_form` and
+    The stream gives all u, then all v, then all scales lambda, so all u
+    are drawn at once and then v a block at a time.  Each block of pairs
+    takes the half-axis suffix sums (``_b_sums``) of u^2, v^2, (u+v)^2 and
+    (u-v)^2, one square at a time, into buffers that every block reuses;
+    b[u^2, u^2], b[v^2, v^2], b[u^2, v^2] and the norms are dots of those
+    sums.  Once the scales are drawn, a second sweep over u does the same
+    for (lambda u)^2.  Each row has the bits of :func:`b_form` and
     :func:`b_norm` on the row alone.  The four axioms (homogeneity,
     triangle, Cauchy-Schwarz for b on squares, uniform convexity) are then
     tested on all pairs at once.
     """
     rng = np.random.default_rng(seed)
-    pairs, N = 1000, 201
-    grid = Grid(8.0, N)
-    u = rng.standard_normal((pairs, N))
-    v = rng.standard_normal((pairs, N))
-    lam = rng.uniform(-3.0, 3.0, pairs)
-    b = np.empty((5, pairs))  # b[s, s] for the five squares s of each pair
+    pairs, grid = 1000, Grid(8.0, 201)
+    blocks = _blocks(pairs, grid.N)
+    u = rng.standard_normal((pairs, grid.N))
+    rows = blocks[0].stop  # the largest block
+    v, sq = np.empty((2, rows, grid.N))
+    sums_u, sums_v, sums_w = np.empty((3, rows, 2, grid.center_index))
+
+    def square_sums(values, out):
+        """Suffix sums of values^2 into ``out``, the square formed in ``sq``."""
+        k = len(values)
+        np.multiply(values, values, out=sq[:k])
+        return _b_sums(sq[:k], grid, out=out[:k])
+
+    b = np.empty((5, pairs))  # b[s, s] for u^2, v^2, (lambda u)^2, (u+v)^2, (u-v)^2
     buv = np.empty(pairs)  # b[u^2, v^2]
-    for start in range(0, pairs, _BNORM_BLOCK):
-        blk = slice(start, start + _BNORM_BLOCK)
-        ub, vb = u[blk], v[blk]
-        sq = np.stack((ub, vb, lam[blk, None] * ub, ub + vb, ub - vb))
-        sq *= sq
-        S = _b_sums(sq, grid)
-        b[:, blk] = _b_dot(S, S, grid.h)
-        buv[blk] = _b_dot(S[0], S[1], grid.h)
+    for blk in blocks:
+        k = blk.stop - blk.start
+        ub, vb = u[blk], rng.standard_normal(out=v[:k])
+        su, sv = square_sums(ub, sums_u), square_sums(vb, sums_v)
+        b[0, blk], b[1, blk] = _b_dot(su, su, grid.h), _b_dot(sv, sv, grid.h)
+        buv[blk] = _b_dot(su, sv, grid.h)
+        for i, combine in ((3, np.add), (4, np.subtract)):
+            s = square_sums(combine(ub, vb, out=sq[:k]), sums_w)
+            b[i, blk] = _b_dot(s, s, grid.h)
+    lam = rng.uniform(-3.0, 3.0, pairs)
+    for blk in blocks:
+        lu = np.multiply(lam[blk, None], u[blk], out=sq[:blk.stop - blk.start])
+        s = square_sums(lu, sums_w)
+        b[2, blk] = _b_dot(s, s, grid.h)
     bu, bv, blam, bsum, bdif = _quartic_root(b)
     scaled = np.abs(lam) * bu
     viol_h = np.count_nonzero(np.abs(blam - scaled) > 1e-12 * (1.0 + scaled))
@@ -168,19 +201,27 @@ def bnorm_suite(seed=0) -> SuiteReport:
 def rearrange_suite(seed=0) -> SuiteReport:
     """Equimeasurability, Hardy-Littlewood and interaction monotonicity (z=1), 200 trials.
 
-    The densities are drawn as one block and rearranged once; the
+    The densities are drawn and rearranged a block at a time; the
     Hardy-Littlewood sides int f |x| >= int f* |x| and the interactions
-    before and after are read from that block, each row with the bits of
+    before and after are read from each block, each row with the bits of
     the one-density calls.
     """
     rng = np.random.default_rng(seed)
-    grid = Grid(6.0, 241)
-    f = random_density(grid, rng, rows=200)
-    fstar = _rearrange_rows(f, grid)
-    equi_fail = np.count_nonzero(np.any(np.sort(f, axis=-1) != np.sort(fstar, axis=-1), axis=-1))
+    trials, grid = 200, Grid(6.0, 241)
     gv = np.abs(grid.x)
-    hl = np.vecdot(grid.weights, fstar * gv) - np.vecdot(grid.weights, f * gv)
-    dc = _g_form(fstar, grid, 1.0) - _g_form(f, grid, 1.0)
+    blocks = _blocks(trials, grid.N)
+    fx = np.empty((blocks[0].stop, grid.N))  # f |x| of a block
+    unequal = np.empty(trials, dtype=bool)
+    hl, dc = np.empty((2, trials))
+    for blk in blocks:
+        f = random_density(grid, rng, rows=blk.stop - blk.start)
+        fstar = _rearrange_rows(f, grid)
+        unequal[blk] = np.any(np.sort(f, axis=-1) != np.sort(fstar, axis=-1), axis=-1)
+        fxb = fx[:len(f)]
+        hl[blk] = np.vecdot(grid.weights, np.multiply(fstar, gv, out=fxb))
+        hl[blk] -= np.vecdot(grid.weights, np.multiply(f, gv, out=fxb))
+        dc[blk] = _g_form(fstar, grid, 1.0) - _g_form(f, grid, 1.0)
+    equi_fail = np.count_nonzero(unequal)
     worst_hl, worst_c = float(np.max(hl)), float(np.max(dc))
     ok = equi_fail == 0 and worst_hl <= 1e-10 and worst_c <= 1e-10
     return SuiteReport(
@@ -240,22 +281,30 @@ def delta_suite() -> SuiteReport:
 def innerprod_suite(seed=0) -> SuiteReport:
     """Positivity and the Dirichlet-form identity of the -|x-y| inner product, 500 trials.
 
-    The zero-mean samples f are drawn as one block and their potentials V
-    built once; <f, f> = int 2 V f and the Dirichlet form 2 int V'^2 are
-    both read from V, each row with the bits of
+    The zero-mean samples f are drawn a block at a time and each block's
+    potentials V built once; <f, f> = int 2 V f and the Dirichlet form
+    2 int V'^2 are both read from V, each row with the bits of
     :func:`neg_kernel_inner_product` and of ``2 * kinetic_energy`` on the
     row alone.  A row that is not zero-mean raises
-    :class:`NonZeroMeanError`, as the one-row inner product does.
+    :class:`NonZeroMeanError` naming its trial, as the one-row inner
+    product does.
     """
     rng = np.random.default_rng(seed)
-    grid = Grid(10.0, 401)
-    f = random_zero_mean_compact(grid, rng, rows=500)
-    _require_zero_mean(f, grid, "f")
-    m = grid.weights * f
-    v = _potential_rows(m.copy(), grid.x)
-    ip = np.vecdot(m, 2.0 * v)
-    dv = np.diff(v, axis=-1)
-    ident = 2.0 * (np.vecdot(dv, dv) / grid.h)
+    trials, grid = 500, Grid(10.0, 401)
+    blocks = _blocks(trials, grid.N)
+    work = np.empty((blocks[0].stop, grid.N))  # the potential's input, 2 V, then V's steps
+    ip, ident = np.empty((2, trials))
+    for blk in blocks:
+        f = random_zero_mean_compact(grid, rng, rows=blk.stop - blk.start)
+        _require_zero_mean(f, grid, "f", first_row=blk.start)
+        m = np.multiply(grid.weights, f, out=f)
+        w = work[:len(m)]
+        np.copyto(w, m)
+        v = _potential_rows(w, grid.x)
+        ip[blk] = np.vecdot(m, np.multiply(v, 2.0, out=w))
+        dv = np.subtract(v[..., 1:], v[..., :-1], out=w[..., 1:])  # np.diff
+        ident[blk] = np.vecdot(dv, dv)
+    ident = 2.0 * (ident / grid.h)
     rel = np.abs(ip - ident) / np.maximum(np.abs(ip), 1e-300)
     min_ip, worst_rel = float(np.min(ip)), float(np.max(rel))
     ok = min_ip > 0.0 and worst_rel <= 1e-6

@@ -111,6 +111,15 @@ def test_counterexample_center_value():
     assert u.values[g.center_index] ** 2 == pytest.approx(expect, rel=1e-12)
 
 
+@pytest.mark.parametrize("n", [1, 3, 10])
+def test_counterexample_keeps_the_bits_of_its_expression_form(n):
+    # u_n is built in place, with the expression's operations in its order
+    ax, m = np.abs(grid_for_counterexample(n).x), n + 1.0
+    dens = (m**3 / (2.0 * n**3)) * (1.0 / (1.0 + ax) ** 2 - 1.0 / m**2 + 2.0 * (ax - n) / m**3)
+    expected = np.sqrt(np.where(ax <= n, np.maximum(dens, 1e-16), 0.0))
+    assert np.array_equal(counterexample_un(n, grid_for_counterexample(n)).values, expected)
+
+
 def test_counterexample_quadratic_touch():
     n = 10
     g = grid_for_counterexample(n)

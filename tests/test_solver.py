@@ -127,6 +127,19 @@ def test_ground_eigenpair_rejects_a_non_finite_potential(bad):
         ground_eigenpair(Samples(g, np.abs(g.x)), start=Samples(g, v))
 
 
+def test_ground_eigenpair_takes_a_start_of_any_finite_scale():
+    # squares of 1e-200 underflow and of 1e200 overflow; only the direction counts
+    g = Grid(10.0, 201)
+    v = Samples(g, 0.5 * np.abs(g.x))
+    pairs = [ground_eigenpair(v, start=Samples(g, c * np.ones(g.N))) for c in (1e-200, 1.0, 1e200)]
+    for eps, u in pairs[::2]:
+        assert eps == pairs[1][0]
+        assert np.array_equal(u.values, pairs[1][1].values)
+    for bad in (np.full(g.N, np.nan), np.zeros(g.N)):
+        with pytest.raises(ValueError, match="start must be finite and nonzero"):
+            ground_eigenpair(v, start=Samples(g, bad))
+
+
 def test_ground_eigenpair_leaves_a_start_held_in_a_shallower_well():
     # The start sits in the shallower of two far-apart wells, where the ground
     # state is ~1e-19: inverse iteration reaches the excited state there with

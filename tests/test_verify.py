@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -106,6 +108,24 @@ def test_innerprod_suite_refuses_a_row_that_is_not_zero_mean(monkeypatch):
         verify.innerprod_suite(seed=0)
 
 
+def test_innerprod_suite_names_a_bad_row_by_its_trial(monkeypatch):
+    # trial 417 lies beyond the first block; the error counts rows from the
+    # suite's first trial, not the block's
+    draw, drawn = verify.random_zero_mean_compact, []
+
+    def offset(grid, rng, rows=None):
+        f = draw(grid, rng, rows=rows)
+        if sum(drawn) <= 417 < sum(drawn) + rows:
+            f[417 - sum(drawn)] += 1e-3
+        drawn.append(rows)
+        return f
+
+    monkeypatch.setattr(verify, "random_zero_mean_compact", offset)
+    with pytest.raises(NonZeroMeanError, match=r"integral of f\[417\]"):
+        verify.innerprod_suite(seed=0)
+    assert drawn[0] < 417
+
+
 def _loop_metrics(name, seed):
     """A suite's metrics trial by trial through the public one-row calls: the loop reference."""
     rng = np.random.default_rng(seed)
@@ -164,3 +184,36 @@ def _loop_metrics(name, seed):
 @pytest.mark.parametrize("seed", [3, 2024])
 def test_block_suites_give_the_loop_metrics_bit_for_bit(name, seed):
     assert verify.SUITES[name](seed=seed).metrics == _loop_metrics(name, seed)
+
+
+@pytest.mark.filterwarnings("ignore::coulombium.errors.NormalizationWarning")  # random mass
+@pytest.mark.parametrize("name", ["forms", "bnorm", "rearrange", "innerprod"])
+@pytest.mark.parametrize("rows", [1, 7])
+def test_any_block_size_gives_the_loop_metrics_bit_for_bit(name, rows, monkeypatch):
+    # one row a block, and 7, which leaves every suite a short last block
+    monkeypatch.setattr(verify, "_block_rows", lambda n: rows)
+    assert verify.SUITES[name](seed=3).metrics == _loop_metrics(name, 3)
+
+
+@pytest.mark.parametrize("name,budget_mb", [
+    ("forms", 0.5), ("bnorm", 2.8), ("rearrange", 0.85), ("innerprod", 0.85),
+    ("counterexample", 2.0)])
+def test_a_suite_holds_a_bounded_working_set(name, budget_mb):
+    # Each budget is about 10-25 % above the measured traced peak (0.40,
+    # 2.52, 0.73, 0.73 and 1.81 MB).  The seeded suites hold a few 128 KiB
+    # blocks, and bnorm all of its u (1.6 MB); the counterexample scan holds
+    # four half-grid arrays at n = 80 (0.44 MB each).  Suites that build all
+    # their trials and temporaries at once peak at 0.88, 5.34, 1.60, 6.55
+    # and 2.70 MB.
+    suite = verify.SUITES[name]
+    run = suite if name == "counterexample" else lambda: suite(seed=0)
+    run()  # warm
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        run()
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= budget_mb * 1e6
