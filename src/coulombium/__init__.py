@@ -30,7 +30,6 @@ from .diagnostics import (
 )
 from .energy import (
     EnergyBreakdown,
-    boundary_flux_diagnostic,
     effective_potential,
     el_residual,
     solver_objective,

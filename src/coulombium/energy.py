@@ -213,16 +213,3 @@ def el_residual(u: Samples, epsilon: float, bg: BackgroundCharge) -> float:
     """
     v = effective_potential(u, bg)
     return _residual_norm(_shifted_hamiltonian(u.values, v.values, u.grid.h, epsilon), u.grid.h)
-
-
-def boundary_flux_diagnostic(u: Samples, bg: BackgroundCharge) -> tuple[float, float]:
-    """One-sided estimates of V V' at the two domain ends.
-
-    The two energy conventions coincide when this boundary term vanishes at
-    infinity; on a truncated grid it is reported as a diagnostic only.
-    """
-    v = effective_potential(u, bg).values
-    h = u.grid.h
-    left = v[0] * (v[1] - v[0]) / h
-    right = v[-1] * (v[-1] - v[-2]) / h
-    return float(left), float(right)

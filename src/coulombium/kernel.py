@@ -21,9 +21,9 @@ Each quantity the ``verify`` suites use has one array-level evaluation
 along the last axis: ``_potential_rows`` (the potential),
 ``_c_plus_rows`` (the four C+ forms), ``_b_rows`` (the min-kernel form
 b[f, g]: ``_b_dot`` of the suffix sums ``_b_sums`` of f and of g),
-``_g_form`` (the g-kernel form) and ``_b_norm_rows`` (the quartic norm,
-``_quartic_root`` of b[u^2, u^2]).  ``potential_from_density``,
-``c_plus``, ``b_form``, ``c_functional`` and ``b_norm`` pass them one
+``_g_form`` (the g-kernel form) and ``_quartic_root`` (the quartic norm
+from b[u^2, u^2]).  ``potential_from_density``, ``c_plus``,
+``b_form``, ``c_functional`` and ``b_norm`` pass them one
 row, the suites a block of rows, and each row gets the same bits either
 way: every reduction is an ``np.vecdot`` over contiguous rows, and every
 prefix sum runs along the row.
@@ -98,20 +98,17 @@ def coulomb_pair_energy(f: Samples, g: Samples) -> float:
     return float(np.dot(_point_masses(f), 2.0 * v.values))
 
 
-def _half_axis(values: np.ndarray, grid: Grid, side: int):
-    """Nodes of one closed half-axis as (|x|, point masses along the last axis).
+def _half_axis(values: np.ndarray, grid: Grid):
+    """Nodes of the closed half-axis x >= 0 as (x, point masses along the last axis).
 
-    The origin node carries half of its full-grid weight on each side, so
-    the two halves split the axis exactly; G(0, y) = 0 makes the split
-    immaterial for the kernel value itself.
+    The masses take the trapezoid weights of ``grid.weights`` with the
+    origin's halved, so the two closed half-axes split the axis exactly;
+    G(0, y) = 0 makes the split immaterial for the kernel value itself.
     """
     c = grid.center_index
-    vals = values[..., c:] if side > 0 else values[..., c::-1]
-    t = grid.x[c:]
-    v = np.full(t.size, grid.h)
-    v[0] = 0.5 * grid.h
-    v[-1] = 0.5 * grid.h
-    return t, v * vals
+    w = grid.weights[c:].copy()
+    w[0] *= 0.5
+    return grid.x[c:], w * values[..., c:]
 
 
 def _suffix_sums(m: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -156,7 +153,7 @@ def c_plus(f: Samples, form: CPlusForm | str = CPlusForm.C) -> float:
     rounding error; form C (squared suffix sums) exhibits positivity and is
     the default fast path.
     """
-    t, m = _half_axis(f.values, f.grid, +1)
+    t, m = _half_axis(f.values, f.grid)
     return float(_c_plus_rows(t, m, f.grid.h, CPlusForm(form)))
 
 
@@ -216,12 +213,6 @@ def _quartic_root(b):
     return np.sqrt(np.sqrt(b))
 
 
-def _b_norm_rows(u: np.ndarray, grid: Grid):
-    """Quartic norm b[u^2, u^2]^(1/4) along the last axis."""
-    sq = u * u
-    return _quartic_root(_b_rows(sq, sq, grid))
-
-
 def c_functional(f: Samples, z: float) -> float:
     """Interaction functional C[f] = int int g(x,y) f(x) f(y) dx dy.
 
@@ -253,7 +244,8 @@ def b_norm(u: Samples) -> float:
     the fourth root is a genuine norm.  Uses the raw double-kernel form (no
     unit-mass rewriting), so it is well defined off the unit sphere.
     """
-    return float(_b_norm_rows(u.values, u.grid))
+    sq = u.values * u.values
+    return float(_quartic_root(_b_rows(sq, sq, u.grid)))
 
 
 def _require_zero_mean(values: np.ndarray, grid: Grid, name: str, first_row: int = 0) -> None:

@@ -120,7 +120,7 @@ def forms_suite(seed=0) -> SuiteReport:
     trials, grid = 100, Grid(10.0, 401)
     vals = np.empty((len(CPlusForm), trials))
     for blk in _blocks(trials, grid.N):
-        t, m = _half_axis(random_density(grid, rng, rows=blk.stop - blk.start), grid, +1)
+        t, m = _half_axis(random_density(grid, rng, rows=blk.stop - blk.start), grid)
         for form_vals, form in zip(vals, CPlusForm):
             form_vals[blk] = _c_plus_rows(t, m, grid.h, form)
     scale = np.max(np.abs(vals), axis=0)

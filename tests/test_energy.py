@@ -16,7 +16,6 @@ from coulombium import (
     SampledCharge,
     Samples,
     background_potential,
-    boundary_flux_diagnostic,
     c_functional,
     coulomb_pair_energy,
     effective_potential,
@@ -176,13 +175,6 @@ def test_el_residual_epsilon_perturbation():
     r1 = el_residual(state.u, state.epsilon + 0.1, PointCharge(2.0))
     assert r0 <= cfg.tol_residual
     assert r1 == pytest.approx(0.1, abs=1e-3)
-
-
-def test_boundary_flux_diagnostic_small_for_neutral():
-    g = Grid(12.0, 961)
-    u = normalize(from_function(g, lambda x: np.exp(-x * x)))
-    left, right = boundary_flux_diagnostic(u, PointCharge(1.0))
-    assert abs(left) < 1e-8 and abs(right) < 1e-8
 
 
 @settings(max_examples=100, deadline=None, database=None)

@@ -11,7 +11,9 @@ from coulombium import (
     NormalizationWarning,
     NotNormalizedError,
     PointCharge,
+    SampledCharge,
     Samples,
+    SolverConfig,
     b_form,
     b_norm,
     c_functional,
@@ -21,6 +23,7 @@ from coulombium import (
     kinetic_energy,
     neg_kernel_inner_product,
     potential_from_density,
+    scf_solve,
     symmetric_decreasing_rearrangement,
     total_energy,
 )
@@ -135,6 +138,32 @@ def test_pair_energy_matches_dense_on_odd_grids(half, L, seed):
     assert _rel(coulomb_pair_energy(f, s), dense_coulomb_pair_energy(f, s), scale) < 1e-12
 
 
+@settings(max_examples=60, deadline=None, database=None)
+@given(**_ODD_GRIDS, shift=st.floats(-3.0, 3.0))
+@example(half=200, L=8.0, seed=7, shift=0.0)
+def test_pair_energy_is_the_field_energy_less_the_boundary_term(half, L, seed, shift):
+    # int int -|x-y| n n = 2 int V'^2 - L (int n)^2 for V = potential_from_density(n):
+    # summation by parts with V' = -+(int n)/2 at x = +-L, exact on the grid
+    g = Grid(L, 2 * half + 1)
+    n = Samples(g, np.random.default_rng(seed).standard_normal(g.N) + shift)
+    pair, field = coulomb_pair_energy(n, n), 2.0 * kinetic_energy(potential_from_density(n))
+    boundary = g.L * integrate(n) ** 2
+    assert abs(pair - (field - boundary)) <= 1e-13 * max(abs(pair), field, boundary)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # tail mass at the neutral charge
+def test_a_neutral_state_has_pair_energy_equal_to_its_field_energy():
+    # free charge u^2 equals the fixed charge -rho, so the boundary term is 0
+    g = Grid(30.0, 1201)
+    rho = np.exp(-0.5 * ((g.x + 2.0) / 0.7) ** 2) + 0.6 * np.exp(-0.5 * (g.x - 3.0) ** 2)
+    bg = SampledCharge(Samples(g, -rho / np.dot(g.weights, rho)))
+    state = scf_solve(bg, SolverConfig(L=30.0, N=1201))
+    n = Samples(g, state.u.values**2 + bg.rho.values)
+    pair = coulomb_pair_energy(n, n)
+    assert abs(pair - 2.0 * kinetic_energy(potential_from_density(n))) <= 1e-14
+    assert pair > 0.1
+
+
 # --- kernels ---------------------------------------------------------------
 
 def test_min_kernel_branches():
@@ -218,7 +247,7 @@ def test_c_plus_matches_dense(half, L, seed):
 
 def _c_plus_by_dots(f, grid, form):
     """C+ of one row by np.dot of suffix-sum views: the loop reference."""
-    t, m = kernel._half_axis(f, grid, +1)
+    t, m = kernel._half_axis(f, grid)
     tm = t * m
     if form is CPlusForm.A:
         prefix = np.cumsum(tm) - tm
@@ -239,7 +268,7 @@ def test_c_plus_rows_match_one_row_results(half, L, seed, rows):
     # those the bits of the reference
     grid = Grid(L, 2 * half + 1)
     f = random_density(grid, np.random.default_rng(seed), rows=rows)
-    t, m = kernel._half_axis(f, grid, +1)
+    t, m = kernel._half_axis(f, grid)
     dense = dense_c_plus(Samples(grid, f[0]))
     for form in CPlusForm:
         block = kernel._c_plus_rows(t, m, grid.h, form)
@@ -347,8 +376,8 @@ def test_uniform_convexity_inequality():
 def _b_form_by_dots(f, g, grid):
     """b[f, g] by one np.dot of suffix-sum views per half-axis: the loop reference."""
     acc = 0.0
-    for side in (+1, -1):
-        sf, sg = (np.cumsum(kernel._half_axis(a, grid, side)[1][::-1])[::-1] for a in (f, g))
+    for a, b in ((f, g), (f[::-1], g[::-1])):  # x >= 0, then x <= 0 mirrored onto it
+        sf, sg = (np.cumsum(kernel._half_axis(v, grid)[1][::-1])[::-1] for v in (a, b))
         acc += grid.h * float(np.dot(sf[1:], sg[1:]))
     return acc
 
@@ -362,7 +391,7 @@ def test_block_rows_match_one_row_results(half, L, seed, rows):
     rng = np.random.default_rng(seed)
     f, g = rng.standard_normal((rows, grid.N)), rng.standard_normal((rows, grid.N))
     forms, self_forms = kernel._b_rows(f, g, grid), kernel._b_rows(f, f, grid)
-    norms = kernel._b_norm_rows(f, grid)
+    norms = kernel._quartic_root(kernel._b_rows(f * f, f * f, grid))
     for i in range(rows):
         fi, gi = Samples(grid, f[i]), Samples(grid, g[i])
         assert forms[i] == b_form(fi, gi) == _b_form_by_dots(f[i], g[i], grid)

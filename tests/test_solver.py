@@ -28,6 +28,7 @@ from coulombium import (
     gradient_solve,
     ground_eigenpair,
     integrate,
+    moment,
     normalize,
     scf_solve,
     solver_objective,
@@ -561,6 +562,42 @@ def test_virial_stationarity(z2_states):
     d = 0.01
     fd = (scaled_objective(1.0 + d) - scaled_objective(1.0 - d)) / (2.0 * d)
     assert abs(fd) <= 1e-4
+
+
+_CURVE_Z = (1.0, 1.25, 1.5, 2.0, 3.0, 4.5, 6.0)
+_HF_Z, _HF_DELTA = (1.5, 2.0, 4.0), 1e-3
+
+
+@pytest.fixture(scope="module")
+def objective_curve():
+    """(objective, m1) of each solver's state per point charge z, at L = 30, N = 6001."""
+    cfg = SolverConfig(L=30.0, N=6001)
+    zs = set(_CURVE_Z) | {z + s * _HF_DELTA for z in _HF_Z for s in (-1, 0, 1)}
+    curve = {}
+    for solve in (scf_solve, gradient_solve):
+        for z in zs:
+            state = solve(PointCharge(z), cfg)
+            curve[solve, z] = state.objective, moment(state.u.with_values(state.u.values**2), 1.0)
+    return curve
+
+
+@pytest.mark.parametrize("solve", [scf_solve, gradient_solve])
+@pytest.mark.parametrize("z", _HF_Z)
+def test_objective_slope_in_z_is_half_the_first_moment(objective_curve, solve, z):
+    # Hellmann-Feynman: V_bg = z|x|/2 is the only z in the objective, so at the
+    # minimizer d objective / dz = int |x| u^2 / 2 (the reported total, whose
+    # Coulomb term counts V_bg twice, does not obey it)
+    up, down = (objective_curve[solve, z + s * _HF_DELTA][0] for s in (1, -1))
+    assert abs((up - down) / (2 * _HF_DELTA) - objective_curve[solve, z][1] / 2) <= 1e-6
+
+
+@pytest.mark.parametrize("solve", [scf_solve, gradient_solve])
+def test_minimum_objective_is_concave_in_z(objective_curve, solve):
+    # a minimum over u of functions affine in z is concave, so each chord's
+    # slope lies between the Hellmann-Feynman slopes m1/2 at its two ends
+    for z1, z2 in zip(_CURVE_Z, _CURVE_Z[1:]):
+        (o1, m1), (o2, m2) = objective_curve[solve, z1], objective_curve[solve, z2]
+        assert m2 / 2 <= (o2 - o1) / (z2 - z1) <= m1 / 2
 
 
 def test_gradient_line_search_does_not_stall():
