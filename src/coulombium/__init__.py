@@ -59,7 +59,6 @@ from .grid import (
     normalize,
 )
 from .kernel import (
-    CPlusForm,
     b_form,
     b_norm,
     c_functional,

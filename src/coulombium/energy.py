@@ -190,6 +190,11 @@ def _shifted_hamiltonian(uv: np.ndarray, vv: np.ndarray, h: float, eps: float) -
     return out
 
 
+def _hamiltonian_scale(h: float, vmin: float, vmax: float) -> float:
+    """4/h^2 + max |V| over the interior nodes, which bounds ||H|| and so its rounding."""
+    return 4.0 / h**2 + max(vmax, -vmin)
+
+
 def _hamiltonian_factor(vv: np.ndarray, h: float, sigma: float):
     """LAPACK dpttrf factor (d, e) of H - sigma; None unless sigma < lambda_1."""
     if vv.size < 5:

@@ -6,24 +6,26 @@ interaction form with kernel
     g(x, y) = ( z(|x| + |y|) - |x - y| ) / 2,
 
 its same-sign part G(x, y) = min(|x|, |y|) for xy > 0 (zero otherwise),
-the half-axis form C+ in four equivalent iterated-integral guises, the
-quartic norm (B[u^2])^(1/4), and the negative-kernel inner product on
-zero-mean functions.
+the half-axis form C+, the quartic norm (B[u^2])^(1/4), and the
+negative-kernel inner product on zero-mean functions.
 
 Discretely every quantity is a finite sum over trapezoid point masses
 m_k = w_k f_k, so the Fubini rearrangements behind the continuum
-identities become exact rearrangements of one double sum: the four C+
-forms, the half-axis decoupling and the agreement with the dense O(N^2)
-double sums (the tests' references) all hold to rounding error by
-construction.
+identities become exact rearrangements of one double sum: C+'s four
+iterated-integral orders (which ``verify forms`` compares), the half-axis
+decoupling and the agreement with the dense O(N^2) double sums (the
+tests' references) all hold to rounding error by construction.  C+ and
+both halves of the min-kernel form are one expression, h sum_i S_i^2 (or
+h sum_i S_i[f] S_i[g]) over the suffix sums S_i of the masses on the open
+half-axis x > 0, where G(0, y) = 0 leaves out the origin.
 
 Each quantity the ``verify`` suites use has one array-level evaluation
-along the last axis: ``_potential_rows`` (the potential),
-``_c_plus_rows`` (the four C+ forms), ``_b_rows`` (the min-kernel form
-b[f, g]: ``_b_dot`` of the suffix sums ``_b_sums`` of f and of g),
-``_g_form`` (the g-kernel form) and ``_quartic_root`` (the quartic norm
-from b[u^2, u^2]).  ``potential_from_density``, ``c_plus``,
-``b_form``, ``c_functional`` and ``b_norm`` pass them one
+along the last axis: ``_potential_rows`` (the potential), ``_half_axis``
+and ``_suffix_sums`` (C+'s masses and their suffix sums), ``_b_rows``
+(the min-kernel form b[f, g]: ``_b_dot`` of the suffix sums ``_b_sums``
+of f and of g), ``_g_form`` (the g-kernel form) and ``_quartic_root``
+(the quartic norm from b[u^2, u^2]).  ``potential_from_density``,
+``c_plus``, ``b_form``, ``c_functional`` and ``b_norm`` pass them one
 row, the suites a block of rows, and each row gets the same bits either
 way: every reduction is an ``np.vecdot`` over contiguous rows, and every
 prefix sum runs along the row.
@@ -32,27 +34,11 @@ prefix sum runs along the row.
 from __future__ import annotations
 
 import warnings
-from enum import Enum
 
 import numpy as np
 
 from .errors import NonZeroMeanError, NormalizationWarning
 from .grid import Grid, Samples, integrate, require_same_mesh
-
-
-class CPlusForm(Enum):
-    """Which iterated-integral form of C+ to accumulate.
-
-    A: 2 * int f(x) ( int_0^x y f(y) dy ) dx
-    B: 2 * int y f(y) ( int_y^inf f(x) dx ) dy
-    C: int_0^inf ( int_z^inf f(x) dx )^2 dz
-    D: int f(x) ( int_0^x ( int_z^inf f(y) dy ) dz ) dx
-    """
-
-    A = "A"
-    B = "B"
-    C = "C"
-    D = "D"
 
 
 def _point_masses(f: Samples) -> np.ndarray:
@@ -99,16 +85,13 @@ def coulomb_pair_energy(f: Samples, g: Samples) -> float:
 
 
 def _half_axis(values: np.ndarray, grid: Grid):
-    """Nodes of the closed half-axis x >= 0 as (x, point masses along the last axis).
+    """Nodes of the open half-axis x > 0 as (x, point masses along the last axis).
 
-    The masses take the trapezoid weights of ``grid.weights`` with the
-    origin's halved, so the two closed half-axes split the axis exactly;
-    G(0, y) = 0 makes the split immaterial for the kernel value itself.
+    The masses take the trapezoid weights of ``grid.weights``; the origin
+    is left out, since G(0, y) = 0.
     """
     c = grid.center_index
-    w = grid.weights[c:].copy()
-    w[0] *= 0.5
-    return grid.x[c:], w * values[..., c:]
+    return grid.x[c + 1:], grid.weights[c + 1:] * values[..., c + 1:]
 
 
 def _suffix_sums(m: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -124,50 +107,29 @@ def _suffix_sums(m: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return S
 
 
-def _c_plus_rows(t: np.ndarray, m: np.ndarray, h: float, form: CPlusForm):
-    """C+ along the last axis of half-axis point masses m at nodes t, in one form.
-
-    Every reduction is an ``np.vecdot`` of contiguous rows, so each row has
-    the bits of a one-row ``np.dot`` (see :func:`_suffix_sums`).  Returns
-    one value per row.
-    """
-    tm = t * m
-    if form is CPlusForm.A:
-        prefix = np.cumsum(tm, axis=-1) - tm  # sum_{k<j} t_k m_k
-        return 2.0 * np.vecdot(m, prefix) + np.vecdot(tm, m)
-    S = _suffix_sums(m)
-    if form is CPlusForm.B:
-        return 2.0 * np.vecdot(tm, S - m) + np.vecdot(tm, m)  # S - m = sum_{k>j} m_k
-    if form is CPlusForm.C:
-        return h * np.vecdot(S[..., 1:], S[..., 1:])
-    # form D: W_j = h * sum_{1<=i<=j} S_i, then sum m_j W_j
-    W = h * (np.cumsum(S, axis=-1) - S[..., :1])
-    return np.vecdot(m, W)
-
-
-def c_plus(f: Samples, form: CPlusForm | str = CPlusForm.C) -> float:
+def c_plus(f: Samples) -> float:
     """Half-axis interaction C+[f] = int int min(x,y) f(x) f(y) over x,y >= 0.
 
-    Values at x < 0 are ignored.  All four forms accumulate the same double
-    sum over trapezoid point masses in different orders, so they agree to
-    rounding error; form C (squared suffix sums) exhibits positivity and is
-    the default fast path.
+    Samples at x <= 0 are ignored.  Evaluated as h sum_i S_i^2 over the
+    suffix sums S_i of the point masses at x > 0 (the continuum
+    int_0^inf (int_z^inf f)^2 dz), which exhibits positivity; it is the
+    expression ``b_form`` gives each half-axis.
     """
-    t, m = _half_axis(f.values, f.grid)
-    return float(_c_plus_rows(t, m, f.grid.h, CPlusForm(form)))
+    S = _suffix_sums(_half_axis(f.values, f.grid)[1])
+    return float(f.grid.h * np.vecdot(S, S))
 
 
 def _b_sums(f: np.ndarray, grid: Grid, out: np.ndarray | None = None) -> np.ndarray:
-    """Suffix sums S_1 .. S_n-1 of both closed half-axes of f, along the last axis.
+    """Suffix sums S_1 .. S_n-1 of both open half-axes of f, along the last axis.
 
     S_i = sum_{k>=i} m_k (:func:`_suffix_sums`) of the half-axis point
-    masses, x >= 0 then x <= 0 on a new second-to-last axis, so the result
+    masses, x > 0 then x < 0 on a new second-to-last axis, so the result
     has shape ``f.shape[:-1] + (2, n - 1)``.  They are the half of the
     min-kernel form that depends on f alone (:func:`_b_dot`).  The masses
     and then the sums go into ``out`` when it is given, else a new array.
     """
-    # S_1 .. S_n-1 do not read the origin's mass, and the weights of the
-    # other nodes are the half-axis ones (h, and h/2 at the end)
+    # the masses of the open half-axes, as _half_axis: x > 0, then x < 0
+    # mirrored onto it (the weights h, and h/2 at the end)
     c = grid.center_index
     S = np.empty(f.shape[:-1] + (2, c)) if out is None else out
     np.multiply(grid.weights[c + 1:], f[..., c + 1:], out=S[..., 0, :])
@@ -178,7 +140,7 @@ def _b_sums(f: np.ndarray, grid: Grid, out: np.ndarray | None = None) -> np.ndar
 def _b_dot(sf: np.ndarray, sg: np.ndarray, h: float):
     """Min-kernel form b[f, g] from the suffix sums of f and g (:func:`_b_sums`).
 
-    Each closed half-axis adds h * sum_{i>=1} S_i[f] S_i[g] (form C of C+,
+    Each open half-axis adds h * sum_i S_i[f] S_i[g] (:func:`c_plus`,
     polarized).  Returns one value per row.
     """
     d = np.vecdot(sf, sg)

@@ -44,8 +44,8 @@ import numpy as np
 from .background import (BackgroundCharge, PointCharge, SampledCharge, background_potential,
                          recenter_shift, total_charge)
 from .energy import (Candidate, EnergyBreakdown, _background_const, _hamiltonian_factor,
-                     _residual_norm, _shifted_hamiltonian, candidate_energy, dpttrf, dpttrs,
-                     solver_objective)
+                     _hamiltonian_scale, _residual_norm, _shifted_hamiltonian,
+                     candidate_energy, dpttrf, dpttrs, solver_objective)
 from .errors import (
     DivergingEnergyError,
     LineSearchStalledError,
@@ -186,7 +186,7 @@ def ground_eigenpair(V: Samples, start: Samples | None = None, *,
         if not np.all(np.isfinite(y)) or not np.any(y[1:-1]):
             raise ValueError("start must be finite and nonzero on the interior")
     y[0] = y[-1] = 0.0
-    tol = 64.0 * _EPS_MACH * (4.0 / g.h**2 + max(vmax, -vmin))
+    tol = 64.0 * _EPS_MACH * _hamiltonian_scale(g.h, vmin, vmax)
     # Gershgorin: lambda_1 > min V, and H - floor is strictly diagonally
     # dominant, so dpttrf accepts it
     floor = vmin - 1.0
@@ -508,8 +508,8 @@ def scf_solve(
             # would let the Armijo test accept a rise, and a negative one would
             # ask for a decrease the objective cannot resolve.
             slope = eps - cur.ray
-            if slope > -_EPS_MACH * (4.0 / grid.h**2 + max(np.max(cur.V.values),
-                                                           -np.min(cur.V.values))):
+            vi = cur.V.values[1:-1]  # H acts on the interior nodes only
+            if slope > -_EPS_MACH * _hamiltonian_scale(grid.h, np.min(vi), np.max(vi)):
                 slope = 0.0
             trial = None
             if prev is not None:

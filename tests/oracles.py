@@ -3,8 +3,10 @@ existence argument stated on package quantities, and random test data.
 
 Each reference is a double sum over trapezoid point masses m = w f with an
 explicit kernel matrix.  The half-axis masses of C+ are built from
-``grid.weights`` with the origin's weight halved, not by the kernel
-module's own helper, so a wrong weight there shows as a disagreement.
+``grid.weights`` over the closed half-axis with the origin's weight
+halved, not by the kernel module's own helper, so a wrong weight there
+shows as a disagreement and a mass at the origin that reached C+ would
+too.  ``c_plus_by_dots`` is the loop reference for C+'s four orders.
 
 The lemmas (tightness, Jensen's bound on the background potential,
 Hardy-Littlewood and the double rearrangement) return both sides or the
@@ -62,6 +64,23 @@ def dense_c_plus(f: Samples) -> float:
     w = np.where(x == 0.0, 0.5 * w, w)  # the origin's weight is split between the halves
     t, m = x[half], (w * f.values)[half]
     return float(m @ np.minimum.outer(t, t) @ m)
+
+
+def c_plus_by_dots(f: np.ndarray, grid) -> list:
+    """C+'s orders A, B, C and D of one row by np.dot of suffix-sum views: the loop reference.
+
+    The masses are those of the open half-axis x > 0, and S_i the suffix
+    sums of all of them; see ``verify._c_plus_forms`` for the orders.
+    """
+    c = grid.center_index
+    t, m = grid.x[c + 1:], grid.weights[c + 1:] * f[c + 1:]
+    tm = t * m
+    S = np.cumsum(m[::-1])[::-1]
+    diag = np.dot(tm, m)
+    return [float(2.0 * np.dot(m, np.cumsum(tm) - tm) + diag),
+            float(2.0 * np.dot(tm, S - m) + diag),
+            float(grid.h * np.dot(S, S)),
+            float(np.dot(m, grid.h * np.cumsum(S)))]
 
 
 def dense_c_functional(f: Samples, z: float) -> float:

@@ -4,7 +4,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from coulombium import (
-    CPlusForm,
     Grid,
     NegativeInputError,
     NonZeroMeanError,
@@ -29,7 +28,7 @@ from coulombium import (
 )
 from coulombium import kernel, verify
 from coulombium.verify import random_density, random_zero_mean_compact
-from oracles import (dense_c_functional, dense_c_plus, dense_coulomb_pair_energy,
+from oracles import (c_plus_by_dots, dense_c_functional, dense_c_plus, dense_coulomb_pair_energy,
                      dense_potential_from_density, g_kernel, min_kernel, random_unit_density)
 
 
@@ -182,24 +181,25 @@ def test_g_kernel_reduces_to_min_kernel_at_unit_charge():
 
 # --- c_plus ----------------------------------------------------------------
 
+def _orders(f: Samples):
+    """C+'s four orders of one density, through the ``verify forms`` kernel."""
+    t, m = kernel._half_axis(f.values, f.grid)
+    return [float(v) for v in verify._c_plus_forms(t, m, f.grid.h)]
+
+
 def test_c_plus_zero_for_all_forms():
     g = Grid(2.0, 41)
     f = Samples(g, np.zeros(g.N))
-    for form in CPlusForm:
-        assert c_plus(f, form) == 0.0
-
-
-def test_c_plus_accepts_form_names():
-    g = Grid(2.0, 41)
-    f = Samples(g, np.ones(g.N))
-    assert c_plus(f, "A") == pytest.approx(c_plus(f, CPlusForm.A), abs=0)
+    assert c_plus(f) == 0.0
+    assert _orders(f) == [0.0] * 4
 
 
 @settings(max_examples=60, deadline=None, database=None)
 @given(**_ODD_GRIDS)
 def test_four_forms_agree(half, L, seed):
     f = random_density(Grid(L, 2 * half + 1), np.random.default_rng(seed))
-    vals = [c_plus(f, form) for form in CPlusForm]
+    vals = _orders(f)
+    assert vals[2] == c_plus(f)  # order C is the production one
     assert (max(vals) - min(vals)) / max(abs(v) for v in vals) < 1e-9
 
 
@@ -208,7 +208,7 @@ def test_form_c_indicator_third():
     # the jump at 1 limits quadrature accuracy to O(h)
     g = Grid(2.0, 801)
     f = Samples(g, np.where((g.x >= 0) & (g.x <= 1.0), 1.0, 0.0))
-    assert c_plus(f, CPlusForm.C) == pytest.approx(1.0 / 3.0, abs=2 * g.h)
+    assert c_plus(f) == pytest.approx(1.0 / 3.0, abs=2 * g.h)
 
 
 def test_c_plus_positivity_and_nondegeneracy():
@@ -216,14 +216,14 @@ def test_c_plus_positivity_and_nondegeneracy():
     rng = np.random.default_rng(5)
     for _ in range(20):
         f = Samples(g, rng.standard_normal(g.N))  # positivity holds for signed f too
-        assert c_plus(f, CPlusForm.C) >= 0.0
+        assert c_plus(f) >= 0.0
     # zero iff no mass at nodes with positive |x|
     origin_only = np.zeros(g.N)
     origin_only[g.center_index] = 4.0
-    assert c_plus(Samples(g, origin_only), CPlusForm.C) == 0.0
+    assert c_plus(Samples(g, origin_only)) == 0.0
     one_node = np.zeros(g.N)
     one_node[g.center_index + 5] = 1e-3
-    assert c_plus(Samples(g, one_node), CPlusForm.C) > 0.0
+    assert c_plus(Samples(g, one_node)) > 0.0
 
 
 def test_c_plus_ignores_negative_axis():
@@ -239,42 +239,30 @@ def test_c_plus_ignores_negative_axis():
 @given(**_ODD_GRIDS)
 @example(half=200, L=8.0, seed=7)
 def test_c_plus_matches_dense(half, L, seed):
+    # the dense reference spans the closed half-axis with the origin's
+    # weight halved, so it also holds that the origin adds nothing
     f = random_density(Grid(L, 2 * half + 1), np.random.default_rng(seed))
     dense = dense_c_plus(f)
-    for form in CPlusForm:
-        assert _rel(c_plus(f, form), dense) < 1e-12
-
-
-def _c_plus_by_dots(f, grid, form):
-    """C+ of one row by np.dot of suffix-sum views: the loop reference."""
-    t, m = kernel._half_axis(f, grid)
-    tm = t * m
-    if form is CPlusForm.A:
-        prefix = np.cumsum(tm) - tm
-        return float(2.0 * np.dot(m, prefix) + np.dot(tm, m))
-    if form is CPlusForm.B:
-        suffix = np.cumsum(m[::-1])[::-1] - m
-        return float(2.0 * np.dot(tm, suffix) + np.dot(tm, m))
-    S = np.cumsum(m[::-1])[::-1]
-    if form is CPlusForm.C:
-        return float(grid.h * np.dot(S[1:], S[1:]))
-    return float(np.dot(m, grid.h * (np.cumsum(S) - S[0])))
+    assert _rel(c_plus(f), dense) < 1e-12
+    for value in _orders(f):
+        assert _rel(value, dense) < 1e-12
 
 
 @settings(max_examples=60, deadline=None, database=None)
 @given(**_ODD_GRIDS, rows=st.integers(1, 9))
 def test_c_plus_rows_match_one_row_results(half, L, seed, rows):
-    # every form gives each row of a block the bits of the one-row call, and
-    # those the bits of the reference
+    # every order gives each row of a block the bits of the loop reference,
+    # and order C the bits of the one-row c_plus
     grid = Grid(L, 2 * half + 1)
     f = random_density(grid, np.random.default_rng(seed), rows=rows)
     t, m = kernel._half_axis(f, grid)
+    block = verify._c_plus_forms(t, m, grid.h)
+    for i in range(rows):
+        assert [float(v[i]) for v in block] == c_plus_by_dots(f[i], grid)
+        assert block[2][i] == c_plus(Samples(grid, f[i]))
     dense = dense_c_plus(Samples(grid, f[0]))
-    for form in CPlusForm:
-        block = kernel._c_plus_rows(t, m, grid.h, form)
-        for i in range(rows):
-            assert block[i] == c_plus(Samples(grid, f[i]), form) == _c_plus_by_dots(f[i], grid, form)
-        assert _rel(block[0], dense) < 1e-12
+    for v in block:
+        assert _rel(v[0], dense) < 1e-12
 
 
 # --- c_functional ----------------------------------------------------------
@@ -300,12 +288,18 @@ def test_decoupling_one_sided_density():
     assert c_functional(f, 1.0) == pytest.approx(c_plus(f), rel=1e-12)
 
 
-def test_decoupling_identity_general():
-    rng = np.random.default_rng(8)
-    g = Grid(5.0, 201)
-    f = random_unit_density(g, rng)
-    total = c_plus(f) + c_plus(f.with_values(f.values[::-1]))
-    assert c_functional(f, 1.0) == pytest.approx(total, rel=1e-12)
+@settings(max_examples=60, deadline=None, database=None)
+@given(**_ODD_GRIDS)
+@example(half=100, L=5.0, seed=8)
+def test_decoupling_identity_general(half, L, seed):
+    # C+ and each half of the min-kernel form are one expression, so the
+    # two half-axes add up to b[f, f], and at z = 1 to C[f], bit for bit
+    g = Grid(L, 2 * half + 1)
+    rng = np.random.default_rng(seed)
+    f = Samples(g, rng.standard_normal(g.N))
+    assert c_plus(f) + c_plus(f.with_values(f.values[::-1])) == b_form(f, f)
+    u = random_unit_density(g, rng)
+    assert c_plus(u) + c_plus(u.with_values(u.values[::-1])) == c_functional(u, 1.0)
 
 
 @settings(max_examples=60, deadline=None, database=None)
@@ -378,7 +372,7 @@ def _b_form_by_dots(f, g, grid):
     acc = 0.0
     for a, b in ((f, g), (f[::-1], g[::-1])):  # x >= 0, then x <= 0 mirrored onto it
         sf, sg = (np.cumsum(kernel._half_axis(v, grid)[1][::-1])[::-1] for v in (a, b))
-        acc += grid.h * float(np.dot(sf[1:], sg[1:]))
+        acc += grid.h * float(np.dot(sf, sg))
     return acc
 
 
@@ -455,4 +449,4 @@ def test_inner_product_equals_dirichlet_form():
         f = random_zero_mean_compact(g, rng)
         ip = neg_kernel_inner_product(f, f)
         u = potential_from_density(f)
-        assert _rel(ip, 2.0 * kinetic_energy(u)) < 1e-6
+        assert _rel(ip, 2.0 * kinetic_energy(u)) < 1e-13

@@ -6,14 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coulombium import (
-    CPlusForm,
     Grid,
     NonZeroMeanError,
     Samples,
     b_form,
     b_norm,
     c_functional,
-    c_plus,
     kinetic_energy,
     neg_kernel_inner_product,
     potential_from_density,
@@ -21,7 +19,7 @@ from coulombium import (
     verify,
 )
 from coulombium.verify import random_density, random_zero_mean_compact
-from oracles import hardy_littlewood_check
+from oracles import c_plus_by_dots, hardy_littlewood_check
 
 
 @settings(max_examples=40, deadline=None, database=None)
@@ -60,12 +58,13 @@ def test_zero_mean_draw_on_seven_nodes_is_nonzero_and_zero_mean():
 
 
 def test_forms_suite_fails_a_perturbed_form(monkeypatch):
-    rows = verify._c_plus_rows
+    forms = verify._c_plus_forms
 
-    def perturbed(t, m, h, form):
-        return rows(t, m, h, form) * (1.0 + 1e-6 if form is CPlusForm.D else 1.0)
+    def perturbed(t, m, h):
+        a, b, c, d = forms(t, m, h)
+        return a, b, c, d * (1.0 + 1e-6)
 
-    monkeypatch.setattr(verify, "_c_plus_rows", perturbed)
+    monkeypatch.setattr(verify, "_c_plus_forms", perturbed)
     rep = verify.forms_suite(seed=0)
     assert not rep.passed
     assert rep.metrics["max_rel_deviation"] > 1e-9
@@ -93,6 +92,16 @@ def test_innerprod_suite_fails_a_scaled_potential(monkeypatch):
     rep = verify.innerprod_suite(seed=0)
     assert not rep.passed
     assert rep.metrics["worst_identity_rel_err"] > 1e-6
+
+
+def test_innerprod_suite_fails_a_potential_off_by_a_part_in_a_billion(monkeypatch):
+    # the identity is exact on the grid (rounding leaves about 4e-15), so
+    # a kernel off by 1e-9 reads an identity error of about 1e-9
+    rows = verify._potential_rows
+    monkeypatch.setattr(verify, "_potential_rows", lambda m, x: rows(m, x) * (1.0 + 1e-9))
+    rep = verify.innerprod_suite(seed=0)
+    assert not rep.passed
+    assert 1e-10 < rep.metrics["worst_identity_rel_err"] < 1e-8
 
 
 def test_innerprod_suite_refuses_a_row_that_is_not_zero_mean(monkeypatch):
@@ -133,7 +142,7 @@ def _loop_metrics(name, seed):
         grid, worst = Grid(10.0, 401), 0.0
         for _ in range(100):
             f = random_density(grid, rng)
-            vals = [c_plus(f, form) for form in CPlusForm]
+            vals = c_plus_by_dots(f.values, grid)
             worst = max(worst, (max(vals) - min(vals)) / max(abs(v) for v in vals))
         return {"max_rel_deviation": worst}
     if name == "rearrange":
