@@ -31,6 +31,7 @@ from typing import Any, Callable, NamedTuple
 
 from .background import PointCharge, load_background
 from .diagnostics import moment
+from .energy import effective_potential
 from .errors import CoulombiumError, DivergingEnergyError, SolverError
 from .grid import Grid
 from .solver import SolverConfig, gradient_solve, require_bound_state, scf_solve
@@ -240,7 +241,7 @@ def cmd_solve(args) -> int:
                                                     - states["gd"].objective)
 
     table = {"x": primary.u.grid.x.tolist(), "u": primary.u.values.tolist(),
-             "V": primary.V.values.tolist()}
+             "V": effective_potential(primary.u, bg).values.tolist()}
     trace = {"iteration": list(range(1, len(primary.history) + 1)),
              "objective": [e for e, _ in primary.history],
              "residual": [r for _, r in primary.history]}

@@ -8,11 +8,12 @@ test, ``_descends``: SCF's Anderson candidate directly, every other step
 through ``_descend``'s backtracking along the method's own path.  One
 driver takes the grid (a sampled background's own), V_bg and the start (a
 supplied start u0 enters as |u0| with its end values zeroed), records the
-trace and returns u and V of the first iterate to meet the single stopping
-rule: a residual |(H - eps) u| at its multiplier (the Rayleigh quotient
-``ray`` of its objective, from :mod:`coulombium.energy`'s one stencil on the
-V it holds) of at most tol_residual, and an objective within tol_energy of
-the previous iterate's (the start's, for the first).
+trace and returns u, without V, of the first iterate to meet the single
+stopping rule: a residual |(H - eps) u| at its multiplier (the Rayleigh
+quotient ``ray`` of its objective, from :mod:`coulombium.energy`'s one
+stencil on the V it holds) of at most tol_residual, and an objective within
+tol_energy of the previous iterate's (the start's, for the first).
+``effective_potential(state.u, bg)`` rebuilds that V bit for bit.
 The driver hands the start over to the method, and each method holds only
 the arrays it still reads; an iterate is u, V and numbers, and only SCF
 forms u^2, once a pass.  At N = 60001, where an N-vector is 0.48 MB, a
@@ -102,10 +103,13 @@ class SolverConfig:
 
 @dataclass
 class GroundState:
-    """Converged minimizer u and its potential V (one grid), multiplier, energies and trace."""
+    """Converged minimizer u, its multiplier, energies and trace.
+
+    Its potential V = V_el + V_bg is not kept: ``effective_potential(u, bg)``
+    gives the accepted iterate's V bit for bit.
+    """
 
     u: Samples
-    V: Samples  # V_el + V_bg
     epsilon: float  # the multiplier: the accepted iterate's Rayleigh quotient
     residual: float  # the Euler-Lagrange residual the stopping rule read
     energy: EnergyBreakdown
@@ -119,7 +123,7 @@ class GroundState:
 
 
 def ground_eigenpair(V: Samples, start: Samples | None = None, *,
-                     _start_quotient: tuple[float, float] | None = None) -> tuple[float, Samples]:
+                     _known: tuple | None = None) -> tuple[float, Samples]:
     """Lowest eigenpair of H = -D2 + V with Dirichlet ends, by certified inverse iteration.
 
     H is symmetric tridiagonal over the interior nodes, with diagonal
@@ -153,11 +157,12 @@ def ground_eigenpair(V: Samples, start: Samples | None = None, *,
     instead: a start held in a shallower well, far from the deepest,
     otherwise settles on an excited state with a tiny residual.
 
-    SCF passes its iterate's rho and r as ``_start_quotient``: it has read
-    them already, since its multiplier <u, H u> and its residual
-    |(H - <u, H u>) u| at unit trapezoid mass (h |u|^2 = 1) are those of
-    y = u / |u|.  The stencil then does not run, and a warm start makes one
-    factor and one solve.
+    SCF passes what it has read already as ``_known = (vmin, vmax,
+    quotient)``: V's interior extremes, which its slope clamp reads too, and
+    its iterate's rho and r, or None on a solve's first pass.  The
+    iterate's multiplier <u, H u> and residual |(H - <u, H u>) u| at unit
+    trapezoid mass (h |u|^2 = 1) are those of y = u / |u|.  With them the
+    stencil does not run, and a warm start makes one factor and one solve.
 
     It holds six N-vectors at its peak: y, one buffer that takes the
     start's stencil (or is left empty) and then each step's solve in place,
@@ -174,8 +179,11 @@ def ground_eigenpair(V: Samples, start: Samples | None = None, *,
     """
     g = V.grid
     vv = V.values
-    # a NaN propagates through min and max, an infinity reaches one of them
-    vmin, vmax = float(np.min(vv[1:-1])), float(np.max(vv[1:-1]))
+    if _known is None:
+        # a NaN propagates through min and max, an infinity reaches one of them
+        vmin, vmax, quotient = float(np.min(vv[1:-1])), float(np.max(vv[1:-1])), None
+    else:
+        vmin, vmax, quotient = _known
     if not np.all(np.isfinite((vmin, vmax, vv[0], vv[-1]))):
         raise ValueError("potential must be finite")
     if start is None:
@@ -200,7 +208,7 @@ def ground_eigenpair(V: Samples, start: Samples | None = None, *,
         y /= np.max(y)  # whose squares over- or underflow, and only such a start
         yy = float(np.dot(y, y))
     y /= np.sqrt(yy)
-    if _start_quotient is None:
+    if quotient is None:
         # the start's quotient and residual come from the stencil, whose
         # buffer then holds each step's solve
         hy = _shifted_hamiltonian(y, vv, g.h, 0.0)
@@ -208,7 +216,7 @@ def ground_eigenpair(V: Samples, start: Samples | None = None, *,
         hy -= rho * y
         res = float(np.linalg.norm(hy))
     else:
-        rho, res = _start_quotient
+        rho, res = quotient
         hy = np.empty_like(y)
     sigma, above = max(rho - 2.0 * res, vmin), np.inf  # lambda_1 lies in (sigma, above]
     fac = None
@@ -389,7 +397,11 @@ def _coarse_start(name: str, iterates, bg: BackgroundCharge, cfg, grid: Grid) ->
 def _converge(name: str, iterates, bg: BackgroundCharge, cfg: SolverConfig, u0) -> GroundState:
     """Trace and stop the ``(candidate, residual)`` that ``iterates`` yields on
     cfg's mesh (a sampled background's own grid, which the state then shares),
-    from u0 or else from the coarse or the default start."""
+    from u0 or else from the coarse or the default start.
+
+    The state holds the accepted candidate's u, copied into that candidate's
+    V buffer, and no V.
+    """
     grid = Grid(cfg.L, cfg.N) if isinstance(bg, PointCharge) else bg.rho.grid
     require_same_mesh(grid, cfg)
     if u0 is not None:
@@ -411,7 +423,14 @@ def _converge(name: str, iterates, bg: BackgroundCharge, cfg: SolverConfig, u0) 
             history.append((cur.objective, res))
             if res <= cfg.tol_residual and abs(cur.objective - prev) <= cfg.tol_energy:
                 energy = candidate_energy(cur, _background_const(bg, v_bg))
-                return GroundState(cur.u, cur.V, cur.ray, res, energy, it, True, history)
+                # u moves into V's buffer, which the stopping rule has read and
+                # which the pass allocated after u.  Freed instead, V would leave
+                # a large free block at the top of glibc's heap, glibc would
+                # return it to the OS, and the next solve would fault its pages
+                # back in.
+                u = cur.V
+                np.copyto(u.values, cur.u.values)
+                return GroundState(u, cur.ray, res, energy, it, True, history)
             prev = cur.objective
     except SolverError as exc:
         exc.history = history
@@ -495,7 +514,9 @@ def scf_solve(
         prev = None  # (u^2, f) of the previous pass
         quotient = None  # the iterate's (ray, residual), once it has yielded them
         while True:
-            eps, u_lin = ground_eigenpair(cur.V, cur.u, _start_quotient=quotient)
+            vi = cur.V.values[1:-1]  # H acts on the interior nodes only
+            vmin, vmax = float(np.min(vi)), float(np.max(vi))
+            eps, u_lin = ground_eigenpair(cur.V, cur.u, _known=(vmin, vmax, quotient))
             u2 = cur.u.values * cur.u.values
             f = np.square(u_lin.values, out=u_lin.values)  # u_lin^2 - u^2, in u_lin's buffer
             f -= u2
@@ -508,8 +529,7 @@ def scf_solve(
             # would let the Armijo test accept a rise, and a negative one would
             # ask for a decrease the objective cannot resolve.
             slope = eps - cur.ray
-            vi = cur.V.values[1:-1]  # H acts on the interior nodes only
-            if slope > -_EPS_MACH * _hamiltonian_scale(grid.h, np.min(vi), np.max(vi)):
+            if slope > -_EPS_MACH * _hamiltonian_scale(grid.h, vmin, vmax):
                 slope = 0.0
             trial = None
             if prev is not None:

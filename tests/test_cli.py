@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 import coulombium.background
 import coulombium.kernel
 import coulombium.solver
-from coulombium import cli
+from coulombium import Grid, PointCharge, Samples, cli, effective_potential, load_background
 from coulombium.cli import _solver_config, build_parser, main, resolve_config
 from coulombium.solver import SolverConfig
 from coulombium.verify import SUITES
@@ -611,16 +611,33 @@ def _count_calls(monkeypatch, module, name):
 ])
 def test_solve_builds_the_background_once_per_solver_run(tmp_path, monkeypatch, source, flags,
                                                          builds):
-    # V, the residual and the energy, background_const too, are read from the
-    # solve, not rebuilt
+    # The residual and the energy, background_const too, are read from the
+    # solve, not rebuilt; one build beside the solver runs' rebuilds the
+    # written V from u
     (tmp_path / "rho.dat").write_text("-1 0\n0 -2\n1 0\n")  # charge -2
     bg = ["--z", "2"] if source == "z" else ["--background-file", str(tmp_path / "rho.dat")]
     calls = _count_calls(monkeypatch, coulombium.background, "background_potential")
     pair_calls = _count_calls(monkeypatch, coulombium.kernel, "coulomb_pair_energy")
     argv = ["solve", *bg, "--L", "12", "--N", "241", *flags, "--output", str(tmp_path / "s")]
     assert run_cli(argv) == 0
-    assert len(calls) == builds
+    assert len(calls) == builds + 1
     assert not pair_calls
+
+
+@pytest.mark.parametrize("source", ["z", "file"])
+def test_the_written_v_is_the_potential_of_the_written_u(tmp_path, source):
+    # repr round-trips every value, so the cells compare exactly
+    path = tmp_path / "rho.dat"
+    path.write_text("-1 0\n0 -2\n1 0\n")  # charge -2
+    g = Grid(12.0, 241)
+    flags, bg = ((["--z", "2"], PointCharge(2.0)) if source == "z"
+                 else (["--background-file", str(path)], load_background(str(path), g)))
+    argv = ["solve", *flags, "--L", "12", "--N", "241", "--output", str(tmp_path / "s")]
+    assert run_cli(argv) == 0
+    _, header, rows = _csv_record(tmp_path / "s.csv")
+    assert header == ["x", "u", "V"]
+    u = Samples(g, [float(row["u"]) for row in rows])
+    assert list(map(repr, effective_potential(u, bg).values.tolist())) == [r["V"] for r in rows]
 
 
 @pytest.mark.parametrize("method", ["scf", "gd"])

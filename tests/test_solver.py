@@ -187,12 +187,14 @@ def test_a_warm_eigensolve_factors_once(monkeypatch):
     # from it certifies the pair.  The rule's shift rho - 2r alone needed a
     # second factor, at rho - 2 tol, only to certify.
     cfg = SolverConfig(L=30.0, N=60001)
-    state = scf_solve(_seeded_two_wells(Grid(cfg.L, cfg.N), 101), cfg)
+    bg = _seeded_two_wells(Grid(cfg.L, cfg.N), 101)
+    state = scf_solve(bg, cfg)
+    v = effective_potential(state.u, bg)  # the accepted iterate's V, bit for bit
     shifts = _spy_on_factors(monkeypatch)
-    eps, u = ground_eigenpair(state.V, state.u)
+    eps, u = ground_eigenpair(v, state.u)
     assert [accepted for _, accepted in shifts] == [True]
-    assert _certified(state.V, eps, u)
-    assert eps == pytest.approx(_lowest_two(state.V)[0], abs=1e-9)
+    assert _certified(v, eps, u)
+    assert eps == pytest.approx(_lowest_two(v)[0], abs=1e-9)
 
 
 def test_a_refused_certificate_shift_still_reaches_the_ground_state(monkeypatch):
@@ -519,13 +521,13 @@ def test_epsilon_matches_rayleigh_quotient(z2_states):
     # not the eigenvalue of the previous iterate's potential
     scf, gd, _, bg = z2_states
     for state in (scf, gd):
-        # kinetic + int V u^2, summed in another order than the objective's sums
-        w, kin, sq = state.u.grid.weights, state.energy.kinetic, state.u.values**2
-        quotient = kin + float(np.dot(w, state.V.values * sq))
-        scale = kin + float(np.dot(w, np.abs(state.V.values) * sq))
-        assert abs(state.epsilon - quotient) <= 1e-14 * scale
         u = state.u
         v = effective_potential(u, bg)
+        # kinetic + int V u^2, summed in another order than the objective's sums
+        w, kin, sq = u.grid.weights, state.energy.kinetic, u.values**2
+        quotient = kin + float(np.dot(w, v.values * sq))
+        scale = kin + float(np.dot(w, np.abs(v.values) * sq))
+        assert abs(state.epsilon - quotient) <= 1e-14 * scale
         h = u.grid.h
         uv = u.values
         hu = np.zeros_like(uv)
@@ -969,16 +971,39 @@ def _reachable_arrays(obj) -> dict:
 @pytest.mark.parametrize("background", ["point", "wells"])
 def test_a_returned_state_holds_only_u_and_v_on_one_grid(solve, N, background):
     # N = 60001 takes the coarse start; a sampled background's state lives
-    # on the background's own grid, a point charge's on one grid of its own
+    # on the background's own grid, a point charge's on one grid of its own.
+    # V is not held: effective_potential(state.u, bg) rebuilds it
     cfg = SolverConfig(L=30.0, N=N)
     bg = PointCharge(2.0) if background == "point" else _two_wells(Grid(cfg.L, cfg.N), 1.8)
     state = solve(bg, cfg)
     g = state.u.grid
-    assert state.V.grid is g
     if background == "wells":
         assert g is bg.rho.grid
-    kept = {id(a) for a in (state.u.values, state.V.values, g.x, g.weights)}
+    kept = {id(a) for a in (state.u.values, g.x, g.weights)}
     assert set(_reachable_arrays(state)) == kept
+
+
+@pytest.mark.parametrize("solve", [scf_solve, gradient_solve])
+@pytest.mark.parametrize("N", [6001, 60001])
+def test_the_returned_u_is_the_accepted_candidates_and_rebuilds_its_v(solve, N, monkeypatch):
+    # The accepted candidate is the one whose energy the driver reports,
+    # just before its u moves into its V buffer; at N = 60001 the coarse
+    # start's accepted candidate comes first
+    accepted = []
+    energy = solver.candidate_energy
+
+    def spy(c, background_const):
+        accepted.append((c.u.values.copy(), c.V.values.copy()))
+        return energy(c, background_const)
+
+    monkeypatch.setattr(solver, "candidate_energy", spy)
+    cfg = SolverConfig(L=30.0, N=N)
+    bg = _two_wells(Grid(cfg.L, cfg.N), 1.8)
+    state = solve(bg, cfg)
+    assert len(accepted) == (2 if N == 60001 else 1)
+    u, v = accepted[-1]
+    assert state.u.values.tobytes() == u.tobytes()
+    assert effective_potential(state.u, bg).values.tobytes() == v.tobytes()
 
 
 def _traced_peak(solve, bg, cfg: SolverConfig) -> float:
