@@ -21,7 +21,6 @@ from .background import (
     total_charge,
 )
 from .diagnostics import (
-    CounterexampleMetrics,
     UnboundednessScanResult,
     counterexample_un,
     grid_for_counterexample,

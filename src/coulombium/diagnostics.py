@@ -23,23 +23,15 @@ from .kernel import _suffix_sums
 
 
 @dataclass
-class CounterexampleMetrics:
-    """Per-n record of the subcritical family scan."""
-
-    n: int
-    norm: float
-    kinetic: float
-    c_value: float
-    total: float
-
-
-@dataclass
 class UnboundednessScanResult:
-    """Scan table plus the least-squares slope of C against log(n+1)."""
+    """The scan's columns, one entry per n, and the least-squares slope of C against log(n+1)."""
 
-    metrics: list
+    n: np.ndarray
+    norm: np.ndarray
+    kinetic: np.ndarray
+    c_value: np.ndarray
+    total: np.ndarray
     slope: float
-    intercept: float
 
 
 def moment(f: Samples, p: float) -> float:
@@ -131,24 +123,22 @@ def unboundedness_scan(z: float, n_list) -> UnboundednessScanResult:
     big = _counterexample_half(max(n_list)) + 1
     index = np.arange(float(big))
     t_buf, u_buf, w_buf = np.empty((3, big))
-    metrics = []
-    for n in n_list:
+    norm, kinetic, c_value = np.empty((3, len(n_list)))
+    for k, n in enumerate(n_list):
         half = _counterexample_half(n)
         h = 2.0 * (n + 2.0) / (2 * half)  # the full grid's spacing, to the bit
         t = np.multiply(index[:half + 1], h, out=t_buf[:half + 1])  # the full grid's x >= 0
         u = _un_values(n, t, out=u_buf[:half + 1], work=w_buf[:half + 1])
         d = np.subtract(u[1:], u[:-1], out=w_buf[:half])
-        kin = 2.0 * float(np.dot(d, d) / h)
+        kinetic[k] = 2.0 * float(np.dot(d, d) / h)
         m = np.multiply(u, u, out=u)  # u_n^2, then its half-axis point masses
         m *= h
         m[0] *= 0.5
         m[-1] *= 0.5
-        norm = 2.0 * float(np.sum(m))
+        norm[k] = 2.0 * float(np.sum(m))
         m1 = 2.0 * float(np.dot(t, m))
         s = _suffix_sums(m[1:], out=w_buf[:half])
-        c_val = (z - 1.0) * norm * m1 + 2.0 * h * float(np.vecdot(s, s))
-        metrics.append(CounterexampleMetrics(n, norm, kin, c_val, kin + c_val))
-    logs = np.log(np.asarray(n_list, dtype=float) + 1.0)
-    cvals = np.asarray([mtr.c_value for mtr in metrics])
-    slope, intercept = np.polyfit(logs, cvals, 1)
-    return UnboundednessScanResult(metrics, float(slope), float(intercept))
+        c_value[k] = (z - 1.0) * norm[k] * m1 + 2.0 * h * float(np.vecdot(s, s))
+    slope = np.polyfit(np.log(np.asarray(n_list, dtype=float) + 1.0), c_value, 1)[0]
+    return UnboundednessScanResult(np.asarray(n_list), norm, kinetic, c_value, kinetic + c_value,
+                                   float(slope))

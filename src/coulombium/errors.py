@@ -32,9 +32,9 @@ class GridTooSmallError(CoulombiumError):
 class SolverError(CoulombiumError):
     """Base class for solver failures. Carries the iteration history."""
 
-    def __init__(self, message, history=None):
+    def __init__(self, message):
         super().__init__(message)
-        self.history = list(history) if history is not None else []
+        self.history = []  # the solve's (objective, residual) per accepted iterate
 
 
 class NoConvergenceError(SolverError):

@@ -111,15 +111,12 @@ class GroundState:
 
     u: Samples
     epsilon: float  # the multiplier: the accepted iterate's Rayleigh quotient
+    objective: float  # the accepted iterate's kinetic + coulomb / 2
     residual: float  # the Euler-Lagrange residual the stopping rule read
     energy: EnergyBreakdown
     iterations: int  # on the returned state's grid; a coarse start's are not counted
     converged: bool
     history: list = field(repr=False)  # (objective, residual) per accepted fine-grid iterate
-
-    @property
-    def objective(self) -> float:  # kinetic + coulomb / 2, the candidate's bits
-        return self.energy.kinetic + 0.5 * self.energy.coulomb
 
 
 def ground_eigenpair(V: Samples, start: Samples | None = None, *,
@@ -419,7 +416,6 @@ def _converge(name: str, iterates, bg: BackgroundCharge, cfg: SolverConfig, u0) 
     history: list = []
     try:
         for it, (cur, res) in enumerate(islice(steps, cfg.max_iter), 1):
-            res = float(res)
             history.append((cur.objective, res))
             if res <= cfg.tol_residual and abs(cur.objective - prev) <= cfg.tol_energy:
                 energy = candidate_energy(cur, _background_const(bg, v_bg))
@@ -430,14 +426,12 @@ def _converge(name: str, iterates, bg: BackgroundCharge, cfg: SolverConfig, u0) 
                 # back in.
                 u = cur.V
                 np.copyto(u.values, cur.u.values)
-                return GroundState(u, cur.ray, res, energy, it, True, history)
+                return GroundState(u, cur.ray, cur.objective, res, energy, it, True, history)
             prev = cur.objective
+        raise MaxIterExceededError(f"{name} did not converge in {cfg.max_iter} iterations")
     except SolverError as exc:
         exc.history = history
         raise
-    raise MaxIterExceededError(
-        f"{name} did not converge in {cfg.max_iter} iterations", history
-    )
 
 
 def _solve(name: str, iterates, bg: BackgroundCharge, cfg, u0) -> GroundState:

@@ -570,12 +570,26 @@ def test_verify_seed0_output_is_pinned(suite, lines, capsys):
 
 def test_verify_counterexample_reports_slope(capsys):
     # honest report: the measured slope at n <= 80 sits outside the +-0.03
-    # asymptotic window, so the suite flags it while printing the value
-    code = run_cli(["verify", "counterexample"])
-    out = capsys.readouterr().out
-    assert "slope" in out
-    assert code == 1
-    assert "suite counterexample: FAIL" in out
+    # asymptotic window, so the suite flags it while printing the value.
+    # The pin changes only with the suite's n-list (ROADMAP item 1).
+    assert run_cli(["verify", "counterexample"]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "suite counterexample: FAIL",
+        "  kinetic_at_largest_n = 0.346433",
+        "  o1_span = 0.368622",
+        "  slope = -0.315784",
+        "  slope_error = 0.184216",
+        "  target_slope = -0.5",
+        "  FAIL: slope -0.3158 outside -0.5 +- 0.03 at n <= 80",
+    ]
+
+
+def test_verify_delta_output_is_pinned(capsys):
+    assert run_cli(["verify", "delta"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "suite delta: PASS",
+        "  loglog_slope = -1.00011",
+    ]
 
 
 def test_verify_unknown_suite_is_usage_error(capsys):

@@ -133,10 +133,10 @@ def test_counterexample_quadratic_touch():
 
 def test_counterexample_matches_closed_forms():
     res = unboundedness_scan(0.5, [10, 20, 40])
-    for mtr in res.metrics:
-        assert mtr.kinetic == pytest.approx(ke_exact(mtr.n), rel=1e-5)
-        assert mtr.c_value == pytest.approx(c_exact(mtr.n, 0.5), abs=2e-6)
-        assert abs(mtr.norm - 1.0) < 1e-6
+    for n, norm, kin, c_val in zip(res.n, res.norm, res.kinetic, res.c_value):
+        assert kin == pytest.approx(ke_exact(n), rel=1e-5)
+        assert c_val == pytest.approx(c_exact(n, 0.5), abs=2e-6)
+        assert abs(norm - 1.0) < 1e-6
 
 
 @pytest.mark.filterwarnings("ignore::coulombium.errors.NormalizationWarning")  # mass off 1 by 4e-7
@@ -144,13 +144,13 @@ def test_scan_on_the_half_axis_matches_the_full_grid():
     # the scan builds only x >= 0; the full grid's sums agree to rounding
     z = 0.5
     res = unboundedness_scan(z, [10, 20, 40])
-    for mtr in res.metrics:
-        g = grid_for_counterexample(mtr.n)
-        u = counterexample_un(mtr.n, g)
+    for n, norm, kin, c_val in zip(res.n, res.norm, res.kinetic, res.c_value):
+        g = grid_for_counterexample(n)
+        u = counterexample_un(n, g)
         sq = u.with_values(u.values**2)
-        assert mtr.norm == pytest.approx(integrate(sq), rel=1e-14)
-        assert mtr.kinetic == pytest.approx(kinetic_energy(u), rel=1e-14)
-        assert mtr.c_value == pytest.approx(c_functional(sq, z), rel=1e-14)
+        assert norm == pytest.approx(integrate(sq), rel=1e-14)
+        assert kin == pytest.approx(kinetic_energy(u), rel=1e-14)
+        assert c_val == pytest.approx(c_functional(sq, z), rel=1e-14)
 
 
 def test_scan_slope_matches_closed_form_prediction():
@@ -184,12 +184,10 @@ def test_closed_forms_reach_the_acceptance_limits():
 
 def test_scan_totals_decreasing_and_o1_bounded():
     res = unboundedness_scan(0.5, [10, 20, 40, 80])
-    totals = [mtr.total for mtr in res.metrics]
+    totals = res.total
     assert all(b < a for a, b in zip(totals[1:], totals[2:]))  # n >= 20
     assert totals[-1] < -0.5
-    remainders = [
-        mtr.c_value - (0.5 - 1.0) * np.log(mtr.n + 1.0) for mtr in res.metrics
-    ]
+    remainders = res.c_value - (0.5 - 1.0) * np.log(res.n + 1.0)
     assert max(abs(r) for r in remainders) < 2.0
 
 

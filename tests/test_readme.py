@@ -18,7 +18,7 @@ def test_readme_python_block_runs(capsys):
 
 def test_readme_lists_every_export():
     # the paragraph names each function and class it lists, and the errors
-    # and the subcritical scan's records (dataclasses) as two groups
+    # and the subcritical scan's record (a dataclass) as two groups
     (listed,) = re.findall(r"The package exports (.*?) and the errors\.", README.read_text(), re.S)
     names = set(re.findall(r"`(\w+)`", listed))
     assert [n for n in sorted(names) if not hasattr(cb, n)] == []

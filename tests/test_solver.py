@@ -819,14 +819,32 @@ def test_a_stalled_line_search_carries_the_iterates_accepted_before_it(monkeypat
     with pytest.raises(LineSearchStalledError, match="stalled on purpose") as excinfo:
         gradient_solve(PointCharge(2.0), SolverConfig(L=12.0, N=241))
     assert len(excinfo.value.history) == 3 and excinfo.value.history == ref.value.history
+    assert all(type(v) is float for entry in excinfo.value.history for v in entry)
 
 
 def test_an_uncertified_eigensolve_stops_the_scf_solve(monkeypatch):
     # one inverse-iteration step cannot certify the first pass's eigenpair
-    monkeypatch.setattr(solver, "_EIGEN_MAX_STEPS", 1)
-    with pytest.raises(NoConvergenceError, match="uncertified after 1 steps") as excinfo:
-        scf_solve(PointCharge(2.0), SolverConfig(L=12.0, N=241))
+    with monkeypatch.context() as m:
+        m.setattr(solver, "_EIGEN_MAX_STEPS", 1)
+        with pytest.raises(NoConvergenceError, match="uncertified after 1 steps") as excinfo:
+            scf_solve(PointCharge(2.0), SolverConfig(L=12.0, N=241))
     assert excinfo.value.history == []
+    # each SCF pass makes one eigensolve: a failure in the third follows two iterates
+    with pytest.raises(MaxIterExceededError) as ref:
+        scf_solve(PointCharge(2.0), SolverConfig(L=12.0, N=241, max_iter=2))
+    calls = []
+
+    def eigenpair(*args, **kwargs):
+        calls.append(args)
+        if len(calls) == 3:
+            raise NoConvergenceError("uncertified on purpose")
+        return ground_eigenpair(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "ground_eigenpair", eigenpair)
+    with pytest.raises(NoConvergenceError, match="uncertified on purpose") as excinfo:
+        scf_solve(PointCharge(2.0), SolverConfig(L=12.0, N=241))
+    assert len(excinfo.value.history) == 2 and excinfo.value.history == ref.value.history
+    assert all(type(v) is float for entry in excinfo.value.history for v in entry)
 
 
 @pytest.mark.parametrize("solve", [scf_solve, gradient_solve])
@@ -993,7 +1011,7 @@ def test_the_returned_u_is_the_accepted_candidates_and_rebuilds_its_v(solve, N, 
     energy = solver.candidate_energy
 
     def spy(c, background_const):
-        accepted.append((c.u.values.copy(), c.V.values.copy()))
+        accepted.append((c.u.values.copy(), c.V.values.copy(), c))
         return energy(c, background_const)
 
     monkeypatch.setattr(solver, "candidate_energy", spy)
@@ -1001,9 +1019,12 @@ def test_the_returned_u_is_the_accepted_candidates_and_rebuilds_its_v(solve, N, 
     bg = _two_wells(Grid(cfg.L, cfg.N), 1.8)
     state = solve(bg, cfg)
     assert len(accepted) == (2 if N == 60001 else 1)
-    u, v = accepted[-1]
+    u, v, c = accepted[-1]
     assert state.u.values.tobytes() == u.tobytes()
     assert effective_potential(state.u, bg).values.tobytes() == v.tobytes()
+    # and its numbers, bit for bit
+    assert (state.objective, state.epsilon, state.energy.kinetic, state.energy.coulomb) == (
+        c.objective, c.ray, c.kinetic, c.coulomb)
 
 
 def _traced_peak(solve, bg, cfg: SolverConfig) -> float:
