@@ -17,14 +17,16 @@ tol_energy of the previous iterate's (the start's, for the first).
 The driver hands the start over to the method, and each method holds only
 the arrays it still reads; an iterate is u, V and numbers, and only SCF
 forms u^2, once a pass.  At N = 60001, where an N-vector is 0.48 MB, a
-solve's traced peak above its inputs is 11 N-vectors for SCF on two wells
-(two fine passes), 15 for SCF on a point charge (z = 2, three passes; the
+solve's traced peak above its inputs is 9 N-vectors for SCF on two wells
+(one fine pass), 11 for SCF on a point charge (z = 2, one pass; the
 solve builds the grid's x and weights) and 16 for the gradient solver on
 it; ``scf_solve`` and ``gradient_solve`` say what holds them.
 Without a supplied start, a fine grid starts from nested iteration
-(Brandt, Math. Comp. 31 (1977) 333), a solve on its every tenth node
-(``_solve`` states the rule); the default mesh (L = 30, N = 6001) and
-coarser never take this path.  A ground state exists when the background's
+(Brandt, Math. Comp. 31 (1977) 333): solves on its every 40th and every
+tenth node, whose states Richardson's extrapolation (Phil. Trans. R. Soc.
+A 210 (1911) 307) combines, or on its every tenth node alone (``_solve``
+states the rule); the default mesh (L = 30, N = 6001) and coarser never
+take this path.  A ground state exists when the background's
 charge ratio z = -total charge is at least 1, and below 1 the energy is
 unbounded (the subcritical family in :mod:`coulombium.diagnostics`).
 ``require_bound_state`` alone decides it, raising :class:`DivergingEnergyError`
@@ -57,7 +59,7 @@ from .errors import (
 from .grid import Grid, Samples, normalize, require_same_mesh
 from .kernel import _point_masses
 
-_SCF_FIRST_MIX = 0.6  # SCF mixing weight, and where every damped fallback starts
+_SCF_FIRST_MIX = 0.6  # SCF mixing weight, and where every later pass's damped fallback starts
 _SCF_DEPTH = 5  # density and residual differences Anderson mixing keeps
 _BOUNDARY_FRACTION = 0.9
 _TAIL_MASS_LIMIT = 1e-10  # mass share beyond 0.9 L above which a returned state warns
@@ -70,6 +72,7 @@ _EIGEN_MAX_STEPS = 200  # inverse-iteration steps per eigensolve
 _EPS_MACH = float(np.finfo(float).eps)
 _TINY = float(np.finfo(float).tiny)  # the least positive normal number
 _COARSE_STRIDE = 10  # a coarse start solves on every tenth node
+_FAR_STRIDE = 4 * _COARSE_STRIDE  # and first on every 40th, where that nests
 # the widest coarse spacing used, the default mesh's: at L = 30 a coarse
 # start cost point charges 6-27 % more time at N = 6001 (coarse spacing
 # 0.1) and 35-47 % at N = 2001 (0.3), and saved 44 % on wells at N = 60001
@@ -321,7 +324,7 @@ def require_bound_state(bg: BackgroundCharge) -> None:
 
 
 def _restrict(bg: BackgroundCharge, coarse: Grid) -> BackgroundCharge:
-    """bg restricted to ``coarse``, the grid of every tenth node of bg's grid.
+    """bg restricted to ``coarse``, whose nodes are every k-th node of bg's grid.
 
     A point charge passes unchanged.  A sampled density's point masses
     w rho go to the two coarse nodes around them with hat weights, so the
@@ -331,8 +334,9 @@ def _restrict(bg: BackgroundCharge, coarse: Grid) -> BackgroundCharge:
     if isinstance(bg, PointCharge):
         return bg
     m = _point_masses(bg.rho)
-    blocks = m[:-1].reshape(coarse.N - 1, _COARSE_STRIDE)
-    t = np.arange(_COARSE_STRIDE) / _COARSE_STRIDE  # offsets within a coarse cell
+    stride = (m.size - 1) // (coarse.N - 1)
+    blocks = m[:-1].reshape(coarse.N - 1, stride)
+    t = np.arange(stride) / stride  # offsets within a coarse cell
     masses = np.zeros(coarse.N)
     masses[:-1] = blocks @ (1.0 - t)
     masses[1:] += blocks @ t
@@ -344,7 +348,7 @@ def _restrict(bg: BackgroundCharge, coarse: Grid) -> BackgroundCharge:
 def _prolong(u: Samples, fine: Grid) -> Samples:
     """The natural cubic spline through u (C^2, S'' = 0 at the ends) on ``fine``.
 
-    Every tenth node of ``fine`` is a node of u's grid, and there the spline
+    Every k-th node of ``fine`` is a node of u's grid, and there the spline
     keeps u's values bit for bit.  Its moments M_j = S''(X_j) solve
     M_{j-1} + 4 M_j + M_{j+1} = 6 (u_{j+1} - 2 u_j + u_{j-1}) / H^2 with
     M = 0 at the ends, by LAPACK dpttrf/dpttrs; on [X_j, X_{j+1}] at
@@ -353,17 +357,18 @@ def _prolong(u: Samples, fine: Grid) -> Samples:
     """
     y, big_h = u.values, u.grid.h
     n = y.size - 1
+    stride = (fine.N - 1) // n
     d, e, _ = dpttrf(np.full(n - 1, 4.0), np.ones(n - 2))
     moments = np.zeros(n + 1)
     moments[1:-1] = dpttrs(d, e, (6.0 / big_h**2) * (y[2:] - 2.0 * y[1:-1] + y[:-2]))[0]
-    t = np.arange(_COARSE_STRIDE) / _COARSE_STRIDE
+    t = np.arange(stride) / stride
     s = 1.0 - t
     s3, t3 = s**3 - s, t**3 - t
     out = np.empty(fine.N)
     out[-1] = y[-1]
-    cells = out[:-1].reshape(n, _COARSE_STRIDE)  # a view: row j is the cell [X_j, X_{j+1})
+    cells = out[:-1].reshape(n, stride)  # a view: row j is the cell [X_j, X_{j+1})
     curve = np.empty(n)
-    for k in range(_COARSE_STRIDE):  # the k-th node of every cell
+    for k in range(stride):  # the k-th node of every cell
         cell = cells[:, k]
         np.multiply(y[:-1], s[k], out=cell)
         cell += y[1:] * t[k]
@@ -374,21 +379,39 @@ def _prolong(u: Samples, fine: Grid) -> Samples:
     return Samples(fine, out)
 
 
+def _nests(n: int, stride: int) -> bool:
+    """Whether every stride-th node of a grid of n + 1 nodes makes a coarse grid:
+    an odd node count, and at least the 5 nodes the Hamiltonian needs."""
+    return n % (2 * stride) == 0 and n >= 4 * stride
+
+
 def _coarse_start(name: str, iterates, bg: BackgroundCharge, cfg, grid: Grid) -> Samples | None:
-    """The coarse solve's state prolonged to ``grid``; None where the rule
-    does not hold or the coarse solve raises a :class:`SolverError`."""
+    """The start ``_solve`` describes, from coarse solves prolonged to ``grid``;
+    None where the rule does not hold or a coarse solve raises a
+    :class:`SolverError`."""
     n = cfg.N - 1
-    # an odd coarse node count, and at least the 5 nodes the Hamiltonian needs
-    if n % (2 * _COARSE_STRIDE) or n < 4 * _COARSE_STRIDE:
+    if not _nests(n, _COARSE_STRIDE):
         return None
-    coarse = Grid(cfg.L, n // _COARSE_STRIDE + 1)
-    if coarse.h > _COARSE_MAX_H:
+    near = Grid(cfg.L, n // _COARSE_STRIDE + 1)
+    if near.h > _COARSE_MAX_H:
         return None
+
+    def coarse_solve(coarse: Grid, u0):
+        return _converge(name, iterates, _restrict(bg, coarse), replace(cfg, N=coarse.N), u0).u
+
     try:
-        state = _converge(name, iterates, _restrict(bg, coarse), replace(cfg, N=coarse.N), None)
+        if not _nests(n, _FAR_STRIDE):
+            return _prolong(coarse_solve(near, None), grid)
+        far = Grid(cfg.L, n // _FAR_STRIDE + 1)
+        u_far = coarse_solve(far, None)
+        u_near = coarse_solve(near, _prolong(u_far, near))
     except SolverError:
         return None
-    return _prolong(state.u, grid)
+    c = (near.h**2 - grid.h**2) / (far.h**2 - near.h**2)
+    start, far_start = _prolong(u_near, grid), _prolong(u_far, grid).values
+    start.values += c * (start.values - far_start)
+    np.abs(start.values, out=start.values)
+    return start
 
 
 def _converge(name: str, iterates, bg: BackgroundCharge, cfg: SolverConfig, u0) -> GroundState:
@@ -441,14 +464,23 @@ def _solve(name: str, iterates, bg: BackgroundCharge, cfg, u0) -> GroundState:
     (``require_bound_state``), with an empty trace, before any iterate.
     Without ``u0``, a grid whose N - 1 is a multiple of 20 (at least 40)
     and whose every tenth node spaces at most 0.01 apart, the default
-    mesh's spacing, starts from a coarse solve: the same method,
-    tolerances and ``max_iter`` on that tenth-node grid (recursively, so
-    it may start from a coarser one), with the background restricted by
-    ``_restrict``, prolonged by the natural cubic spline ``_prolong``.  A
-    :class:`SolverError` on the coarse grid falls back to the default
-    start.  The returned state's iterations and history, and the trace
-    every :class:`SolverError` raised carries, are the fine grid's; only
-    the returned state warns of tail mass.
+    mesh's spacing, starts from coarse solves: the same method, tolerances
+    and ``max_iter``, with the background restricted by ``_restrict`` and
+    each state prolonged by the natural cubic spline ``_prolong``.  Where
+    N - 1 is also a multiple of 80 (at least 160), the grid of every 40th
+    node solves first, as any grid does (from the default start, unless
+    its own tenth node lies within 0.01), the tenth-node grid from its
+    state, and the fine grid from Richardson's extrapolation
+    |P u_near + c (P u_near - P u_far)|, c = (H_near^2 - h^2) / (H_far^2 - H_near^2):
+    the three-point stencil and the trapezoid rule give a discrete state
+    an error in even powers of its spacing, and c removes the H^2 term
+    (c = 0.066 at N = 60001).  Otherwise the tenth-node grid solves as any
+    grid does (recursively, so it may start from a coarser one) and its
+    state alone starts the fine solve.  A :class:`SolverError` on either
+    coarse grid falls back to the default start.  The returned state's
+    iterations and history, and the trace every :class:`SolverError`
+    raised carries, are the fine grid's; only the returned state warns of
+    tail mass.
     """
     require_bound_state(bg)
     state = _converge(name, iterates, bg, cfg if cfg is not None else SolverConfig(), u0)
@@ -471,7 +503,7 @@ def scf_solve(
     eigenvector of V[rho], with residual f = u_lin^2 - u^2.  Anderson
     mixing of depth m = 5 (Anderson 1965; Walker & Ni 2011) keeps the last
     m differences d_rho_j, d_f_j of successive passes, in rows grown one a
-    pass to the passes made (a fine solve from the coarse start makes 2-4),
+    pass to the passes made (a fine solve from the nested start makes 1-3),
     and the Gram matrix of the d_f_j in the trapezoid inner product, picks
     gamma by least squares,
     min |f - sum_j gamma_j d_f_j|, and proposes
@@ -481,9 +513,12 @@ def scf_solve(
     clipped at 0, as the candidate normalize(sqrt(rho_AA)).  It is accepted
     when it passes ``_descends`` at step b.  Otherwise the differences are
     dropped and the pass takes a damped step, u^2 <- u^2 + a f, with the
-    weight a from ``_descend`` along that path, always from b (a carried
-    weight only shrinks while rounding noise refuses good ones).  The first
-    pass has no difference and is always damped.  So every accepted iterate
+    weight a from ``_descend`` along that path, from b on every pass but
+    the first (a carried weight only shrinks while rounding noise refuses
+    good ones).  The first pass has no difference, and its search starts
+    from the whole step, a = 1, whose trial is the eigenvector itself: from
+    the nested start that trial meets tol_residual, and a damped one would
+    not.  So every accepted iterate
     passes the one Armijo test.  Each iterate's multiplier is its own
     Rayleigh quotient <u, H u>, read with its objective (the eigenvalue
     belongs to the previous iterate's V), and its residual is
@@ -507,6 +542,7 @@ def scf_solve(
         pairs = 0  # differences taken since the last reset
         prev = None  # (u^2, f) of the previous pass
         quotient = None  # the iterate's (ray, residual), once it has yielded them
+        weight = 1.0  # a fallback's first weight: the first pass's first trial is u_lin itself
         while True:
             vi = cur.V.values[1:-1]  # H acts on the interior nodes only
             vmin, vmax = float(np.min(vi)), float(np.max(vi))
@@ -543,8 +579,8 @@ def scf_solve(
                     trial, pairs = None, 0
             prev = (u2, f)
             if trial is None:
-                trial = _descend(cur, v_bg, lambda a: np.sqrt(u2 + a * f), _SCF_FIRST_MIX,
-                                 slope)[0]
+                trial = _descend(cur, v_bg, lambda a: np.sqrt(u2 + a * f), weight, slope)[0]
+            weight = _SCF_FIRST_MIX
             cur = trial
             quotient = cur.ray, _residual_norm(
                 _shifted_hamiltonian(cur.u.values, cur.V.values, grid.h, cur.ray), grid.h)

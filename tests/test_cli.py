@@ -209,7 +209,7 @@ def _cells(rows, header):
     (["solve", "--z", "2", "--method", "scf"], 0),
     (["solve", "--z", "2", "--method", "both"], 0),
     (["scan", "--z-list", "1.5,2"], 0),
-    (["scan", "--z-list", "1.5,2", "--max-iter", "5"], 2),  # no_convergence rows
+    (["scan", "--z-list", "1.5,2", "--max-iter", "4"], 2),  # no_convergence rows: z = 1.5 takes 5
 ])
 def test_csv_and_json_carry_the_same_record(tmp_path, argv, code):
     argv = [*argv, "--L", "12", "--N", "241"]

@@ -438,7 +438,7 @@ def test_scf_from_a_warm_start_near_the_minimizer_converges(charge, centre, widt
     # input took 8 to 12 passes as the start's last bits changed.  Scaling
     # u0 by 1 + k eps_mach changes those bits; the allowance read from the
     # objective's own sums and the slope clipped at 0 within the
-    # eigenvalue's rounding take 4 passes on every start, with one BLAS
+    # eigenvalue's rounding take 2 passes on every start, with one BLAS
     # thread and with two.
     cfg = SolverConfig(L=30.0, N=60001, max_iter=60)
     fine, coarse = Grid(cfg.L, cfg.N), Grid(cfg.L, 6001)
@@ -453,11 +453,10 @@ def test_scf_from_a_warm_start_near_the_minimizer_converges(charge, centre, widt
 
 
 def test_every_scf_fallback_starts_at_the_full_weight(monkeypatch):
-    # A fallback can accept a small weight (one on the scf-sampled-fine input
-    # of seed 101 and charge 2.3397 accepts 0.075).  Here the first pass is
-    # made to accept 0.075 and the second pass's Anderson candidate is
-    # refused, both by force: the second fallback must start again from 0.6,
-    # not from a weight carried over.
+    # A fallback can accept a small weight.  Here the first pass, whose
+    # search starts from the whole step, is made to accept 0.0625 and the
+    # second pass's Anderson candidate is refused, both by force: the second
+    # fallback must start again from 0.6, not from a weight carried over.
     starts, accepted, refused = [], [], []
 
     def descend(cur, v_bg, path, step, slope):
@@ -479,8 +478,8 @@ def test_every_scf_fallback_starts_at_the_full_weight(monkeypatch):
     monkeypatch.setattr(solver, "_descends", descends)
     with pytest.raises(MaxIterExceededError):
         scf_solve(PointCharge(2.0), SolverConfig(L=12.0, N=241, max_iter=2))
-    assert accepted[0] == 0.075 and refused == [0.6]
-    assert starts == [0.6, 0.6]
+    assert accepted[0] == 0.0625 and refused == [0.6]
+    assert starts == [1.0, 0.6]
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -902,14 +901,15 @@ def test_prolongation_keeps_the_coarse_values_and_fits_a_smooth_gaussian():
 
 
 @settings(max_examples=30, deadline=None)
-@given(cells=st.integers(2, 40), L=st.floats(0.5, 40.0),
+@given(cells=st.integers(2, 40), L=st.floats(0.5, 40.0), stride=st.sampled_from([4, 10, 40]),
        seed=st.integers(0, 2**32 - 1))
-def test_prolongation_keeps_any_coarse_values_bit_for_bit(cells, L, seed):
-    coarse, fine = Grid(L, 2 * cells + 1), Grid(L, 20 * cells + 1)
+def test_prolongation_keeps_any_coarse_values_bit_for_bit(cells, L, stride, seed):
+    # the strides of the nested start: far to near, near to fine, far to fine
+    coarse, fine = Grid(L, 2 * cells + 1), Grid(L, 2 * stride * cells + 1)
     values = np.random.default_rng(seed).normal(size=coarse.N)
     values[0] = values[-1] = 0.0
     fine_values = solver._prolong(Samples(coarse, values), fine).values
-    assert np.array_equal(fine_values[::10], values)
+    assert np.array_equal(fine_values[::stride], values)
     assert fine_values[0] == fine_values[-1] == 0.0
 
 
@@ -934,19 +934,37 @@ def _spy_on_grids(monkeypatch) -> list:
 @pytest.mark.parametrize("solve", [scf_solve, gradient_solve])
 @pytest.mark.parametrize("background", ["point", "wells"])
 def test_a_coarse_start_reaches_the_cold_start_objective(solve, background, monkeypatch):
-    # From the spline-prolonged coarse state SCF takes 3 fine passes where
-    # the cold start takes 6 (point) and 9 (wells), the gradient solver 4
-    # and 3 where it takes 10 and 8, to the same minimizer
+    # From the extrapolated pair of coarse states SCF takes 1 fine pass where
+    # the cold start takes 6 (point) and 8 (wells), the gradient solver 2
+    # where it takes 10 and 8, to the same minimizer
     cfg = SolverConfig(L=30.0, N=60001)
     g = Grid(cfg.L, cfg.N)
     bg = PointCharge(2.0) if background == "point" else _two_wells(g, 1.8)
     cold = solve(bg, cfg, u0=default_initial_guess(bg, g))
     grids = _spy_on_grids(monkeypatch)
     state = solve(bg, cfg)
-    assert grids == [60001, 6001]
+    assert grids == [60001, 1501, 6001]
     assert abs(state.objective - cold.objective) <= 1e-13
     assert state.iterations == len(state.history) < cold.iterations
     assert state.residual <= cfg.tol_residual
+
+
+@pytest.mark.parametrize("solve,passes", [(scf_solve, 1), (gradient_solve, 2)])
+@pytest.mark.parametrize("background", ["seeded", "wells", "z1", "z2"])
+def test_a_nested_warm_start_needs_one_fine_scf_pass(solve, passes, background):
+    # Richardson's extrapolation of the 40th-node and tenth-node states
+    # removes the tenth-node state's O(H^2) error, and SCF's first pass takes
+    # the whole step to the eigenvector: its residual is then below
+    # tol_residual.  The same counts hold with one BLAS thread and with two.
+    cfg = SolverConfig(L=30.0, N=60001)
+    g = Grid(cfg.L, cfg.N)
+    bg = {"seeded": _seeded_two_wells(g, 101), "wells": _two_wells(g, 1.8),
+          "z1": PointCharge(1.0), "z2": PointCharge(2.0)}[background]
+    state = solve(bg, cfg)
+    assert state.iterations <= passes
+    assert state.residual <= cfg.tol_residual
+    cold = solve(bg, cfg, u0=default_initial_guess(bg, g))
+    assert abs(state.objective - cold.objective) <= 1e-13
 
 
 @pytest.mark.parametrize("solve", [scf_solve, gradient_solve])
@@ -961,7 +979,7 @@ def test_a_coarse_start_takes_tails_at_the_positive_limit(solve, monkeypatch):
     cold = solve(bg, cfg, u0=default_initial_guess(bg, g))
     grids = _spy_on_grids(monkeypatch)
     state = solve(bg, cfg)
-    assert grids == [60001, 6001]
+    assert grids == [60001, 1501, 6001]
     assert abs(state.objective - cold.objective) <= 1e-13
 
 
@@ -1005,8 +1023,8 @@ def test_a_returned_state_holds_only_u_and_v_on_one_grid(solve, N, background):
 @pytest.mark.parametrize("N", [6001, 60001])
 def test_the_returned_u_is_the_accepted_candidates_and_rebuilds_its_v(solve, N, monkeypatch):
     # The accepted candidate is the one whose energy the driver reports,
-    # just before its u moves into its V buffer; at N = 60001 the coarse
-    # start's accepted candidate comes first
+    # just before its u moves into its V buffer; at N = 60001 the accepted
+    # candidates of the two coarse levels come first
     accepted = []
     energy = solver.candidate_energy
 
@@ -1018,7 +1036,7 @@ def test_the_returned_u_is_the_accepted_candidates_and_rebuilds_its_v(solve, N, 
     cfg = SolverConfig(L=30.0, N=N)
     bg = _two_wells(Grid(cfg.L, cfg.N), 1.8)
     state = solve(bg, cfg)
-    assert len(accepted) == (2 if N == 60001 else 1)
+    assert len(accepted) == (3 if N == 60001 else 1)
     u, v, c = accepted[-1]
     assert state.u.values.tobytes() == u.tobytes()
     assert effective_potential(state.u, bg).values.tobytes() == v.tobytes()
@@ -1049,17 +1067,18 @@ def _seeded_two_wells(g: Grid, seed: int) -> SampledCharge:
 
 
 @pytest.mark.parametrize("solve,background,budget", [
-    (scf_solve, "wells", 11), (scf_solve, "point", 15), (gradient_solve, "point", 16)])
+    (scf_solve, "wells", 9), (scf_solve, "point", 11), (gradient_solve, "point", 16)])
 def test_a_fine_solve_holds_a_bounded_working_set(solve, background, budget):
     # Each budget is the measured peak in N-vectors (0.48 MB each here), and
-    # the bound one vector more.  SCF holds the iterate's u and V, V_bg, the
-    # last pass's u^2 and f, the Anderson history (two rows a difference) and
-    # the eigensolve's six; it forms the iterate's u^2 after the eigensolve,
-    # and a point charge's grid adds two.  The gradient solver holds the
-    # iterate and the trial (u and V each), V_bg, the factor of its metric,
-    # both gradients and directions, and the step's three.  A candidate that
-    # keeps its u^2 peaks at 12, 16 and 18; a solve that keeps its start
-    # candidate or a full-depth history, at 28, 32 and 25.
+    # the bound one vector more.  From the nested start SCF makes one fine
+    # pass, whose peak is its eigensolve: the iterate's u and V, V_bg and the
+    # eigensolve's six; it forms the iterate's u^2 after the eigensolve, and
+    # a point charge's grid adds two.  The gradient solver holds the iterate
+    # and the trial (u and V each), V_bg, the factor of its metric, both
+    # gradients and directions, and the step's three.  A candidate that
+    # keeps its u^2 peaks at 10, 12 and 18; a solve that keeps its start
+    # candidate at 10, 12 and 17; an SCF history allocated at full depth at
+    # 19 and 21.
     cfg = SolverConfig(L=30.0, N=60001)
     g = Grid(cfg.L, cfg.N)
     bg = PointCharge(2.0) if background == "point" else _seeded_two_wells(g, 101)
@@ -1067,32 +1086,36 @@ def test_a_fine_solve_holds_a_bounded_working_set(solve, background, budget):
 
 
 @pytest.mark.parametrize("solve", [scf_solve, gradient_solve])
-@pytest.mark.parametrize("L,N", [(30.0, 6001), (30.0, 20001), (15.0, 3001), (30.0, 60003)])
+@pytest.mark.parametrize("L,N", [(30.0, 6001), (30.0, 20001), (15.0, 3001), (30.0, 60003),
+                                 (30.0, 60021)])
 def test_no_coarse_solve_where_the_rule_does_not_hold(solve, L, N, monkeypatch):
     # a tenth-node spacing above 0.01 (the first three) or N - 1 not a
-    # multiple of 20 (the last) keeps the default start, so the default
-    # mesh's outputs are unchanged
+    # multiple of 20 (the fourth) keeps the default start, so the default
+    # mesh's outputs are unchanged; N - 1 not a multiple of 80 (the last)
+    # has no 40th-node level and starts from the tenth-node solve alone
     grids = _spy_on_grids(monkeypatch)
     solve(PointCharge(2.0), SolverConfig(L=L, N=N))
-    assert grids == [N]
+    assert grids == ([N, 6003] if N == 60021 else [N])
 
 
 def test_a_well_narrower_than_the_coarse_spacing_keeps_its_charge(monkeypatch):
     # Width 0.002 between two coarse nodes: sampling every tenth node would
     # keep about a third of its charge, and the coarse solve would meet a
-    # subcritical background; the hat weights keep z = 1 to rounding
+    # subcritical background; the hat weights keep z = 1 to rounding on
+    # both coarse levels
     cfg = SolverConfig(L=30.0, N=60001)
     g = Grid(cfg.L, cfg.N)
     well = np.exp(-0.5 * ((g.x - 0.0048) / 0.002) ** 2)
     bg = SampledCharge(Samples(g, -well / np.dot(g.weights, well)))
-    coarse = Grid(cfg.L, 6001)
-    assert integrate(Samples(coarse, bg.rho.values[::10])) > -0.5
-    assert abs(total_charge(solver._restrict(bg, coarse)) - total_charge(bg)) <= 1e-15
+    assert integrate(Samples(Grid(cfg.L, 6001), bg.rho.values[::10])) > -0.5
+    for coarse in (Grid(cfg.L, 6001), Grid(cfg.L, 1501)):
+        assert abs(total_charge(solver._restrict(bg, coarse)) - total_charge(bg)) <= 1e-15
     prolonged = []
     prolong = solver._prolong
     monkeypatch.setattr(solver, "_prolong", lambda u, fine: prolonged.append(u) or prolong(u, fine))
     state = scf_solve(bg, cfg)
-    assert len(prolonged) == 1  # the coarse solve converged
+    # both coarse solves converged: far to near, then near and far to the fine grid
+    assert [u.grid.N for u in prolonged] == [1501, 6001, 1501]
     assert state.residual <= cfg.tol_residual
 
 
@@ -1106,7 +1129,7 @@ def test_a_failed_coarse_solve_falls_back_to_the_default_start(solve, monkeypatc
     grids = _spy_on_grids(monkeypatch)
     with pytest.raises(MaxIterExceededError, match="in 1 iterations") as excinfo:
         solve(bg, cfg)
-    assert grids == [60001, 6001]
+    assert grids == [60001, 1501]
     # a supplied start is normalized once more, so the bits may differ
     assert len(excinfo.value.history) == 1
     assert excinfo.value.history[0] == pytest.approx(cold.value.history[0], rel=1e-13)
@@ -1114,19 +1137,20 @@ def test_a_failed_coarse_solve_falls_back_to_the_default_start(solve, monkeypatc
 
 @pytest.mark.parametrize("solve", [scf_solve, gradient_solve])
 def test_only_the_returned_state_warns_of_tail_mass(solve, monkeypatch):
-    # both grids carry tail mass at z = 1 on L = 8; the coarse one (N = 1601)
-    # stays silent, and the one warning names the line that called the solver
+    # every grid carries tail mass at z = 1 on L = 8; the coarse ones (N = 401
+    # and 1601) stay silent, and the one warning names the line that called
+    # the solver
     grids = _spy_on_grids(monkeypatch)
     with pytest.warns(RuntimeWarning, match="tail mass") as record:
         line = inspect.currentframe().f_lineno + 1
         solve(PointCharge(1.0), SolverConfig(L=8.0, N=16001, tol_residual=1e-6))
-    assert grids == [16001, 1601]
+    assert grids == [16001, 401, 1601]
     assert [(w.filename, w.lineno) for w in record] == [(__file__, line)]
 
 
 def test_every_scf_eigensolve_starts_from_the_iterate_it_diagonalizes(monkeypatch):
-    # one start rule on both grids: the first fine pass after a coarse start
-    # starts from the prolonged state, not from the box ground state
+    # one start rule on every grid: the first fine pass after the coarse
+    # start starts from the extrapolated state, not from the box ground state
     live = weakref.WeakValueDictionary()  # id(candidate.V) -> candidate
     calls = []
     objective, eigenpair = solver.solver_objective, solver.ground_eigenpair
