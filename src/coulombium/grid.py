@@ -59,6 +59,10 @@ class Grid:
             raise ValueError(f"node count must be odd so x=0 is a node, got {self.N}")
         self.L = float(self.L)
         self.h = 2.0 * self.L / (self.N - 1)
+        # the stencil reads 1/h^2 and the eigensolve's tolerance 4/h^2: both must be finite
+        h2 = self.h * self.h
+        if not 0.0 < h2 < np.inf or 4.0 / h2 == np.inf:
+            raise ValueError(f"node spacing h = {self.h!r}: h^2 and 4/h^2 must be finite")
         self.x = self.h * (np.arange(self.N) - (self.N - 1) // 2)
         w = np.full(self.N, self.h)
         w[0] = w[-1] = 0.5 * self.h

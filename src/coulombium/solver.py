@@ -7,12 +7,12 @@ Each method supplies only its accepted iterates, and each passes one Armijo
 test, ``_descends``: SCF's Anderson candidate directly, every other step
 through ``_descend``'s backtracking along the method's own path.  One
 driver takes the grid (a sampled background's own), V_bg and the start (a
-supplied start u0 enters as |u0| with its end values zeroed), records the
-trace and returns u, without V, of the first iterate to meet the single
-stopping rule: a residual |(H - eps) u| at its multiplier (the Rayleigh
-quotient ``ray`` of its objective, from :mod:`coulombium.energy`'s one
-stencil on the V it holds) of at most tol_residual, and an objective within
-tol_energy of the previous iterate's (the start's, for the first).
+supplied or coarse start enters as its absolute value with zero ends),
+records the trace and returns u, without V, of the first iterate to meet
+the single stopping rule: a residual |(H - eps) u| at its multiplier (the
+Rayleigh quotient ``ray`` of its objective, from :mod:`coulombium.energy`'s
+one stencil on the V it holds) of at most tol_residual, and an objective
+within tol_energy of the previous iterate's (the start's, for the first).
 ``effective_potential(state.u, bg)`` rebuilds that V bit for bit.
 The driver hands the start over to the method, and each method holds only
 the arrays it still reads; an iterate is u, V and numbers, and only SCF
@@ -21,14 +21,12 @@ solve's traced peak above its inputs is 9 N-vectors for SCF on two wells
 (one fine pass), 11 for SCF on a point charge (z = 2, one pass; the
 solve builds the grid's x and weights) and 16 for the gradient solver on
 it; ``scf_solve`` and ``gradient_solve`` say what holds them.
-Without a supplied start, a fine grid starts from nested iteration
-(Brandt, Math. Comp. 31 (1977) 333): solves on its every 40th and every
-tenth node, whose states Richardson's extrapolation (Phil. Trans. R. Soc.
-A 210 (1911) 307) combines, or on its every tenth node alone (``_solve``
-states the rule); the default mesh (L = 30, N = 6001) and coarser never
-take this path.  A ground state exists when the background's
-charge ratio z = -total charge is at least 1, and below 1 the energy is
-unbounded (the subcritical family in :mod:`coulombium.diagnostics`).
+Without a supplied start, a fine grid starts from solves on its coarser
+nested grids (``_coarse_start`` states the rule); the default mesh
+(L = 30, N = 6001) and coarser never take this path.  A ground state
+exists when the background's charge ratio z = -total charge is at least 1,
+and below 1 the energy is unbounded (the subcritical family in
+:mod:`coulombium.diagnostics`).
 ``require_bound_state`` alone decides it, raising :class:`DivergingEnergyError`
 for z < 1 - 1e-9; ``_solve`` calls it before it builds the grid, as the
 command line does before any solve.  At z >= 1 mass near the domain's edge
@@ -386,52 +384,68 @@ def _nests(n: int, stride: int) -> bool:
 
 
 def _coarse_start(name: str, iterates, bg: BackgroundCharge, cfg, grid: Grid) -> Samples | None:
-    """The start ``_solve`` describes, from coarse solves prolonged to ``grid``;
-    None where the rule does not hold or a coarse solve raises a
-    :class:`SolverError`."""
+    """The nested start (Brandt, Math. Comp. 31 (1977) 333) of a solve
+    without ``u0``, carried to ``grid``; None where its rule does not hold
+    or a coarse solve raises a :class:`SolverError`.
+
+    The levels are the grids of every 40th and of every tenth node of
+    ``grid``, each where it nests (``_nests``: N - 1 a multiple of 80 and
+    at least 160, or of 20 and at least 40; a grid with the first has the
+    second).  The rule holds where the tenth-node level exists and its
+    nodes lie at most 0.01 apart (``_COARSE_MAX_H``, the default mesh's
+    spacing), so the default mesh and coarser grids start cold.  Each level
+    solves by the same method, tolerances and ``max_iter``, on the
+    background restricted by ``_restrict``: the first as any grid does (its
+    own nested start where the rule holds for it, else the default start),
+    the second from the first's state prolonged by ``_prolong``.  With both
+    levels, Richardson's extrapolation (Phil. Trans. R. Soc. A 210 (1911)
+    307) u_near + c (u_near - P u_far), c = (H_near^2 - h^2) / (H_far^2 - H_near^2),
+    is taken on the tenth-node grid, where P u_far is that level's own
+    start: the three-point stencil and the trapezoid rule give a discrete
+    state an error in even powers of its spacing, and c removes the H^2
+    term (c = 0.066 at N = 60001).  One ``_prolong`` then carries the state
+    to ``grid``.  A natural cubic spline on a grid is also one on every grid
+    nested in it, so prolonging twice equals prolonging once to rounding,
+    and this start equals the extrapolation of the two states prolonged to
+    ``grid``.
+    """
     n = cfg.N - 1
-    if not _nests(n, _COARSE_STRIDE):
+    levels = [Grid(cfg.L, n // k + 1) for k in (_FAR_STRIDE, _COARSE_STRIDE) if _nests(n, k)]
+    if not levels or levels[-1].h > _COARSE_MAX_H:
         return None
-    near = Grid(cfg.L, n // _COARSE_STRIDE + 1)
-    if near.h > _COARSE_MAX_H:
-        return None
-
-    def coarse_solve(coarse: Grid, u0):
-        return _converge(name, iterates, _restrict(bg, coarse), replace(cfg, N=coarse.N), u0).u
-
+    u = start = None
     try:
-        if not _nests(n, _FAR_STRIDE):
-            return _prolong(coarse_solve(near, None), grid)
-        far = Grid(cfg.L, n // _FAR_STRIDE + 1)
-        u_far = coarse_solve(far, None)
-        u_near = coarse_solve(near, _prolong(u_far, near))
+        for coarse in levels:
+            start = None if u is None else _prolong(u, coarse)
+            u = _converge(name, iterates, _restrict(bg, coarse), replace(cfg, N=coarse.N), start).u
     except SolverError:
         return None
-    c = (near.h**2 - grid.h**2) / (far.h**2 - near.h**2)
-    start, far_start = _prolong(u_near, grid), _prolong(u_far, grid).values
-    start.values += c * (start.values - far_start)
-    np.abs(start.values, out=start.values)
-    return start
+    if len(levels) == 2:
+        far, near = levels
+        c = (near.h**2 - grid.h**2) / (far.h**2 - near.h**2)
+        u.values += c * (u.values - start.values)
+    return _prolong(u, grid)
 
 
 def _converge(name: str, iterates, bg: BackgroundCharge, cfg: SolverConfig, u0) -> GroundState:
     """Trace and stop the ``(candidate, residual)`` that ``iterates`` yields on
     cfg's mesh (a sampled background's own grid, which the state then shares),
-    from u0 or else from the coarse or the default start.
+    from u0 or else from the coarse or the default start; u0 and a coarse
+    start enter by one rule, as their absolute value with zero ends.
 
     The state holds the accepted candidate's u, copied into that candidate's
     V buffer, and no V.
     """
     grid = Grid(cfg.L, cfg.N) if isinstance(bg, PointCharge) else bg.rho.grid
     require_same_mesh(grid, cfg)
+    if u0 is None:
+        u0 = _coarse_start(name, iterates, bg, cfg, grid)
     if u0 is not None:
         require_same_mesh(u0.grid, grid)
         # no gradient step moves the ends, and |u0| keeps a start that changes
         # sign, or is odd, off the excited states its symmetry would hold it to
         u0 = Samples(grid, np.pad(np.abs(u0.values[1:-1]), 1))
     v_bg = background_potential(bg, grid)
-    if u0 is None:
-        u0 = _coarse_start(name, iterates, bg, cfg, grid)
     start = solver_objective(default_initial_guess(bg, grid) if u0 is None else normalize(u0), v_bg)
     prev = start.objective
     steps = iterates(start, v_bg)
@@ -462,25 +476,11 @@ def _solve(name: str, iterates, bg: BackgroundCharge, cfg, u0) -> GroundState:
 
     A subcritical background raises :class:`DivergingEnergyError`
     (``require_bound_state``), with an empty trace, before any iterate.
-    Without ``u0``, a grid whose N - 1 is a multiple of 20 (at least 40)
-    and whose every tenth node spaces at most 0.01 apart, the default
-    mesh's spacing, starts from coarse solves: the same method, tolerances
-    and ``max_iter``, with the background restricted by ``_restrict`` and
-    each state prolonged by the natural cubic spline ``_prolong``.  Where
-    N - 1 is also a multiple of 80 (at least 160), the grid of every 40th
-    node solves first, as any grid does (from the default start, unless
-    its own tenth node lies within 0.01), the tenth-node grid from its
-    state, and the fine grid from Richardson's extrapolation
-    |P u_near + c (P u_near - P u_far)|, c = (H_near^2 - h^2) / (H_far^2 - H_near^2):
-    the three-point stencil and the trapezoid rule give a discrete state
-    an error in even powers of its spacing, and c removes the H^2 term
-    (c = 0.066 at N = 60001).  Otherwise the tenth-node grid solves as any
-    grid does (recursively, so it may start from a coarser one) and its
-    state alone starts the fine solve.  A :class:`SolverError` on either
-    coarse grid falls back to the default start.  The returned state's
-    iterations and history, and the trace every :class:`SolverError`
-    raised carries, are the fine grid's; only the returned state warns of
-    tail mass.
+    Without ``u0``, a fine grid starts from coarse solves where
+    ``_coarse_start``'s rule holds, and from the default start where it
+    does not or a coarse solve fails.  The returned state's iterations and
+    history, and the trace every :class:`SolverError` raised carries, are
+    the fine grid's; only the returned state warns of tail mass.
     """
     require_bound_state(bg)
     state = _converge(name, iterates, bg, cfg if cfg is not None else SolverConfig(), u0)

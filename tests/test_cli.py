@@ -191,6 +191,19 @@ def test_three_node_grid_is_usage_error(tmp_path, capsys):
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("argv", [
+    ["solve", "--z", "2", "--L", "1e-300"],
+    ["solve", "--method", "gd", "--z", "2", "--L", "1e-170"],
+    ["scan", "--z-list", "2", "--L", "1e300"],
+])
+def test_a_spacing_out_of_the_float_range_is_usage_error(tmp_path, capsys, monkeypatch, argv):
+    # h^2 rounds to 0 or to inf: refused with the grid, before any solve or file
+    monkeypatch.chdir(tmp_path)
+    assert run_cli([*argv, "--N", "241", "--output", "s"]) == 1
+    assert capsys.readouterr().err.startswith("error: node spacing h = ")
+    assert list(tmp_path.iterdir()) == []
+
+
 def _csv_record(path):
     """The ``# summary`` fields and the rows, as cell strings by column, of a CLI CSV file."""
     lines = path.read_text().splitlines()

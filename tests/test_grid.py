@@ -48,6 +48,13 @@ def test_make_grid_rejects_non_finite_values(L, N, field):
         Grid(L, N)
 
 
+@pytest.mark.parametrize("L", [1e-300, 1e300])
+def test_make_grid_rejects_a_spacing_whose_square_leaves_the_float_range(L):
+    # h^2 underflows to 0 or overflows to inf, and the stencil's 1/h^2 with it
+    with pytest.raises(ValueError, match=r"^node spacing h = \S+: h\^2 and 4/h\^2 must be finite$"):
+        Grid(L, 241)
+
+
 def test_grid_symmetry_exact():
     g = Grid(7.3, 501)
     assert np.array_equal(g.x, -g.x[::-1])

@@ -913,6 +913,24 @@ def test_prolongation_keeps_any_coarse_values_bit_for_bit(cells, L, stride, seed
     assert fine_values[0] == fine_values[-1] == 0.0
 
 
+@settings(max_examples=30, deadline=None)
+@given(cells=st.integers(2, 40), L=st.floats(0.5, 40.0),
+       strides=st.tuples(st.integers(2, 12), st.integers(2, 12)), seed=st.integers(0, 2**32 - 1))
+@example(cells=150, L=30.0, strides=(4, 10), seed=0)  # the nested start at N = 60001
+def test_prolongation_composes_on_nested_grids(cells, L, strides, seed):
+    # The coarse spline is a natural cubic spline on every grid nested in its
+    # own, so prolonging through a middle grid gives the same spline: the
+    # nested start extrapolates on the tenth-node grid and prolongs once
+    first, second = strides
+    coarse, mid = Grid(L, 2 * cells + 1), Grid(L, 2 * first * cells + 1)
+    fine = Grid(L, 2 * first * second * cells + 1)
+    values = np.random.default_rng(seed).normal(size=coarse.N)
+    values[0] = values[-1] = 0.0
+    u = Samples(coarse, values)
+    twice = solver._prolong(solver._prolong(u, mid), fine).values
+    assert np.max(np.abs(twice - solver._prolong(u, fine).values)) <= 1e-15 * np.max(np.abs(values))
+
+
 def _two_wells(g: Grid, charge: float) -> SampledCharge:
     wells = np.exp(-0.5 * ((g.x + 1.0) / 0.8) ** 2) + 0.7 * np.exp(-0.5 * ((g.x - 1.2) / 0.6) ** 2)
     return SampledCharge(Samples(g, wells * (-charge / np.dot(g.weights, wells))))
@@ -981,6 +999,32 @@ def test_a_coarse_start_takes_tails_at_the_positive_limit(solve, monkeypatch):
     state = solve(bg, cfg)
     assert grids == [60001, 1501, 6001]
     assert abs(state.objective - cold.objective) <= 1e-13
+
+
+@pytest.mark.parametrize("background", ["wells", "z2"])
+def test_the_nested_start_is_the_extrapolation_of_the_two_coarse_states(background, monkeypatch):
+    # taken on the tenth-node grid and prolonged once, it equals the
+    # fine-grid form |P u_near + c (P u_near - P u_far)| to rounding
+    cfg = SolverConfig(L=30.0, N=60001)
+    g = Grid(cfg.L, cfg.N)
+    bg = _two_wells(g, 1.8) if background == "wells" else PointCharge(2.0)
+    states, starts = {}, []
+    converge, coarse_start = solver._converge, solver._coarse_start
+
+    def spy(name, iterates, bg, cfg, u0):
+        state = converge(name, iterates, bg, cfg, u0)
+        states[cfg.N] = Samples(state.u.grid, state.u.values.copy())  # before the extrapolation
+        return state
+
+    monkeypatch.setattr(solver, "_converge", spy)
+    monkeypatch.setattr(solver, "_coarse_start",
+                        lambda *args: starts.append(coarse_start(*args)) or starts[-1])
+    scf_solve(bg, cfg)
+    start, = (s for s in starts if s is not None)
+    far, near = states[1501].grid, states[6001].grid
+    c = (near.h**2 - g.h**2) / (far.h**2 - near.h**2)
+    p_near, p_far = (solver._prolong(states[n], g).values for n in (6001, 1501))
+    assert np.max(np.abs(np.abs(start.values) - np.abs(p_near + c * (p_near - p_far)))) <= 1e-15
 
 
 def _reachable_arrays(obj) -> dict:
@@ -1092,10 +1136,16 @@ def test_no_coarse_solve_where_the_rule_does_not_hold(solve, L, N, monkeypatch):
     # a tenth-node spacing above 0.01 (the first three) or N - 1 not a
     # multiple of 20 (the fourth) keeps the default start, so the default
     # mesh's outputs are unchanged; N - 1 not a multiple of 80 (the last)
-    # has no 40th-node level and starts from the tenth-node solve alone
+    # has no 40th-node level and starts from the tenth-node solve alone,
+    # prolonged once
     grids = _spy_on_grids(monkeypatch)
+    prolonged = []
+    prolong = solver._prolong
+    monkeypatch.setattr(solver, "_prolong",
+                        lambda u, fine: prolonged.append(u.grid.N) or prolong(u, fine))
     solve(PointCharge(2.0), SolverConfig(L=L, N=N))
     assert grids == ([N, 6003] if N == 60021 else [N])
+    assert prolonged == ([6003] if N == 60021 else [])
 
 
 def test_a_well_narrower_than_the_coarse_spacing_keeps_its_charge(monkeypatch):
@@ -1114,8 +1164,8 @@ def test_a_well_narrower_than_the_coarse_spacing_keeps_its_charge(monkeypatch):
     prolong = solver._prolong
     monkeypatch.setattr(solver, "_prolong", lambda u, fine: prolonged.append(u) or prolong(u, fine))
     state = scf_solve(bg, cfg)
-    # both coarse solves converged: far to near, then near and far to the fine grid
-    assert [u.grid.N for u in prolonged] == [1501, 6001, 1501]
+    # both coarse solves converged: far to near, then the extrapolated near state to the fine grid
+    assert [u.grid.N for u in prolonged] == [1501, 6001]
     assert state.residual <= cfg.tol_residual
 
 
