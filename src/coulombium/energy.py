@@ -28,6 +28,18 @@ solved.  The stencil, the factor's diagonal, ``solver_objective`` and the
 kernel's ``potential_from_density`` run in place, operation for operation
 as their expression forms, so they return the same bits.
 
+Each reads its grid rather than assuming both ends are pinned.  On the
+solvers' half grid for a point charge (:mod:`coulombium.grid`) the weights
+are folded, the kinetic sum counts twice and the potential is the
+reflected kernel's, so an even state's objective, Rayleigh quotient and
+residual are the full grid's to rounding; the stencil's origin row
+reflects, and the factor is of H in the symmetrized coordinates
+y_0 / sqrt(2).  For a point charge, ``effective_potential(state.u, bg)``
+on the returned full-grid state (even bit for bit) therefore matches the
+accepted iterate's V to rounding, not bit for bit: by at most 2.4e-13 at
+L = 30, N <= 60001 and z from 1 to 6, where V's electron part reaches
+L/2 = 15.  For a sampled background it is the same V, bit for bit.
+
 LAPACK is bound here, once for the package: ``dpttrf`` and ``dpttrs`` come
 straight from SciPy's ``_flapack`` extension, loaded from its file without
 running the ``scipy.linalg`` package import (most of the package's import
@@ -47,7 +59,7 @@ import numpy as np
 
 from .background import BackgroundCharge, PointCharge, background_potential
 from .errors import NotNormalizedError
-from .grid import Samples, integrate, kinetic_energy
+from .grid import Grid, Samples, integrate, kinetic_energy
 from .kernel import _point_masses, potential_from_density
 
 _FLAPACK = "scipy.linalg._flapack"
@@ -60,6 +72,7 @@ _FLAPACK = "scipy.linalg._flapack"
 # those ulps at N = 6001, 5.4 at N = 60001 and 7.6 at N = 240001; the prefix
 # sums of V_el round alike on nearby states, so most of their error cancels.
 _OBJECTIVE_ULPS = 4.0
+_SQRT2 = float(np.sqrt(2.0))
 
 
 def _load_flapack():
@@ -173,40 +186,68 @@ def effective_potential(u: Samples, bg: BackgroundCharge) -> Samples:
     return solver_objective(u, background_potential(bg, u.grid)).V
 
 
-def _shifted_hamiltonian(uv: np.ndarray, vv: np.ndarray, h: float, eps: float) -> np.ndarray:
-    """(-D2 + V - eps) u on the interior nodes, embedded with zero ends."""
+def _shifted_hamiltonian(uv: np.ndarray, vv: np.ndarray, grid: Grid, eps: float) -> np.ndarray:
+    """(-D2 + V - eps) u on the free nodes of ``grid``, embedded with zero ends.
+
+    On a half grid the origin reflects, u_-1 = u_1: its row is
+    (2 u_0 - 2 u_1) / h^2 + (V_0 - eps) u_0, the full grid's centre row
+    of the mirrored u, operation for operation.
+    """
     # -(uv[2:] - 2 uv[1:-1] + uv[:-2]) / h^2 + (vv[1:-1] - eps) uv[1:-1],
     # operation by operation in two buffers; -(a) / b = a / -b bit for bit
+    h2 = -(grid.h**2)
     out = np.empty_like(uv)
     o = out[1:-1]
     np.multiply(uv[1:-1], 2.0, out=o)
     np.subtract(uv[2:], o, out=o)
     o += uv[:-2]
-    o /= -(h**2)
+    o /= h2
     pot = np.subtract(vv[1:-1], eps)
     pot *= uv[1:-1]
     o += pot
     out[0] = out[-1] = 0.0
+    if grid._reflecting:
+        u0, u1 = float(uv[0]), float(uv[1])
+        out[0] = ((u1 - 2.0 * u0) + u1) / h2 + (float(vv[0]) - eps) * u0
     return out
 
 
 def _hamiltonian_scale(h: float, vmin: float, vmax: float) -> float:
-    """4/h^2 + max |V| over the interior nodes, which bounds ||H|| and so its rounding."""
+    """4/h^2 + max |V| over the free nodes, which bounds ||H|| and so its rounding."""
     return 4.0 / h**2 + max(vmax, -vmin)
 
 
-def _hamiltonian_factor(vv: np.ndarray, h: float, sigma: float):
-    """LAPACK dpttrf factor (d, e) of H - sigma; None unless sigma < lambda_1."""
-    if vv.size < 5:
-        raise ValueError(f"the discrete Hamiltonian needs at least 5 nodes, got N = {vv.size}")
-    d = np.add(vv[1:-1], 2.0 / h**2)
+def _hamiltonian_factor(vv: np.ndarray, grid: Grid, sigma: float):
+    """LAPACK dpttrf factor (d, e) of H - sigma; None unless sigma < lambda_1.
+
+    H is symmetric tridiagonal over the free nodes: diagonal 2/h^2 + V_i,
+    off-diagonal -1/h^2.  On a half grid the origin's row
+    (2 u_0 - 2 u_1) / h^2 is not symmetric, and H is taken in the scaled
+    coordinates y_0 / sqrt(2), y_i (i > 0), in which it is: the off-diagonal
+    entry at the origin becomes -sqrt(2)/h^2.  The folded weights make the
+    Euclidean norm of those coordinates the full grid's norm of the
+    mirrored vector over sqrt(2), and H's eigenvalues there are the full
+    grid's even-sector ones.
+    """
+    h = grid.h
+    nodes = 2 * vv.size - 1 if grid._reflecting else vv.size  # the full mesh's node count
+    if nodes < 5:
+        raise ValueError(f"the discrete Hamiltonian needs at least 5 nodes, got N = {nodes}")
+    d = np.add(vv[grid._free], 2.0 / h**2)
     d -= sigma
-    d, e, info = dpttrf(d, np.full(vv.size - 3, -1.0 / h**2), overwrite_d=True, overwrite_e=True)
+    e = np.full(d.size - 1, -1.0 / h**2)
+    if grid._reflecting:
+        e[0] *= _SQRT2
+    d, e, info = dpttrf(d, e, overwrite_d=True, overwrite_e=True)
     return (d, e) if info == 0 else None
 
 
-def _residual_norm(r: np.ndarray, h: float) -> float:
-    return float(np.sqrt(h * np.dot(r[1:-1], r[1:-1])))
+def _residual_norm(r: np.ndarray, grid: Grid) -> float:
+    """sqrt(h sum r^2) over the free nodes; a half grid's folded weights are h at 0, 2h beyond."""
+    s = float(np.dot(r[1:-1], r[1:-1]))
+    if grid._reflecting:
+        s = 2.0 * s + float(r[0]) * float(r[0])
+    return float(np.sqrt(grid.h * s))
 
 
 def el_residual(u: Samples, epsilon: float, bg: BackgroundCharge) -> float:
@@ -214,7 +255,9 @@ def el_residual(u: Samples, epsilon: float, bg: BackgroundCharge) -> float:
 
     D2 is the standard second difference with Dirichlet ends and V is built
     from (u, bg).  The solvers read the same norm of the same stencil from
-    the V their accepted candidate already holds.
+    the V their accepted candidate already holds; for a point charge that
+    V is the half grid's, so the state's residual matches this one to
+    rounding rather than bit for bit.
     """
     v = effective_potential(u, bg)
-    return _residual_norm(_shifted_hamiltonian(u.values, v.values, u.grid.h, epsilon), u.grid.h)
+    return _residual_norm(_shifted_hamiltonian(u.values, v.values, u.grid, epsilon), u.grid)

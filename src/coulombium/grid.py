@@ -7,6 +7,16 @@ trapezoid rule and ``kinetic_energy`` the forward-difference Dirichlet
 form; the pair is used consistently everywhere so that the discrete
 kernel identities (prefix-sum evaluation, Poisson inversion, half-axis
 decoupling) hold to rounding error rather than to discretization error.
+
+The solvers iterate a point charge's even state on a private half grid,
+the nodes 0..L of a symmetric grid (``_HalfGrid``).  Its weights are
+folded, [h, 2h, ..., 2h, h], so the mass, the kinetic energy and every
+inner product of an even function equal the full grid's; its origin
+reflects, so x = L is its one Dirichlet end.  The code that reads a grid
+takes the free nodes (``_free``) and the reflecting origin
+(``_reflecting``) from it rather than assuming both ends are pinned.  A
+solver returns the state mirrored onto the full grid, where it is even
+bit for bit; the public ``Grid`` is always the full, symmetric mesh.
 """
 
 from __future__ import annotations
@@ -45,6 +55,9 @@ class Grid:
     x: np.ndarray = field(init=False, repr=False)
     weights: np.ndarray = field(init=False, repr=False)
 
+    _free = slice(1, -1)  # the nodes a Dirichlet stencil leaves free
+    _reflecting = False  # whether x = 0 is a reflecting end (a half grid's)
+
     def __post_init__(self):
         if not np.isfinite(self.L):
             raise ValueError(f"half-width L must be finite, got {self.L}")
@@ -75,6 +88,38 @@ class Grid:
 
     def same_mesh(self, other: "Grid") -> bool:
         return self.N == other.N and self.L == other.L
+
+    def _pin(self, values: np.ndarray) -> np.ndarray:
+        """Zero the Dirichlet ends of ``values`` in place, and return it."""
+        values[0] = values[-1] = 0.0
+        return values
+
+
+class _HalfGrid(Grid):
+    """The nodes 0, h, ..., L of a symmetric grid, for its even functions.
+
+    x and h are the full grid's bit for bit.  The weights are folded,
+    [h, 2h, ..., 2h, h], so an even function's mass and every inner
+    product of two even functions equal the full grid's; N is the half
+    grid's own node count, (N_full + 1) / 2.  The origin is a reflecting
+    end (u_-1 = u_1), so u_0 is free and only x = L is pinned.
+    """
+
+    _free = slice(0, -1)
+    _reflecting = True
+
+    def __init__(self, full: Grid):
+        c = full.center_index
+        self.L, self.N, self.h = full.L, c + 1, full.h
+        self.x = full.x[c:]
+        w = 2.0 * full.weights[c:]
+        w[0] = full.h
+        w.flags.writeable = False
+        self.weights = w
+
+    def _pin(self, values: np.ndarray) -> np.ndarray:
+        values[-1] = 0.0
+        return values
 
 
 @dataclass
@@ -116,10 +161,14 @@ def kinetic_energy(u: Samples) -> float:
 
     Approximates the integral of u'(x)^2 with u truncated to zero outside
     [-L, L]; it is exactly the quadratic form of the tridiagonal Dirichlet
-    Laplacian used by the eigen-solver.
+    Laplacian used by the eigen-solver.  On a half grid every difference
+    has its mirror image on x < 0, so the sum counts twice.
     """
     d = np.diff(u.values)
-    return float(np.dot(d, d) / u.grid.h)
+    dd = float(np.dot(d, d))
+    if u.grid._reflecting:
+        dd *= 2.0
+    return dd / u.grid.h
 
 
 def normalize(u: Samples) -> Samples:

@@ -45,7 +45,7 @@ def _point_masses(f: Samples) -> np.ndarray:
     return f.grid.weights * f.values
 
 
-def _potential_rows(m: np.ndarray, x: np.ndarray) -> np.ndarray:
+def _potential_rows(m: np.ndarray, x: np.ndarray, reflecting: bool = False) -> np.ndarray:
     """V = -(1/2) sum_k |x - x_k| m_k along the last axis of point masses m.
 
     One cumulative-sum pass per row; ``m`` is overwritten (it holds the
@@ -55,14 +55,27 @@ def _potential_rows(m: np.ndarray, x: np.ndarray) -> np.ndarray:
     -0.5 (x (2 c0 - M0) + (M1 - 2 c1)), which halving keeps bit for bit
     wherever no sum is subnormal.  A row has the same bits alone and
     inside a block.
+
+    ``reflecting`` takes m as the folded masses of an even density on the
+    nodes x >= 0 of a half grid.  Pairing y with -y,
+    |x - y| + |x + y| = 2 max(x, y), so the full grid's potential there is
+    V = -(1/2) sum_k max(x, x_k) m_k = (1/2) P - (1/4)(x M0 + M1), P the
+    unreflected result on the same masses.  The same four steps give it
+    with the totals (0, M1) in place of (M0/2, M1/2), halved:
+    V = (1/2)(x (0 - c0) + (c1 - M1)).
     """
     c0 = np.cumsum(m, axis=-1)
     c1 = np.cumsum(np.multiply(m, x, out=m), axis=-1, out=m)
-    half0, half1 = 0.5 * c0[..., -1:], 0.5 * c1[..., -1:]
-    np.subtract(half0, c0, out=c0)
+    if reflecting:
+        ref0, ref1 = 0.0, c1[..., -1:].copy()
+    else:
+        ref0, ref1 = 0.5 * c0[..., -1:], 0.5 * c1[..., -1:]
+    np.subtract(ref0, c0, out=c0)
     c0 *= x
-    c1 -= half1
+    c1 -= ref1
     c0 += c1
+    if reflecting:
+        c0 *= 0.5
     return c0
 
 
@@ -72,9 +85,10 @@ def potential_from_density(f: Samples) -> Samples:
     |x-y| is split by the sign of x-y into left/right partial moments of
     w*f and w*x*f, so one cumulative-sum pass replaces the dense kernel
     product.  V is the exact discrete Green inverse: its second difference
-    at an interior node equals -h^2 f_i.
+    at an interior node equals -h^2 f_i.  On a half grid f is even, and V
+    is the full grid's potential of f on x >= 0.
     """
-    return f.with_values(_potential_rows(_point_masses(f), f.grid.x))
+    return f.with_values(_potential_rows(_point_masses(f), f.grid.x, f.grid._reflecting))
 
 
 def coulomb_pair_energy(f: Samples, g: Samples) -> float:

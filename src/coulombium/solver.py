@@ -6,21 +6,38 @@ kept from rising; only SCF calls the ground eigenpair, so each checks the other.
 Each method supplies only its accepted iterates, and each passes one Armijo
 test, ``_descends``: SCF's Anderson candidate directly, every other step
 through ``_descend``'s backtracking along the method's own path.  One
-driver takes the grid (a sampled background's own), V_bg and the start (a
-supplied or coarse start enters as its absolute value with zero ends),
-records the trace and returns u, without V, of the first iterate to meet
-the single stopping rule: a residual |(H - eps) u| at its multiplier (the
-Rayleigh quotient ``ray`` of its objective, from :mod:`coulombium.energy`'s
-one stencil on the V it holds) of at most tol_residual, and an objective
-within tol_energy of the previous iterate's (the start's, for the first).
+driver takes the grid (a sampled background's own, a point charge's half
+grid), V_bg and the start (a supplied or coarse start enters as its
+absolute value with zero ends, folded onto the half axis for a point
+charge), records the trace and returns u, without V, of the first iterate
+to meet the single stopping rule: a residual |(H - eps) u| at its
+multiplier (the Rayleigh quotient ``ray`` of its objective, from
+:mod:`coulombium.energy`'s one stencil on the V it holds) of at most
+tol_residual, and an objective within tol_energy of the previous
+iterate's (the start's, for the first).  For a sampled background
 ``effective_potential(state.u, bg)`` rebuilds that V bit for bit.
+A point charge's minimizer is even: the source paper (arXiv:1608.02637)
+proves it symmetric decreasing, and the discrete problem on the symmetric
+grid has the same symmetry and a unique minimizer.  So both methods, and
+the nested start's coarse solves, iterate a point charge on the
+(N + 1) / 2 nodes of [0, L], a private half grid whose weights are
+folded and whose origin reflects (:mod:`coulombium.grid`), and the driver
+mirrors the returned u onto the full grid, where it is even bit for bit.
+Its V and residual were read on the half grid, whose sums round
+otherwise: ``effective_potential(state.u, bg)`` matches that V to
+rounding (at most 2.4e-13 at L = 30, N <= 60001, z in [1, 6], where V's
+electron part reaches L/2 = 15), and ``el_residual`` the residual within
+4 eps_mach (4/h^2 + max |V|).  Nothing detects symmetry: a sampled
+background keeps its full grid.
 The driver hands the start over to the method, and each method holds only
 the arrays it still reads; an iterate is u, V and numbers, and only SCF
 forms u^2, once a pass.  At N = 60001, where an N-vector is 0.48 MB, a
 solve's traced peak above its inputs is 9 N-vectors for SCF on two wells
-(one fine pass), 11 for SCF on a point charge (z = 2, one pass; the
-solve builds the grid's x and weights) and 16 for the gradient solver on
-it; ``scf_solve`` and ``gradient_solve`` say what holds them.
+(one fine pass), 7 for SCF on a point charge (z = 2, one pass: 9 vectors
+of the half grid, half as long, beside the full grid's x and weights and
+the half grid's weights) and 9.5 for the gradient solver on it (14 of
+the half grid's); ``scf_solve`` and ``gradient_solve`` say what holds
+them.
 Without a supplied start, a fine grid starts from solves on its coarser
 nested grids (``_coarse_start`` states the rule); the default mesh
 (L = 30, N = 6001) and coarser never take this path.  A ground state
@@ -44,7 +61,7 @@ import numpy as np
 
 from .background import (BackgroundCharge, PointCharge, SampledCharge, background_potential,
                          recenter_shift, total_charge)
-from .energy import (Candidate, EnergyBreakdown, _background_const, _hamiltonian_factor,
+from .energy import (_SQRT2, Candidate, EnergyBreakdown, _background_const, _hamiltonian_factor,
                      _hamiltonian_scale, _residual_norm, _shifted_hamiltonian,
                      candidate_energy, dpttrf, dpttrs, solver_objective)
 from .errors import (
@@ -54,7 +71,7 @@ from .errors import (
     NoConvergenceError,
     SolverError,
 )
-from .grid import Grid, Samples, normalize, require_same_mesh
+from .grid import Grid, Samples, _HalfGrid, normalize, require_same_mesh
 from .kernel import _point_masses
 
 _SCF_FIRST_MIX = 0.6  # SCF mixing weight, and where every later pass's damped fallback starts
@@ -69,6 +86,7 @@ _SOBOLEV_SHIFT = 0.25
 _EIGEN_MAX_STEPS = 200  # inverse-iteration steps per eigensolve
 _EPS_MACH = float(np.finfo(float).eps)
 _TINY = float(np.finfo(float).tiny)  # the least positive normal number
+_SQRT_HALF = float(np.sqrt(0.5))
 _COARSE_STRIDE = 10  # a coarse start solves on every tenth node
 _FAR_STRIDE = 4 * _COARSE_STRIDE  # and first on every 40th, where that nests
 # the widest coarse spacing used, the default mesh's: at L = 30 a coarse
@@ -107,7 +125,9 @@ class GroundState:
     """Converged minimizer u, its multiplier, energies and trace.
 
     Its potential V = V_el + V_bg is not kept: ``effective_potential(u, bg)``
-    gives the accepted iterate's V bit for bit.
+    gives the accepted iterate's V, bit for bit for a sampled background and
+    to rounding for a point charge, whose iterate lived on the half grid.
+    u is on the full grid, and for a point charge even bit for bit.
     """
 
     u: Samples
@@ -132,7 +152,11 @@ def ground_eigenpair(V: Samples, start: Samples | None = None, *,
     dpttrf succeeds exactly when sigma < lambda_1, and then (H - sigma)^-1
     is entrywise positive, so every iterate stays nonnegative and tends to
     the positive ground state, never to a sign-changing excited one
-    (Parlett, The Symmetric Eigenvalue Problem, ch. 4).
+    (Parlett, The Symmetric Eigenvalue Problem, ch. 4).  On the solvers'
+    half grid (a point charge's) the origin reflects, and the iteration runs
+    in the coordinates y_0 / sqrt(2), y_i (i > 0), in which energy's factor
+    is of a symmetric matrix whose eigenvalues are the full grid's
+    even-sector ones; u returns in the grid's own coordinates.
 
     With rho the Rayleigh quotient and r = |H y - rho y| at |y| = 1, the
     start's rho and r come from energy's stencil, and each step reads them
@@ -169,7 +193,9 @@ def ground_eigenpair(V: Samples, start: Samples | None = None, *,
     is 2.9 MB.
 
     Only the start's direction counts: one whose squared norm overflows or
-    underflows is first divided by its largest entry.
+    underflows is first divided by its largest entry, and so is a step's
+    solve x, with y, on a grid so small or so large that <x, x> leaves the
+    normal range.
 
     Raises ValueError for a non-finite V or start, or a start that vanishes
     on the interior, and :class:`NoConvergenceError` if the step cap is hit
@@ -179,7 +205,7 @@ def ground_eigenpair(V: Samples, start: Samples | None = None, *,
     vv = V.values
     if _known is None:
         # a NaN propagates through min and max, an infinity reaches one of them
-        vmin, vmax, quotient = float(np.min(vv[1:-1])), float(np.max(vv[1:-1])), None
+        vmin, vmax, quotient = float(np.min(vv[g._free])), float(np.max(vv[g._free])), None
     else:
         vmin, vmax, quotient = _known
     if not np.all(np.isfinite((vmin, vmax, vv[0], vv[-1]))):
@@ -189,17 +215,20 @@ def ground_eigenpair(V: Samples, start: Samples | None = None, *,
     else:
         require_same_mesh(V.grid, start.grid)
         y = np.abs(start.values)
-        if not np.all(np.isfinite(y)) or not np.any(y[1:-1]):
+        if not np.all(np.isfinite(y)) or not np.any(y[g._free]):
             raise ValueError("start must be finite and nonzero on the interior")
-    y[0] = y[-1] = 0.0
+    g._pin(y)
     tol = 64.0 * _EPS_MACH * _hamiltonian_scale(g.h, vmin, vmax)
-    # Gershgorin: lambda_1 > min V, and H - floor is strictly diagonally
-    # dominant, so dpttrf accepts it
+    # Gershgorin: lambda_1 > min V (on a half grid, of the full grid's H,
+    # whose even-sector eigenvalues its matrix has), so H - floor is
+    # positive definite and dpttrf accepts it
     floor = vmin - 1.0
 
     def factor(sigma):
-        return _hamiltonian_factor(vv, g.h, sigma)
+        return _hamiltonian_factor(vv, g, sigma)
 
+    if g._reflecting:  # to the coordinates in which the factor's matrix is symmetric
+        y[0] *= _SQRT_HALF
     with np.errstate(over="ignore"):
         yy = float(np.dot(y, y))
     if not _TINY <= yy < np.inf:  # the problem is scale-invariant: rescale a start
@@ -208,8 +237,15 @@ def ground_eigenpair(V: Samples, start: Samples | None = None, *,
     y /= np.sqrt(yy)
     if quotient is None:
         # the start's quotient and residual come from the stencil, whose
-        # buffer then holds each step's solve
-        hy = _shifted_hamiltonian(y, vv, g.h, 0.0)
+        # buffer then holds each step's solve; on a half grid the stencil
+        # acts on y_0 sqrt(2) and its origin row returns over sqrt(2)
+        y0 = y[0]
+        if g._reflecting:
+            y[0] *= _SQRT2
+        hy = _shifted_hamiltonian(y, vv, g, 0.0)
+        if g._reflecting:
+            y[0] = y0
+            hy[0] *= _SQRT_HALF
         rho = float(np.dot(y, hy))
         hy -= rho * y
         res = float(np.linalg.norm(hy))
@@ -225,11 +261,16 @@ def ground_eigenpair(V: Samples, start: Samples | None = None, *,
             sigma = certified
     while fac is None and (fac := factor(sigma)) is None:
         sigma, above = 0.5 * (sigma + floor), sigma
-    yi, x = y[1:-1], hy[1:-1]  # views: y keeps its zero ends
+    yi, x = y[g._free], hy[g._free]  # views: y keeps its zero ends
     for _ in range(_EIGEN_MAX_STEPS):
         np.copyto(x, yi)
         x = dpttrs(*fac, x, overwrite_b=True)[0]  # H x = y + sigma x, in x's buffer
         xx = float(np.dot(x, x))
+        if not _TINY <= xx < np.inf:  # as the start, on a tiny or huge grid: the
+            scale = np.max(np.abs(x))  # pair (x, y) rescaled keeps H x = y + sigma x
+            x /= scale
+            yi /= scale
+            xx = float(np.dot(x, x))
         offset = float(np.dot(x, yi)) / xx  # rho - sigma
         rho = sigma + offset
         yi -= offset * x  # (H - rho) x = y - (rho - sigma) x
@@ -255,6 +296,8 @@ def ground_eigenpair(V: Samples, start: Samples | None = None, *,
             f"inverse iteration uncertified after {_EIGEN_MAX_STEPS} steps "
             f"(residual {res:.3e}, tolerance {tol:.3e})"
         )
+    if g._reflecting:
+        y[0] *= _SQRT2
     if np.any(y < 0.0):
         raise NoConvergenceError("inverse iteration returned a sign-changing vector")
     return rho, normalize(Samples(g, y))
@@ -264,8 +307,7 @@ def default_initial_guess(bg: BackgroundCharge, grid: Grid) -> Samples:
     """Normalized unit-width Gaussian centered at the charge barycenter."""
     p = recenter_shift(bg)
     vals = np.exp(-0.5 * (grid.x - p) ** 2)
-    vals[0] = vals[-1] = 0.0
-    return normalize(Samples(grid, vals))
+    return normalize(Samples(grid, grid._pin(vals)))
 
 
 def _check_tail(u: Samples):
@@ -427,26 +469,48 @@ def _coarse_start(name: str, iterates, bg: BackgroundCharge, cfg, grid: Grid) ->
     return _prolong(u, grid)
 
 
+def _fold(u: Samples, mesh: Grid) -> Samples:
+    """A start on ``mesh`` from samples u on its full grid, with zero Dirichlet ends.
+
+    On the full grid it is |u|.  On a half grid it is the root mean square
+    of u at x and at -x, sqrt((u(x)^2 + u(-x)^2) / 2): the density u^2
+    averaged with its mirror image, with u's mass.  The objective is
+    convex in the density on the unit sphere and takes a density and its
+    mirror image to the same value, so the fold does not raise it; an even
+    u folds to |u| on x >= 0 bit for bit.
+    """
+    if not mesh._reflecting:
+        return Samples(mesh, mesh._pin(np.abs(u.values)))
+    c = mesh.N - 1
+    sq = np.square(u.values[c:])
+    sq += np.square(u.values[c::-1])
+    sq *= 0.5
+    return Samples(mesh, mesh._pin(np.sqrt(sq, out=sq)))
+
+
 def _converge(name: str, iterates, bg: BackgroundCharge, cfg: SolverConfig, u0) -> GroundState:
     """Trace and stop the ``(candidate, residual)`` that ``iterates`` yields on
-    cfg's mesh (a sampled background's own grid, which the state then shares),
-    from u0 or else from the coarse or the default start; u0 and a coarse
-    start enter by one rule, as their absolute value with zero ends.
+    cfg's mesh (a sampled background's own grid, which the state then shares;
+    for a point charge the half grid of a grid built here), from u0 or else
+    from the coarse or the default start; u0 and a coarse start, both on the
+    full grid, enter by one rule, ``_fold``.
 
-    The state holds the accepted candidate's u, copied into that candidate's
-    V buffer, and no V.
+    The state holds the accepted candidate's u and no V: on a sampled
+    background's grid u is copied into that candidate's V buffer, and a
+    point charge's is mirrored onto the full grid.
     """
-    grid = Grid(cfg.L, cfg.N) if isinstance(bg, PointCharge) else bg.rho.grid
+    point = isinstance(bg, PointCharge)
+    grid = Grid(cfg.L, cfg.N) if point else bg.rho.grid
     require_same_mesh(grid, cfg)
     if u0 is None:
         u0 = _coarse_start(name, iterates, bg, cfg, grid)
     if u0 is not None:
         require_same_mesh(u0.grid, grid)
-        # no gradient step moves the ends, and |u0| keeps a start that changes
-        # sign, or is odd, off the excited states its symmetry would hold it to
-        u0 = Samples(grid, np.pad(np.abs(u0.values[1:-1]), 1))
-    v_bg = background_potential(bg, grid)
-    start = solver_objective(default_initial_guess(bg, grid) if u0 is None else normalize(u0), v_bg)
+    mesh = _HalfGrid(grid) if point else grid  # a point charge's state is even
+    if u0 is not None:
+        u0 = _fold(u0, mesh)
+    v_bg = background_potential(bg, mesh)
+    start = solver_objective(default_initial_guess(bg, mesh) if u0 is None else normalize(u0), v_bg)
     prev = start.objective
     steps = iterates(start, v_bg)
     del u0, start  # the generator alone holds the start, until its first iterate
@@ -456,13 +520,16 @@ def _converge(name: str, iterates, bg: BackgroundCharge, cfg: SolverConfig, u0) 
             history.append((cur.objective, res))
             if res <= cfg.tol_residual and abs(cur.objective - prev) <= cfg.tol_energy:
                 energy = candidate_energy(cur, _background_const(bg, v_bg))
-                # u moves into V's buffer, which the stopping rule has read and
-                # which the pass allocated after u.  Freed instead, V would leave
-                # a large free block at the top of glibc's heap, glibc would
-                # return it to the OS, and the next solve would fault its pages
-                # back in.
-                u = cur.V
-                np.copyto(u.values, cur.u.values)
+                if point:  # mirrored onto the full grid, exactly even
+                    u = Samples(grid, np.concatenate((cur.u.values[:0:-1], cur.u.values)))
+                else:
+                    # u moves into V's buffer, which the stopping rule has read
+                    # and which the pass allocated after u.  Freed instead, V
+                    # would leave a large free block at the top of glibc's heap,
+                    # glibc would return it to the OS, and the next solve would
+                    # fault its pages back in.
+                    u = cur.V
+                    np.copyto(u.values, cur.u.values)
                 return GroundState(u, cur.ray, cur.objective, res, energy, it, True, history)
             prev = cur.objective
         raise MaxIterExceededError(f"{name} did not converge in {cfg.max_iter} iterations")
@@ -528,7 +595,8 @@ def scf_solve(
     A pass holds V_bg, the iterate's u and V, the last pass's u^2 and f (f
     in the eigenvector's buffer), two history rows a difference and, at its
     peak, the eigensolve's six N-vectors, before it forms u^2: 11 + 2 k in
-    all after k differences, plus the grid's two for a point charge.
+    all after k differences.  A point charge's are vectors of the half
+    grid, half as long, beside the full grid's x and weights.
     """
 
     def iterates(cur: Candidate, v_bg: Samples):
@@ -544,7 +612,7 @@ def scf_solve(
         quotient = None  # the iterate's (ray, residual), once it has yielded them
         weight = 1.0  # a fallback's first weight: the first pass's first trial is u_lin itself
         while True:
-            vi = cur.V.values[1:-1]  # H acts on the interior nodes only
+            vi = cur.V.values[grid._free]  # H acts on the free nodes only
             vmin, vmax = float(np.min(vi)), float(np.max(vi))
             eps, u_lin = ground_eigenpair(cur.V, cur.u, _known=(vmin, vmax, quotient))
             u2 = cur.u.values * cur.u.values
@@ -583,7 +651,7 @@ def scf_solve(
             weight = _SCF_FIRST_MIX
             cur = trial
             quotient = cur.ray, _residual_norm(
-                _shifted_hamiltonian(cur.u.values, cur.V.values, grid.h, cur.ray), grid.h)
+                _shifted_hamiltonian(cur.u.values, cur.V.values, grid, cur.ray), grid)
             yield cur, quotient[1]
 
     return _solve("scf", iterates, bg, cfg, u0)
@@ -621,33 +689,44 @@ def gradient_solve(
 
     An iterate's step holds V_bg, P's factor (two N-vectors), the iterate
     and the trial (u and V each), both g_t and both d, and three more while
-    it forms the quotient: 16 N-vectors with a point charge's grid.
+    it forms the quotient: 14 N-vectors, each half as long for a point
+    charge, whose solve also builds the full grid's x and weights.
     """
 
     def iterates(cur: Candidate, v_bg: Samples):
         grid = cur.u.grid
         w = grid.weights
-        h = grid.h
-        # P = H[V0] - (min V0 - s) is diagonally dominant with eigenvalues
-        # above s, so its factor exists
-        pd, pe = _hamiltonian_factor(cur.V.values, h,
-                                     float(np.min(cur.V.values[1:-1])) - _SOBOLEV_SHIFT)
+        free, reflecting = grid._free, grid._reflecting
+        # P = H[V0] - (min V0 - s) has eigenvalues above s, so its factor exists
+        pd, pe = _hamiltonian_factor(cur.V.values, grid,
+                                     float(np.min(cur.V.values[free])) - _SOBOLEV_SHIFT)
 
         def inner(a, b):
             return float(np.dot(w * a, b))
 
         def tangent_gradient(c: Candidate):
-            gt = _shifted_hamiltonian(c.u.values, c.V.values, h, c.ray)
-            res = _residual_norm(gt, h)
+            gt = _shifted_hamiltonian(c.u.values, c.V.values, grid, c.ray)
+            res = _residual_norm(gt, grid)
             gt *= 2.0
             # the two right-hand sides as rows, solved in place as the columns of
             # the transpose: the rows become P^-1 g_t and P^-1 u
-            rhs = np.empty((2, grid.N - 2))
-            rhs[0], rhs[1] = gt[1:-1], c.u.values[1:-1]
+            uf = c.u.values[free]
+            rhs = np.empty((2, uf.size))
+            rhs[0], rhs[1] = gt[free], uf
+            # On a half grid the factor is of T^-1 P T, T = diag(sqrt 2, 1, ...):
+            # the rows become T^-2 P^-1 g_t and T^-2 P^-1 u, whose Euclidean
+            # products with u are the folded weights' over 2h, and d = T^2 (...)
+            if reflecting:
+                rhs[:, 0] *= _SQRT_HALF
             pg, pu = dpttrs(pd, pe, rhs.T, overwrite_b=True)[0].T
-            pu *= np.dot(c.u.values[1:-1], pg) / np.dot(c.u.values[1:-1], pu)
+            if reflecting:
+                pg[0] *= _SQRT_HALF
+                pu[0] *= _SQRT_HALF
+            pu *= np.dot(uf, pg) / np.dot(uf, pu)
             d = np.zeros_like(gt)
-            np.subtract(pg, pu, out=d[1:-1])
+            np.subtract(pg, pu, out=d[free])
+            if reflecting:
+                d[0] *= 2.0
             return res, gt, d
 
         res, gt, d = tangent_gradient(cur)

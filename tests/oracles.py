@@ -11,12 +11,18 @@ too.  ``c_plus_by_dots`` is the loop reference for C+'s four orders.
 The lemmas (tightness, Jensen's bound on the background potential,
 Hardy-Littlewood and the double rearrangement) return both sides or the
 margin of their inequality; the tests assert it.
+
+``mirrored_wells`` builds an even sampled background.  The solvers run a
+point charge on the half axis, where its state is even by construction,
+and a sampled background on its full grid, where nothing imposes it: the
+tests hold the paper's symmetry of the minimizer on these.
 """
 
 import numpy as np
 
 from coulombium import (
     PointCharge,
+    SampledCharge,
     Samples,
     background_potential,
     c_functional,
@@ -160,3 +166,15 @@ def random_smooth(grid, rng, bumps=3) -> Samples:
         a = rng.uniform(0.2, 1.0)
         vals += a * np.exp(-0.5 * ((grid.x - c) / w) ** 2)
     return Samples(grid, vals)
+
+
+def mirrored_wells(grid, charge: float, centre: float, width: float) -> SampledCharge:
+    """Two Gaussian wells at +-centre of total charge -charge, even bit for bit.
+
+    x[i] == -x[N-1-i] exactly, so the two wells trade places under x -> -x
+    and their sum keeps its bits.  With centre <= width the density is
+    symmetric decreasing.
+    """
+    wells = (np.exp(-0.5 * ((grid.x - centre) / width) ** 2)
+             + np.exp(-0.5 * ((grid.x + centre) / width) ** 2))
+    return SampledCharge(Samples(grid, wells * (-charge / np.dot(grid.weights, wells))))

@@ -204,6 +204,19 @@ def test_a_spacing_out_of_the_float_range_is_usage_error(tmp_path, capsys, monke
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("method", ["scf", "gd"])
+@pytest.mark.parametrize("L", ["1e-50", "1e-100", "1e-150"])
+def test_a_tiny_grid_ends_with_an_error_line(tmp_path, capsys, monkeypatch, method, L):
+    # h^2 and 4/h^2 are finite, but a solve's squared norms underflow or
+    # overflow: it must end as a refusal or a failed solve, not a traceback
+    monkeypatch.chdir(tmp_path)
+    argv = ["solve", "--method", method, "--z", "2", "--L", L, "--N", "243", "--max-iter", "50"]
+    assert run_cli([*argv, "--output", "s"]) in (1, 2)
+    assert capsys.readouterr().err.startswith(("error: ", "solver did not converge: "))
+    assert list(tmp_path.iterdir()) == []
+
+
 def _csv_record(path):
     """The ``# summary`` fields and the rows, as cell strings by column, of a CLI CSV file."""
     lines = path.read_text().splitlines()

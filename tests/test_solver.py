@@ -2,6 +2,7 @@ import contextlib
 import dataclasses
 import inspect
 import tracemalloc
+import warnings
 import weakref
 
 import numpy as np
@@ -38,6 +39,7 @@ from coulombium import solver
 from coulombium.energy import _shifted_hamiltonian
 from coulombium.rearrange import symmetric_decreasing_rearrangement
 from coulombium.solver import _descend
+from oracles import mirrored_wells
 
 AIRY_PRIME_ZERO = 1.0187929716  # ground value of -u'' + |x| u = eps u
 
@@ -177,7 +179,7 @@ def _certified(v: Samples, eps: float, u: Samples) -> bool:
     g = v.grid
     tol = 64.0 * np.finfo(float).eps * (4.0 / g.h**2 + np.max(np.abs(v.values[1:-1])))
     y = u.values / np.linalg.norm(u.values)
-    hy = _shifted_hamiltonian(y, v.values, g.h, 0.0)
+    hy = _shifted_hamiltonian(y, v.values, g, 0.0)
     return np.linalg.norm(hy - eps * y) <= 2.0 * tol and abs(float(np.dot(y, hy)) - eps) <= tol
 
 
@@ -273,6 +275,40 @@ def test_ground_eigenpair_finds_the_lowest_pair_from_any_start(problem):
     h = v.grid.h
     resid = 64.0 * np.finfo(float).eps * (4.0 / h**2 + np.max(np.abs(v.values)))
     assert np.max(np.abs(warm_u.values - u.values)) <= 1e-10 + 2.0 * resid / (gap * np.sqrt(h))
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(half=st.integers(2, 300), L=st.floats(0.5, 40.0), slope=st.floats(0.0, 5.0),
+       depth=st.floats(0.0, 50.0), seed=st.integers(0, 2**32 - 1))
+@example(half=3000, L=30.0, slope=1.0, depth=0.0, seed=0)  # z = 2's V_bg on the default mesh
+def test_the_half_grid_eigenvalue_is_the_full_grids(half, L, slope, depth, seed):
+    # An even V's ground state is even, so the lowest eigenvalue of H on the
+    # half grid (the even sector, in the symmetrized coordinates y_0 / sqrt 2)
+    # is the full grid's.  Each eigensolve certifies lambda_1 within 2 tol of
+    # its rho; below N = 601 a dense LAPACK solve of both matrices checks it.
+    g = Grid(L, 2 * half + 1)
+    c = g.center_index
+    rng = np.random.default_rng(seed)
+    v = slope * np.abs(g.x)
+    wells = rng.uniform(-0.5, 0.5, 2) * g.L, rng.uniform(0.02, 0.3, 2) * g.L
+    for centre, width in zip(*wells):
+        v -= depth * (np.exp(-0.5 * ((g.x - centre) / width) ** 2)
+                      + np.exp(-0.5 * ((g.x + centre) / width) ** 2))
+    assert np.array_equal(v, v[::-1])
+    full_eps, full_u = ground_eigenpair(Samples(g, v))
+    half_eps, half_u = ground_eigenpair(Samples(solver._HalfGrid(g), v[c:].copy()))
+    tol = 64.0 * np.finfo(float).eps * (4.0 / g.h**2 + np.max(np.abs(v[1:-1])))
+    assert abs(half_eps - full_eps) <= 2.0 * tol
+    assert np.all(half_u.values >= 0.0) and half_u.values[-1] == 0.0
+    assert np.dot(half_u.grid.weights, half_u.values**2) == pytest.approx(1.0, abs=1e-12)
+    if g.N <= 601:
+        h2 = g.h**2
+        off = np.full(c - 1, -1.0 / h2)
+        off[0] *= np.sqrt(2.0)
+        even = eigh_tridiagonal(2.0 / h2 + v[c:-1], off, eigvals_only=True,
+                                select="i", select_range=(0, 0))[0]
+        assert abs(half_eps - even) <= 2.0 * tol
+        assert abs(half_eps - _lowest_two(Samples(g, v))[0]) <= 2.0 * tol
 
 
 @st.composite
@@ -621,14 +657,57 @@ def test_grid_refinement_second_order():
     assert r == pytest.approx(4.0, abs=1.0)
 
 
+def _symmetric_decreasing_gap(u: Samples) -> float:
+    """max |u - sqrt((u^2)*)|: 0 exactly when u is its own symmetric decreasing rearrangement."""
+    star = symmetric_decreasing_rearrangement(u.with_values(u.values**2))
+    return float(np.max(np.abs(np.sqrt(star.values) - u.values)))
+
+
+def _rise_on_the_half_axis(u: Samples) -> float:
+    """The largest step up of u on x >= 0, in units of max u."""
+    right = u.values[u.grid.center_index:]
+    return float(np.max(np.diff(right))) / float(np.max(right))
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_neutral_minimizer_symmetric_decreasing():
+    # The full grid imposes no symmetry: SCF finds the neutral minimizer of
+    # mirrored wells symmetric decreasing.  A point charge solves on the
+    # half axis, where u is even by construction but is not made decreasing
     cfg = SolverConfig(L=24.0, N=2401, tol_residual=5e-7)
+    wells = scf_solve(mirrored_wells(Grid(cfg.L, cfg.N), 1.0, 0.4, 0.8), cfg)
+    assert _symmetric_decreasing_gap(wells.u) < 1e-6
     state = scf_solve(PointCharge(1.0), cfg)
     assert state.energy.total >= 0.0
-    sq = state.u.with_values(state.u.values**2)
-    star = symmetric_decreasing_rearrangement(sq)
-    assert np.max(np.abs(np.sqrt(star.values) - state.u.values)) < 1e-6
+    assert np.array_equal(state.u.values, state.u.values[::-1])
+    assert _rise_on_the_half_axis(state.u) <= 1e-12
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("solve", [scf_solve, gradient_solve])
+@settings(max_examples=60, deadline=None, database=None)
+@given(
+    z=st.floats(1.0, 8.0),
+    centre=st.floats(0.0, 1.0),
+    width=st.floats(0.5, 1.5),
+    half=st.integers(100, 600),
+    L=st.floats(12.0, 30.0),
+    shift=st.floats(-3.0, 3.0),
+)
+def test_minimizer_is_symmetric_decreasing(solve, z, centre, width, half, L, shift):
+    # From any shifted start either solver's minimizer for mirrored wells
+    # whose density is symmetric decreasing (centre <= width) is its own
+    # symmetric decreasing rearrangement on the full grid, with unit mass
+    # and a trace that never rises.
+    g = Grid(L, 2 * half + 1)
+    vals = np.exp(-0.5 * (g.x - shift) ** 2)
+    vals[0] = vals[-1] = 0.0
+    u0 = normalize(Samples(g, vals))
+    with _allowances() as allowance:
+        state = solve(mirrored_wells(g, z, centre * width, width), SolverConfig(L=L, N=g.N), u0=u0)
+    assert _symmetric_decreasing_gap(state.u) <= 1e-6
+    assert integrate(state.u.with_values(state.u.values**2)) == pytest.approx(1.0, abs=1e-12)
+    assert _rises_within_rounding([e for e, _ in state.history], allowance)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -642,34 +721,33 @@ def test_neutral_minimizer_symmetric_decreasing():
 )
 # a draw on which damped SCF used to settle into a two-cycle (residual 0.038)
 @example(z=1.0448621786501713, half=372, L=29.608782849122623, shift=0.5392201699257031)
-def test_minimizer_is_symmetric_decreasing(solve, z, half, L, shift):
-    # From any shifted start either solver's point-charge minimizer is its own
-    # symmetric decreasing rearrangement, with unit mass and a trace that
-    # never rises.
+def test_a_point_charge_minimizer_decreases_on_the_half_axis(solve, z, half, L, shift):
+    # A point charge's state is the mirror image of its half-axis state, so
+    # it is even bit for bit.  Nothing makes it decreasing: on x >= 0 it
+    # never rises by more than 1e-12 max u.  A shifted start enters as the
+    # root mean square of u(x) and u(-x); the trace never rises.
     g = Grid(L, 2 * half + 1)
     vals = np.exp(-0.5 * (g.x - shift) ** 2)
     vals[0] = vals[-1] = 0.0
     u0 = normalize(Samples(g, vals))
     with _allowances() as allowance:
         state = solve(PointCharge(z), SolverConfig(L=L, N=g.N), u0=u0)
-    sq = state.u.with_values(state.u.values**2)
-    star = symmetric_decreasing_rearrangement(sq)
-    assert np.max(np.abs(np.sqrt(star.values) - state.u.values)) <= 1e-6
-    assert integrate(sq) == pytest.approx(1.0, abs=1e-12)
+    assert np.array_equal(state.u.values, state.u.values[::-1])
+    assert _rise_on_the_half_axis(state.u) <= 1e-12
+    assert integrate(state.u.with_values(state.u.values**2)) == pytest.approx(1.0, abs=1e-12)
     assert _rises_within_rounding([e for e, _ in state.history], allowance)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_gradient_from_asymmetric_start_symmetrizes():
+    # on the full grid of neutral mirrored wells, from a start shifted off centre
     g = Grid(24.0, 2401)
     vals = np.exp(-0.5 * (g.x - 2.5) ** 2)
     vals[0] = vals[-1] = 0.0
     u0 = normalize(Samples(g, vals))
     cfg = SolverConfig(L=24.0, N=2401, tol_residual=5e-7)
-    state = gradient_solve(PointCharge(1.0), cfg, u0=u0)
-    sq = state.u.with_values(state.u.values**2)
-    star = symmetric_decreasing_rearrangement(sq)
-    assert np.max(np.abs(np.sqrt(star.values) - state.u.values)) < 1e-5
+    state = gradient_solve(mirrored_wells(g, 1.0, 0.4, 0.8), cfg, u0=u0)
+    assert _symmetric_decreasing_gap(state.u) < 1e-5
 
 
 def _charge_just_below_the_critical_ratio() -> SampledCharge:
@@ -755,17 +833,24 @@ def test_truncation_warning_names_the_caller(solve):
 
 
 def test_state_residual_is_the_el_residual():
-    # the residual the stopping rule read, not one rebuilt after the solve;
-    # at z = 3 half the weighted norm of g_t, the same number rounded
-    # another way, would miss el_residual in the last bit
+    # the residual the stopping rule read, not one rebuilt after the solve:
+    # on a sampled background's grid el_residual rebuilds the same V and
+    # the same bits.  A point charge's residual was read on the half grid,
+    # whose V and sums round differently: within 4 eps_mach (4/h^2 + max |V|)
     cfg = SolverConfig(L=12.0, N=241)
+    g = Grid(cfg.L, cfg.N)
     for z in (2.0, 3.0):
-        bg = PointCharge(z)
-        scf = scf_solve(bg, cfg)
-        assert scf.residual == el_residual(scf.u, scf.epsilon, bg)
-        gd = gradient_solve(bg, cfg)
-        assert gd.residual == el_residual(gd.u, gd.epsilon, bg)
-        assert gd.residual <= cfg.tol_residual
+        for solve in (scf_solve, gradient_solve):
+            bg = mirrored_wells(g, z, 0.4, 0.8)
+            state = solve(bg, cfg)
+            assert state.residual == el_residual(state.u, state.epsilon, bg)
+            assert state.residual <= cfg.tol_residual
+            bg = PointCharge(z)
+            state = solve(bg, cfg)
+            v = effective_potential(state.u, bg).values
+            bound = 4.0 * np.finfo(float).eps * (4.0 / g.h**2 + np.max(np.abs(v)))
+            assert abs(state.residual - el_residual(state.u, state.epsilon, bg)) <= bound
+            assert state.residual <= cfg.tol_residual
 
 
 def test_both_solvers_converge_from_a_start_nonzero_at_the_ends():
@@ -1089,6 +1174,35 @@ def test_the_returned_u_is_the_accepted_candidates_and_rebuilds_its_v(solve, N, 
         c.objective, c.ray, c.kinetic, c.coulomb)
 
 
+@pytest.mark.parametrize("solve", [scf_solve, gradient_solve])
+@pytest.mark.parametrize("N", [6001, 60001])
+@pytest.mark.parametrize("z", [1.0, 2.0, 6.0])
+def test_a_point_charge_state_is_its_half_axis_iterate_mirrored(solve, N, z, monkeypatch):
+    # The accepted candidate lives on the half grid x >= 0; the state's u is
+    # it mirrored, even bit for bit, with its numbers.  V rebuilt on the full
+    # grid rounds otherwise: within 1e-12, where V's electron part reaches 15
+    accepted = []
+    energy = solver.candidate_energy
+
+    def spy(c, background_const):
+        accepted.append((c.u.values.copy(), c.V.values.copy(), c))
+        return energy(c, background_const)
+
+    monkeypatch.setattr(solver, "candidate_energy", spy)
+    bg = PointCharge(z)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # tail mass at z = 1
+        state = solve(bg, SolverConfig(L=30.0, N=N))
+    u, v, c = accepted[-1]
+    mid = state.u.grid.center_index
+    assert c.u.grid.N == mid + 1 and np.array_equal(c.u.grid.x, state.u.grid.x[mid:])
+    assert state.u.values[mid:].tobytes() == u.tobytes()
+    assert np.array_equal(state.u.values, state.u.values[::-1])
+    assert np.max(np.abs(effective_potential(state.u, bg).values[mid:] - v)) <= 1e-12
+    assert (state.objective, state.epsilon, state.energy.kinetic, state.energy.coulomb) == (
+        c.objective, c.ray, c.kinetic, c.coulomb)
+
+
 def _traced_peak(solve, bg, cfg: SolverConfig) -> float:
     """One solve's traced peak above its inputs, in N-vectors of 8 N bytes."""
     solve(bg, SolverConfig(L=cfg.L, N=241) if isinstance(bg, PointCharge) else cfg)  # warm
@@ -1111,18 +1225,20 @@ def _seeded_two_wells(g: Grid, seed: int) -> SampledCharge:
 
 
 @pytest.mark.parametrize("solve,background,budget", [
-    (scf_solve, "wells", 9), (scf_solve, "point", 11), (gradient_solve, "point", 16)])
+    (scf_solve, "wells", 9), (scf_solve, "point", 7), (gradient_solve, "point", 9.5)])
 def test_a_fine_solve_holds_a_bounded_working_set(solve, background, budget):
     # Each budget is the measured peak in N-vectors (0.48 MB each here), and
     # the bound one vector more.  From the nested start SCF makes one fine
     # pass, whose peak is its eigensolve: the iterate's u and V, V_bg and the
-    # eigensolve's six; it forms the iterate's u^2 after the eigensolve, and
-    # a point charge's grid adds two.  The gradient solver holds the iterate
-    # and the trial (u and V each), V_bg, the factor of its metric, both
-    # gradients and directions, and the step's three.  A candidate that
-    # keeps its u^2 peaks at 10, 12 and 18; a solve that keeps its start
-    # candidate at 10, 12 and 17; an SCF history allocated at full depth at
-    # 19 and 21.
+    # eigensolve's six; it forms the iterate's u^2 after the eigensolve.  The
+    # gradient solver holds the iterate and the trial (u and V each), V_bg,
+    # the factor of its metric, both gradients and directions, and the
+    # step's three: 14.  A point charge's solve holds them on its half grid,
+    # whose vectors are half as long (9 and 14 of them make 4.5 and 7),
+    # beside the full grid's x and weights and the half grid's weights.  On
+    # the wells a candidate that keeps its u^2 peaks at 10, a solve that
+    # keeps its start candidate at 10, and an SCF history allocated at full
+    # depth at 19.
     cfg = SolverConfig(L=30.0, N=60001)
     g = Grid(cfg.L, cfg.N)
     bg = PointCharge(2.0) if background == "point" else _seeded_two_wells(g, 101)
