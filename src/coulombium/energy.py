@@ -242,12 +242,24 @@ def _hamiltonian_factor(vv: np.ndarray, grid: Grid, sigma: float):
     return (d, e) if info == 0 else None
 
 
+def _squares(v: np.ndarray) -> tuple[float, float]:
+    """(m, sum (v / m)^2), so |v| = m sqrt(sum): m = 1, or max |v| where sum v^2
+    overflows, as on a grid so small that the stencil's entries pass 1e154."""
+    with np.errstate(over="ignore"):
+        s = float(np.dot(v, v))
+    if s == np.inf and (m := float(np.max(np.abs(v)))) < np.inf:
+        w = v / m
+        return m, float(np.dot(w, w))
+    return 1.0, s
+
+
 def _residual_norm(r: np.ndarray, grid: Grid) -> float:
     """sqrt(h sum r^2) over the free nodes; a half grid's folded weights are h at 0, 2h beyond."""
-    s = float(np.dot(r[1:-1], r[1:-1]))
+    m, s = _squares(r[1:-1])
     if grid._reflecting:
-        s = 2.0 * s + float(r[0]) * float(r[0])
-    return float(np.sqrt(grid.h * s))
+        r0 = float(r[0]) / m
+        s = 2.0 * s + r0 * r0
+    return m * float(np.sqrt(grid.h * s))
 
 
 def el_residual(u: Samples, epsilon: float, bg: BackgroundCharge) -> float:

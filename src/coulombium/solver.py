@@ -62,7 +62,7 @@ import numpy as np
 from .background import (BackgroundCharge, PointCharge, SampledCharge, background_potential,
                          recenter_shift, total_charge)
 from .energy import (_SQRT2, Candidate, EnergyBreakdown, _background_const, _hamiltonian_factor,
-                     _hamiltonian_scale, _residual_norm, _shifted_hamiltonian,
+                     _hamiltonian_scale, _residual_norm, _shifted_hamiltonian, _squares,
                      candidate_energy, dpttrf, dpttrs, solver_objective)
 from .errors import (
     DivergingEnergyError,
@@ -79,9 +79,11 @@ _SCF_DEPTH = 5  # density and residual differences Anderson mixing keeps
 _BOUNDARY_FRACTION = 0.9
 _TAIL_MASS_LIMIT = 1e-10  # mass share beyond 0.9 L above which a returned state warns
 _SUBCRITICAL = 1.0 - 1e-9  # charge ratios z below this have no bound state
-# s in the gradient metric P = -D2 + V0 - min V0 + s; a smaller s brings P's
-# shift nearer the ground eigenvalue, s = 1 took up to 36 iterations on
-# near-critical separated wells where s = 1/4 takes at most 26
+# s in the gradient metric P = H[V0] - sigma, whose shift sigma lies s to
+# 3s/2 below lambda_1 of H[V0]: on 1816 near-critical corner backgrounds
+# (1-3 wells, charge 1 to 3, L = 30, N = 1201) s = 1 took up to 36
+# iterations where s = 1/4 takes at most 26, and on the point charges at
+# N = 3001 s = 1/8, 1/4, 1/2 and 1 took at most 10, 9, 15 and 20
 _SOBOLEV_SHIFT = 0.25
 _EIGEN_MAX_STEPS = 200  # inverse-iteration steps per eigensolve
 _EPS_MACH = float(np.finfo(float).eps)
@@ -248,7 +250,8 @@ def ground_eigenpair(V: Samples, start: Samples | None = None, *,
             hy[0] *= _SQRT_HALF
         rho = float(np.dot(y, hy))
         hy -= rho * y
-        res = float(np.linalg.norm(hy))
+        m, ss = _squares(hy)
+        res = m * float(np.sqrt(ss))
     else:
         rho, res = quotient
         hy = np.empty_like(y)
@@ -275,7 +278,8 @@ def ground_eigenpair(V: Samples, start: Samples | None = None, *,
         rho = sigma + offset
         yi -= offset * x  # (H - rho) x = y - (rho - sigma) x
         xnorm = np.sqrt(xx)
-        res = float(np.linalg.norm(yi)) / xnorm
+        m, ss = _squares(yi)
+        res = m * float(np.sqrt(ss)) / xnorm
         np.divide(x, xnorm, out=yi)
         target = rho - 2.0 * max(res, tol)
         if target > sigma:
@@ -354,6 +358,43 @@ def _descend(cur: Candidate, v_bg: Samples, path, step: float, slope: float):
         step *= 0.5
     raise LineSearchStalledError(
         f"no descent step from objective {cur.objective!r} down to step 1e-20")
+
+
+def _sobolev_factor(vv: np.ndarray, grid: Grid, ray: float, res: float):
+    """energy's dpttrf factor of the gradient metric P = H[V0] - sigma, with
+    sigma a set distance below lambda_1, the ground eigenvalue of H[V0].
+
+    vv is the start's potential V0, and ray and res its Rayleigh quotient
+    and residual.  lambda_1 lies in the bracket (min V0, ray]: -D2 is
+    positive definite, and a quotient bounds lambda_1 from above.
+    Bisection shrinks the bracket (lo, hi] to a width of at most gap / 2,
+    testing whether dpttrf accepts the midpoint as a shift, which it does
+    exactly when the midpoint lies below lambda_1 (Sylvester's law of
+    inertia), and sigma = lo - gap: lambda_1 - sigma lies in (gap, 3 gap / 2].
+    gap is s = 1/4 unless the bracket's first width W is so large that s is
+    below sqrt(eps_mach) W, on a grid whose 1/h^2 dwarfs s; there gap is
+    sqrt(eps_mach) W = 2^-26 W, so the bisection ends within 28 steps on
+    every grid (27 halvings, and one where a midpoint rounds).
+    A start whose residual is below gap / 2, as the nested start's is,
+    needs no bisection: some eigenvalue lies within res of its quotient
+    (Krylov and Weinstein; Parlett, The Symmetric Eigenvalue Problem,
+    ch. 4), lambda_1 for a start near the ground state, and sigma =
+    ray - res - gap, one factor.  If dpttrf refuses that shift, lambda_1
+    lies below it, and the bisection runs on (min V0, ray - res - gap].
+    """
+    lo, hi = float(np.min(vv[grid._free])), ray  # lambda_1 in (lo, hi]
+    gap = max(_SOBOLEV_SHIFT, np.sqrt(_EPS_MACH) * (hi - lo))
+    if res < 0.5 * gap:
+        if (fac := _hamiltonian_factor(vv, grid, ray - res - gap)) is not None:
+            return fac
+        hi = ray - res - gap
+    # the second test ends the loop where rounding leaves no midpoint
+    while hi - lo > 0.5 * gap and lo < (mid := 0.5 * (lo + hi)) < hi:
+        if _hamiltonian_factor(vv, grid, mid) is None:
+            hi = mid
+        else:
+            lo = mid
+    return _hamiltonian_factor(vv, grid, lo - gap)
 
 
 def require_bound_state(bg: BackgroundCharge) -> None:
@@ -667,20 +708,28 @@ def gradient_solve(
     The Euclidean tangent gradient is g_t = 2(H - ray) u, with H = -D2 + V,
     V the potential the accepted iterate's objective was read from and ray
     its Rayleigh quotient <u, H u> = kinetic + int V u^2.  The step direction
-    is g_t's Riesz representative in the metric of
-    P = -D2 + V0 - min V0 + s (Dirichlet ends, s = 1/4), projected onto the
-    sphere's tangent space in that metric,
+    is g_t's Riesz representative in the metric of P = H[V0] - sigma
+    (Dirichlet ends), projected onto the sphere's tangent space in that
+    metric,
 
         d = P^-1 g_t - (<u, P^-1 g_t> / <u, P^-1 u>) P^-1 u,   <u, d> = 0.
 
-    V0 is the start's potential, frozen for the solve: the Sobolev inner
-    product int u'v' + (V0 - min V0 + s) u v (Danaila & Kazemi 2010) removes
-    both the Laplacian's 1/h^2 conditioning and the potential's growth,
-    (z - 1)|x|/2 far out, so the iteration count grows neither with the mesh
-    nor with z.  P is built from the start's potential, not from any
-    eigenpair, so the method stays independent of SCF's eigen-step; it is
-    H[V0] - (min V0 - s), factored once per solve (energy's dpttrf factor)
-    and applied by one two-column dpttrs per iterate.
+    V0 is the start's potential, frozen for the solve, and sigma lies s to
+    3s/2 below lambda_1, the ground eigenvalue of H[V0] (s = 1/4; a fraction
+    of the bracket on grids whose 1/h^2 dwarfs s): ``_sobolev_factor``
+    brackets lambda_1 by bisection, each test a factor that dpttrf accepts or
+    refuses, or reads it from a start already near the ground state, such as
+    the nested start.  The Sobolev inner product <u, P v> removes both the
+    Laplacian's 1/h^2 conditioning and the potential's growth, (z - 1)|x|/2
+    far out, so the iteration count grows neither with the mesh nor with z;
+    with sigma near lambda_1 a step is close to one of shifted inverse
+    iteration (Danaila & Kazemi 2010; Altmann, Henning & Peterseim 2021).
+    On the gd-point inputs (L = 30, N = 6001, z from 1 to 6) that takes 5-9
+    iterations where the shift min V0 - s took 8-12, for 4-6 factors a solve
+    where it took one.  P is built from the start's potential, not from any
+    eigenpair, so the method stays independent of SCF's eigen-step: it is
+    factored once per solve (energy's dpttrf factor) and applied by one
+    two-column dpttrs per iterate.
     Steps are proposed by the Barzilai-Borwein quotient <du, dg_t> / <dg_t, dd>
     in the P-metric (0.5 at first, clamped to [1e-6, 1e3]) and safeguarded by
     ``_descend`` along s -> u - s d with slope -<g_t, d>.  The start is the first
@@ -697,16 +746,15 @@ def gradient_solve(
         grid = cur.u.grid
         w = grid.weights
         free, reflecting = grid._free, grid._reflecting
-        # P = H[V0] - (min V0 - s) has eigenvalues above s, so its factor exists
-        pd, pe = _hamiltonian_factor(cur.V.values, grid,
-                                     float(np.min(cur.V.values[free])) - _SOBOLEV_SHIFT)
 
         def inner(a, b):
             return float(np.dot(w * a, b))
 
-        def tangent_gradient(c: Candidate):
+        def residual(c: Candidate):
             gt = _shifted_hamiltonian(c.u.values, c.V.values, grid, c.ray)
-            res = _residual_norm(gt, grid)
+            return _residual_norm(gt, grid), gt
+
+        def direction(c: Candidate, gt):
             gt *= 2.0
             # the two right-hand sides as rows, solved in place as the columns of
             # the transpose: the rows become P^-1 g_t and P^-1 u
@@ -727,14 +775,17 @@ def gradient_solve(
             np.subtract(pg, pu, out=d[free])
             if reflecting:
                 d[0] *= 2.0
-            return res, gt, d
+            return d
 
-        res, gt, d = tangent_gradient(cur)
+        res, gt = residual(cur)
+        pd, pe = _sobolev_factor(cur.V.values, grid, cur.ray, res)
+        d = direction(cur, gt)
         step = 0.5  # before the first Barzilai-Borwein quotient
         while True:
             yield cur, res
             trial, st = _descend(cur, v_bg, lambda s: cur.u.values - s * d, step, -inner(gt, d))
-            res, gt_new, d_new = tangent_gradient(trial)
+            res, gt_new = residual(trial)
+            d_new = direction(trial, gt_new)
             dg = gt_new - gt
             curv, den = inner(trial.u.values - cur.u.values, dg), inner(dg, d_new - d)
             # along negative curvature the quotient means nothing: keep the step taken
